@@ -13,6 +13,7 @@
 #include "core/pipeline.hh"
 #include "energy/energy_model.hh"
 #include "sim/machine_config.hh"
+#include "sim/simulator.hh"
 #include "trace/synthetic.hh"
 
 using namespace dmdc;
@@ -39,9 +40,10 @@ evaluate(const WorkloadParams &wp)
         applyScheme(params, scheme);
         auto *wl = new SyntheticWorkload(wp);
         auto *pipe = new Pipeline(params, *wl);
-        pipe->run(50000);
+        RunLoop loop(*pipe);
+        loop.run(50000);
         pipe->resetStats();
-        pipe->run(250000);
+        loop.run(250000);
         *out_pipe = pipe;
         *out_wl = wl;
     };

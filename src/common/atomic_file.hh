@@ -4,11 +4,11 @@
  *
  * Several subsystems publish small state files that other processes
  * read concurrently and that must survive a kill at any instant —
- * checkpoint manifests, run-cache entries, campaign journals,
- * heartbeats. POSIX rename() within one filesystem is atomic, so a
- * reader either sees the previous complete file or the new complete
- * file, never a torn one. This helper centralizes the pattern so no
- * caller hand-rolls it with a plain std::ofstream again.
+ * run-cache entries, campaign journals, heartbeats. POSIX rename()
+ * within one filesystem is atomic, so a reader either sees the
+ * previous complete file or the new complete file, never a torn one.
+ * This helper centralizes the pattern so no caller hand-rolls it with
+ * a plain std::ofstream again.
  *
  * Durability: rename alone survives SIGKILL but not power loss — the
  * kernel may reorder the rename's metadata ahead of the temp file's

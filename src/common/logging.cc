@@ -10,7 +10,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
-#include <vector>
 
 namespace dmdc
 {
@@ -22,7 +21,7 @@ namespace
 // atomic and each message is formatted into a private buffer and
 // written with one stdio call so lines never interleave across
 // threads (stdio itself locks per call).
-std::array<std::atomic<std::uint64_t>, 5> messageCounts{};
+std::array<std::atomic<std::uint64_t>, 4> messageCounts{};
 
 const char *
 levelPrefix(LogLevel level)
@@ -32,90 +31,8 @@ levelPrefix(LogLevel level)
       case LogLevel::Warn:   return "warn";
       case LogLevel::Fatal:  return "fatal";
       case LogLevel::Panic:  return "panic";
-      case LogLevel::Trace:  return "trace";
     }
     return "?";
-}
-
-/** One immutable channel set; swapped wholesale on reconfigure. */
-struct TraceConfig
-{
-    bool all = false;
-    std::vector<std::string> channels;
-
-    void
-    parse(const std::string &spec)
-    {
-        std::size_t start = 0;
-        while (start <= spec.size()) {
-            std::size_t comma = spec.find(',', start);
-            if (comma == std::string::npos)
-                comma = spec.size();
-            std::string name = spec.substr(start, comma - start);
-            if (name == "all")
-                all = true;
-            else if (!name.empty())
-                channels.push_back(std::move(name));
-            start = comma + 1;
-        }
-    }
-
-    bool
-    enabled(const char *channel) const
-    {
-        if (all)
-            return true;
-        for (const std::string &name : channels) {
-            if (name == channel)
-                return true;
-        }
-        return false;
-    }
-};
-
-/**
- * The active channel set. setTraceChannels() installs a fresh
- * TraceConfig with an atomic pointer swap; superseded configs are
- * intentionally leaked because a concurrent traceEnabled() may still
- * be reading one (reconfiguration is rare and bounded, so the leak
- * is too).
- */
-std::atomic<const TraceConfig *> activeTraceConfig{nullptr};
-
-/** Warn (once per process) when the deprecated env spelling is set. */
-void
-warnDeprecatedTraceEnvOnce()
-{
-    static const bool warned = [] {
-        if (std::getenv("DMDC_TRACE") ||
-            std::getenv("DMDC_DEBUG_VIOLATIONS")) {
-            detail::logMessage(LogLevel::Warn,
-                "DMDC_TRACE / DMDC_DEBUG_VIOLATIONS are deprecated; "
-                "use --trace=<channels|all> (and --trace-out=<path> "
-                "for the Chrome trace)");
-        }
-        return true;
-    }();
-    (void)warned;
-}
-
-/**
- * Channel set seeded from the deprecated environment variables; used
- * only until the first setTraceChannels() call.
- */
-const TraceConfig &
-envTraceConfig()
-{
-    static const TraceConfig *config = [] {
-        auto *seeded = new TraceConfig;
-        if (const char *env = std::getenv("DMDC_TRACE"))
-            seeded->parse(env);
-        // Pre-trace-facility spelling, kept working.
-        if (std::getenv("DMDC_DEBUG_VIOLATIONS"))
-            seeded->channels.push_back("violations");
-        return seeded;
-    }();
-    return *config;
 }
 
 } // namespace
@@ -155,60 +72,7 @@ logMessage(LogLevel level, const char *fmt, ...)
         std::exit(1);
 }
 
-void
-traceMessage(const char *channel, const char *fmt, ...)
-{
-    messageCounts[static_cast<unsigned>(LogLevel::Trace)].fetch_add(
-        1, std::memory_order_relaxed);
-
-    char stack_buf[512];
-    std::va_list ap;
-    va_start(ap, fmt);
-    std::va_list ap2;
-    va_copy(ap2, ap);
-    const int n = std::vsnprintf(stack_buf, sizeof(stack_buf), fmt, ap);
-    va_end(ap);
-
-    std::string heap_buf;
-    const char *msg = stack_buf;
-    if (n >= static_cast<int>(sizeof(stack_buf))) {
-        heap_buf.resize(static_cast<std::size_t>(n) + 1);
-        std::vsnprintf(heap_buf.data(), heap_buf.size(), fmt, ap2);
-        msg = heap_buf.c_str();
-    }
-    va_end(ap2);
-
-    std::fprintf(stderr, "trace(%s): %s\n", channel,
-                 n < 0 ? fmt : msg);
-}
-
 } // namespace detail
-
-bool
-traceEnabled(const char *channel)
-{
-    warnDeprecatedTraceEnvOnce();
-    if (const TraceConfig *config =
-            activeTraceConfig.load(std::memory_order_acquire)) {
-        return config->enabled(channel);
-    }
-    return envTraceConfig().enabled(channel);
-}
-
-void
-warnIfDeprecatedTraceEnv()
-{
-    warnDeprecatedTraceEnvOnce();
-}
-
-void
-setTraceChannels(const std::string &spec)
-{
-    warnDeprecatedTraceEnvOnce();
-    auto *config = new TraceConfig;
-    config->parse(spec);
-    activeTraceConfig.store(config, std::memory_order_release);
-}
 
 std::uint64_t
 loggedMessageCount(LogLevel level)

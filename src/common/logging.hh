@@ -1,16 +1,13 @@
 /**
  * @file
- * gem5-style status/error reporting: panic(), fatal(), warn(),
- * inform(), and the channelled trace() facility.
+ * gem5-style status/error reporting: panic(), fatal(), warn() and
+ * inform().
  *
  * panic() is for simulator bugs (assert-like, aborts); fatal() is for
  * user errors such as invalid configurations (clean exit); warn() and
- * inform() print to stderr and continue. trace() emits high-volume
- * debug events gated by named channels, configured with
- * setTraceChannels() — normally from the --trace=<channels|all> flag
- * (see common/trace_sink.hh for the structured sink sharing the same
- * channel set). The DMDC_TRACE / DMDC_DEBUG_VIOLATIONS environment
- * variables remain as deprecated aliases that warn once per process.
+ * inform() print to stderr and continue. High-volume debug events go
+ * to the structured trace sink instead (common/trace_sink.hh, enabled
+ * with --trace=<channels|all>).
  *
  * Thread-safety: each message is formatted into a private buffer and
  * emitted with a single stdio call, so concurrent campaign workers
@@ -22,48 +19,19 @@
 
 #include <cstdarg>
 #include <cstdint>
-#include <string>
 
 namespace dmdc
 {
 
 /** Severity of a log message. */
-enum class LogLevel { Inform, Warn, Fatal, Panic, Trace };
+enum class LogLevel { Inform, Warn, Fatal, Panic };
 
 namespace detail
 {
 /** Format and dispatch one message; exits/aborts for Fatal/Panic. */
 [[gnu::format(printf, 2, 3)]]
 void logMessage(LogLevel level, const char *fmt, ...);
-
-/** Format and emit one trace line for an already-enabled channel. */
-[[gnu::format(printf, 2, 3)]]
-void traceMessage(const char *channel, const char *fmt, ...);
 } // namespace detail
-
-/**
- * Whether @p channel is enabled. The channel set comes from the last
- * setTraceChannels() call; before any such call it is seeded from the
- * deprecated DMDC_TRACE / DMDC_DEBUG_VIOLATIONS environment variables
- * (which warn once when present).
- */
-bool traceEnabled(const char *channel);
-
-/**
- * Replace the active trace-channel set with @p spec (comma-separated
- * channel names, or "all"; empty disables every channel). Callable
- * any number of times from any thread — tests and the dmdc_serve
- * daemon reconfigure channels without re-exec. Overrides the
- * deprecated environment variables.
- */
-void setTraceChannels(const std::string &spec);
-
-/**
- * Warn once if the deprecated DMDC_TRACE / DMDC_DEBUG_VIOLATIONS
- * environment variables are set. The CLI layer calls this at startup
- * so the deprecation is visible even when no trace() site fires.
- */
-void warnIfDeprecatedTraceEnv();
 
 /** Report a simulator bug and abort. */
 template <typename... Args>
@@ -97,20 +65,6 @@ void
 inform(const char *fmt, Args... args)
 {
     detail::logMessage(LogLevel::Inform, fmt, args...);
-}
-
-/**
- * Emit a per-event trace line on @p channel when the channel is
- * enabled (see traceEnabled()); no-cost no-op otherwise. Each line is
- * written with a single stdio call, like every other message.
- */
-template <typename... Args>
-void
-trace(const char *channel, const char *fmt, Args... args)
-{
-    if (!traceEnabled(channel))
-        return;
-    detail::traceMessage(channel, fmt, args...);
 }
 
 /**

@@ -467,10 +467,6 @@ void
 traceConfigure(const TraceOptions &options)
 {
     TraceSink::instance().configure(options);
-    // Keep the legacy fprintf trace() channel gate in lockstep so the
-    // stderr lines and the Chrome trace never disagree about what is
-    // enabled.
-    setTraceChannels(options.channels);
 }
 
 bool

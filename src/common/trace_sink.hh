@@ -3,10 +3,10 @@
  * Low-overhead campaign tracing: per-thread lock-free ring buffers
  * feeding a Chrome trace-event (chrome://tracing / Perfetto) exporter.
  *
- * The legacy trace() channels in common/logging.hh print one stderr
- * line per event through stdio — fine for debugging a single run,
- * unusably slow at campaign scale and invisible to tools. This sink
- * records ~32-byte POD events into a fixed-capacity per-thread ring
+ * The process's one diagnostics backend. Printing a stderr line per
+ * event would be fine for debugging a single run but unusably slow at
+ * campaign scale and invisible to tools, so this sink instead records
+ * ~32-byte POD events into a fixed-capacity per-thread ring
  * (overwrite-oldest, sequence-stamped) and defers all formatting to
  * export time, so a traced campaign keeps its parallel throughput and
  * an untraced one pays a single relaxed atomic load per call site.
@@ -28,7 +28,7 @@
  *
  * Multi-process campaigns: each process writes its own trace file
  * (shard workers derive "trace.shard0of2.json" from the base path the
- * way checkpoint manifests do) and tools/trace_merge combines them —
+ * way heartbeat files do) and tools/trace_merge combines them —
  * process ids keep the streams apart inside one merged timeline.
  */
 
@@ -122,10 +122,9 @@ std::uint16_t traceNameId(const std::string &name);
 constexpr std::size_t kTraceMaxNames = 4096;
 
 /**
- * (Re)configure process-wide tracing: sets the active channel set
- * (also mirrored into the legacy trace() channel gate so fprintf
- * channels and sink categories never disagree), the output path, and
- * the per-thread ring capacity, and arms an at-exit export. Empty
+ * (Re)configure process-wide tracing: sets the active channel set,
+ * the output path, and the per-thread ring capacity, and arms an
+ * at-exit export. Empty
  * channels disables capture. Callable repeatedly — the daemon and
  * tests reconfigure without re-exec; rings created under an old
  * capacity are retired (generation bump) rather than resized.
@@ -213,7 +212,7 @@ std::string tracePathWithTag(const std::string &path,
 /**
  * Derive the per-process trace path for shard @p index of @p count:
  * "trace.json" -> "trace.shard0of2.json" (unchanged when count <= 1).
- * Mirrors shardStatePath() so multi-process campaigns never collide
+ * Mirrors shardFilePath() so multi-process campaigns never collide
  * on one output file.
  */
 std::string traceShardPath(const std::string &path, unsigned index,

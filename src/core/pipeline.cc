@@ -46,14 +46,6 @@ pipelineTrace()
 
 } // namespace
 
-namespace
-{
-
-/** Cycles with no commit after which the simulator declares deadlock. */
-constexpr Cycle deadlockThreshold = 200000;
-
-} // namespace
-
 Pipeline::Pipeline(const CoreParams &params, Workload &workload)
     : params_(params), workload_(workload),
       // Live instructions are bounded by ROB + fetch queue occupancy;
@@ -115,7 +107,6 @@ void
 Pipeline::resetStats()
 {
     root_.resetAll();
-    lastCommitCycle_ = now_;
 }
 
 bool
@@ -257,35 +248,6 @@ Pipeline::skipIdleCycles(Cycle n)
     // Second: the dependence policy's per-cycle bookkeeping (DMDC
     // checking-mode cycle counting).
     lsq_.idleTicks(n);
-}
-
-void
-Pipeline::run(std::uint64_t num_insts)
-{
-    const std::uint64_t target = committed() + num_insts;
-    while (committed() < target) {
-        const unsigned progress = tick();
-        if (now_ - lastCommitCycle_ > deadlockThreshold)
-            panic("pipeline deadlock: no commit since cycle %llu "
-                  "(now %llu, workload '%s')",
-                  static_cast<unsigned long long>(lastCommitCycle_),
-                  static_cast<unsigned long long>(now_),
-                  workload_.name().c_str());
-        if (progress == 0 && committed() < target) {
-            // Event-driven idle skip: jump to just before the next
-            // wake event, capped so the deadlock panic above still
-            // fires at the exact cycle it would have without skipping.
-            const Cycle wake = nextEventCycle();
-            if (wake > now_ + 1) {
-                Cycle n = wake - now_ - 1;
-                const Cycle panic_at =
-                    lastCommitCycle_ + deadlockThreshold;
-                if (now_ + n > panic_at)
-                    n = panic_at > now_ ? panic_at - now_ : 0;
-                skipIdleCycles(n);
-            }
-        }
-    }
 }
 
 // --------------------------------------------------------------------
@@ -654,7 +616,6 @@ Pipeline::doCommit()
         rename_.release(head);
         workload_.discardBefore(head->traceIndex);
         ++committed;
-        lastCommitCycle_ = now_;
         rob_.retireHead();
     }
     // Flush the batched commit counters once per tick instead of

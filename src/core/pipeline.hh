@@ -124,9 +124,6 @@ class Pipeline
      */
     void skipIdleCycles(Cycle n);
 
-    /** Run until @p num_insts instructions have committed. */
-    void run(std::uint64_t num_insts);
-
     /** Inject an external coherence invalidation for @p addr's line. */
     void externalInvalidation(Addr addr);
 
@@ -149,6 +146,7 @@ class Pipeline
     const FetchStage &fetch() const { return fetch_; }
     const RegFileActivity &regfile() const { return regfile_; }
     const CoreParams &params() const { return params_; }
+    const Workload &workload() const { return workload_; }
 
     /** Attach a shadow filter (Figs. 2/3); not owned. */
     void addFilterObserver(FilterObserver *obs)
@@ -218,7 +216,6 @@ class Pipeline
     std::vector<DynInst *> retryLoads_; ///< rejected loads awaiting retry
     std::vector<DynInst *> issueScratch_; ///< per-tick issue pick list
     unsigned dcachePortsUsed_ = 0;
-    Cycle lastCommitCycle_ = 0;
     std::uint64_t lastDmdcReplayIndex_ = ~std::uint64_t{0};
     DynInst *pendingReplay_ = nullptr;  ///< deferred violation victim
     DynInst *pendingAgeReplay_ = nullptr; ///< age-table replay store

@@ -13,7 +13,6 @@
 #include "lsq/policy/builtin.hh"
 #include "lsq/policy/registry.hh"
 
-#include "common/logging.hh"
 #include "common/trace_sink.hh"
 
 namespace dmdc
@@ -22,12 +21,8 @@ namespace dmdc
 namespace
 {
 
-/**
- * The structured twin of the trace("violations", ...) stderr line:
- * both are gated by the same "violations" channel (traceConfigure()
- * keeps the two in lockstep), so the legacy text output and the
- * Chrome trace never disagree about which violations happened.
- */
+/** "violations" channel: one instant per true violation, carrying
+ *  the resolving store's seq. */
 struct ViolationTrace
 {
     TraceCategory &cat = traceCategory("violations");
@@ -59,24 +54,6 @@ class ConventionalPolicy : public DependencePolicy
             ++activity().trueViolationsDetected;
             traceInstantArg(violationTrace().cat,
                             violationTrace().violation, store->seq);
-            trace("violations",
-                  "viol: st seq=%llu a=%llx sz=%u ic=%llu | "
-                  "ld seq=%llu a=%llx sz=%u fwd=%llu "
-                  "mic=%llu rej=%d safe=%d",
-                  (unsigned long long)store->seq,
-                  (unsigned long long)store->op.effAddr,
-                  store->op.memSize,
-                  (unsigned long long)store->issueCycle,
-                  (unsigned long long)result.violatingLoad->seq,
-                  (unsigned long long)
-                      result.violatingLoad->op.effAddr,
-                  result.violatingLoad->op.memSize,
-                  (unsigned long long)
-                      result.violatingLoad->forwardedFrom,
-                  (unsigned long long)
-                      result.violatingLoad->memIssueCycle,
-                  (int)result.violatingLoad->rejected,
-                  (int)result.violatingLoad->safeLoad);
         }
         return result;
     }

@@ -2,8 +2,8 @@
  * @file
  * Parallel campaign engine implementation: fingerprinting, the
  * CRC-protected in-process/on-disk run cache, the fault-isolated
- * fan-out loop, checkpoint/resume, and the bench journal (which
- * doubles as the campaign failure manifest).
+ * fan-out loop, and the bench journal (which doubles as the campaign
+ * failure manifest).
  */
 
 #include "sim/campaign_runner.hh"
@@ -32,10 +32,8 @@
 #include "common/random.hh"
 #include "common/trace_sink.hh"
 #include "lsq/policy/registry.hh"
-#include "sim/campaign_state.hh"
 #include "sim/fault_injector.hh"
 #include "sim/heartbeat.hh"
-#include "sim/thread_pool.hh"
 
 namespace dmdc
 {
@@ -830,7 +828,7 @@ CampaignRunner::runChecked(const std::vector<SimOptions> &runs_in,
 {
     // Materialize the campaign-wide --check/--agent override before
     // anything looks at the options: classification, fingerprints,
-    // checkpoints and journaling must all see the checked options.
+    // and journaling must all see the checked options.
     std::vector<SimOptions> checked_runs;
     const std::vector<SimOptions> *run_list = &runs_in;
     if (config_.checkMode != CheckMode::Off ||
@@ -871,73 +869,6 @@ CampaignRunner::runChecked(const std::vector<SimOptions> &runs_in,
                               shard);
     }
 
-    // ---- checkpoint manifest -----------------------------------------
-    // Sharded processes checkpoint to their own derived manifest (two
-    // writers must not share one file); its fingerprint still covers
-    // the full campaign work list.
-    const std::string statePath =
-        shardStatePath(config_.statePath, shard);
-    const bool checkpointing = !statePath.empty();
-    CampaignState state;
-    std::mutex state_mutex;
-    if (checkpointing) {
-        const std::string fp = campaignFingerprint(runs);
-        bool resumed = false;
-        if (config_.resume) {
-            CampaignState prior;
-            std::string err;
-            if (!loadCampaignState(statePath, prior, err)) {
-                warn("campaign: cannot resume from '%s' (%s); "
-                     "starting fresh",
-                     statePath.c_str(), err.c_str());
-            } else if (prior.fingerprint != fp ||
-                       prior.entries.size() != runs.size()) {
-                warn("campaign: state in '%s' belongs to a different "
-                     "campaign; starting fresh",
-                     statePath.c_str());
-            } else {
-                state = std::move(prior);
-                resumed = true;
-                std::size_t done = 0;
-                for (const CampaignStateEntry &e : state.entries) {
-                    if (e.status == RunStatus::Ok)
-                        ++done;
-                }
-                inform("campaign: resuming '%s' (%zu of %zu runs "
-                       "previously ok)",
-                       statePath.c_str(), done, runs.size());
-            }
-        }
-        state.fingerprint = fp;
-        if (!resumed) {
-            state.entries.assign(runs.size(), {});
-            for (std::size_t i = 0; i < runs.size(); ++i) {
-                state.entries[i].benchmark = runs[i].benchmark;
-                state.entries[i].scheme = runs[i].scheme;
-                state.entries[i].configLevel = runs[i].configLevel;
-                state.entries[i].status = RunStatus::Pending;
-            }
-        }
-        saveCampaignState(statePath, state);
-    }
-
-    auto record_state = [&](std::size_t index, const RunOutcome &oc) {
-        if (!checkpointing)
-            return;
-        std::lock_guard<std::mutex> lock(state_mutex);
-        CampaignStateEntry &e = state.entries[index];
-        e.status = oc.status;
-        e.attempts = oc.attempts;
-        if (oc.ok()) {
-            e.category.clear();
-            e.error.clear();
-        } else {
-            e.category = runErrorCategoryName(oc.category);
-            e.error = oc.error;
-        }
-        saveCampaignState(statePath, state);
-    };
-
     // ---- heartbeat ---------------------------------------------------
     // One atomic heartbeat file per shard process, advanced after
     // every run that reaches a terminal status. Progress-based on
@@ -945,7 +876,7 @@ CampaignRunner::runChecked(const std::vector<SimOptions> &runs_in,
     // threads are wedged, which is exactly what a supervisor needs to
     // detect (see heartbeat.hh).
     const std::string heartbeatPath =
-        shardStatePath(config_.heartbeatPath, shard);
+        shardFilePath(config_.heartbeatPath, shard);
     std::mutex hb_mutex;
     HeartbeatRecord hb;
     hb.pid = static_cast<int>(::getpid());
@@ -997,7 +928,6 @@ CampaignRunner::runChecked(const std::vector<SimOptions> &runs_in,
                            std::to_string(shard.count);
                 oc.attempts = 0;
                 ++stats.outOfShard;
-                record_state(i, oc);
                 beat_progress(oc);
                 continue;
             }
@@ -1019,7 +949,6 @@ CampaignRunner::runChecked(const std::vector<SimOptions> &runs_in,
                     cr.outcomes[i].cached = true;
                     cr.outcomes[i].attempts = 0;
                     appendJournal(cr.results[i], cr.outcomes[i]);
-                    record_state(i, cr.outcomes[i]);
                     beat_progress(cr.outcomes[i]);
                     continue;
                 }
@@ -1037,7 +966,6 @@ CampaignRunner::runChecked(const std::vector<SimOptions> &runs_in,
                 cr.outcomes[i].cached = true;
                 cr.outcomes[i].attempts = 0;
                 appendJournal(cr.results[i], cr.outcomes[i]);
-                record_state(i, cr.outcomes[i]);
                 beat_progress(cr.outcomes[i]);
                 continue;
             }
@@ -1055,11 +983,11 @@ CampaignRunner::runChecked(const std::vector<SimOptions> &runs_in,
     std::atomic<bool> abort_flag{false};
     if (!pending.empty()) {
         unsigned jobs = config_.jobs
-            ? config_.jobs : ThreadPool::defaultConcurrency();
+            ? config_.jobs : defaultWorkerCount();
         jobs = std::min<std::size_t>(jobs, pending.size());
 
         auto execute_run =
-            [this, &runs, &cr, verbose, &abort_flag, &record_state,
+            [this, &runs, &cr, verbose, &abort_flag,
              &beat_progress, &rt](const Pending &p) {
                 const auto run_t0 = Clock::now();
                 RunOutcome oc;
@@ -1170,15 +1098,14 @@ CampaignRunner::runChecked(const std::vector<SimOptions> &runs_in,
                     }
                 }
                 cr.outcomes[p.index] = oc;
-                record_state(p.index, oc);
                 beat_progress(oc);
 
                 // Process-level chaos for the supervisor. Fires only
-                // after a *freshly simulated* run has been
-                // checkpointed and cached, so every injected crash
-                // strictly follows progress: the restarted worker
-                // resumes past this run and a shard with R runs can
-                // absorb at most R crashes before finishing.
+                // after a *freshly simulated* run has been cached, so
+                // every injected crash strictly follows progress: the
+                // restarted worker is served this run from the cache
+                // and a shard with R runs can absorb at most R crashes
+                // before finishing.
                 if (oc.ok() && !id.empty()) {
                     FaultInjector &fi = FaultInjector::global();
                     if (fi.injectWorkerCrash(id, shardAttempt())) {
@@ -1253,7 +1180,6 @@ CampaignRunner::runChecked(const std::vector<SimOptions> &runs_in,
             appendJournalFailure(runs[dst], oc);
         }
         cr.outcomes[dst] = oc;
-        record_state(dst, oc);
         beat_progress(oc);
     }
 

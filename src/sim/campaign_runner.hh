@@ -4,8 +4,9 @@
  * fault isolation.
  *
  * A campaign is an ordered list of independent (benchmark, config,
- * scheme) simulation runs. CampaignRunner fans the list out across a
- * ThreadPool while preserving the serial result ordering and
+ * scheme) simulation runs. CampaignRunner fans the list out across
+ * worker threads (placed by a RunScheduler) while preserving the
+ * serial result ordering and
  * bit-identical SimResults (each Simulator owns all of its state, so
  * runs are deterministic functions of their SimOptions).
  *
@@ -21,9 +22,9 @@
  * Transient failures retry with bounded backoff; the campaign
  * completes every surviving run and reports a failure manifest in the
  * JSON journal. On-disk cache entries carry a CRC32 and are
- * quarantined (never trusted) when corrupt, and an optional
- * checkpoint manifest (campaign_state.json) makes interrupted
- * campaigns resumable.
+ * quarantined (never trusted) when corrupt. An interrupted campaign
+ * resumes by rerunning it against the same cache: completed runs are
+ * disk hits, so only the failed and skipped ones simulate.
  */
 
 #ifndef DMDC_SIM_CAMPAIGN_RUNNER_HH
@@ -48,7 +49,7 @@ namespace dmdc
 /** Knobs of a CampaignRunner (see also bench --jobs / --no-cache). */
 struct CampaignConfig
 {
-    /** Worker threads; 0 selects ThreadPool::defaultConcurrency(). */
+    /** Worker threads; 0 selects defaultWorkerCount(). */
     unsigned jobs = 0;
     /**
      * How runs are placed on worker threads (--scheduler). Both
@@ -73,18 +74,6 @@ struct CampaignConfig
     bool failFast = false;
 
     /**
-     * Checkpoint manifest path; empty disables checkpointing. The
-     * manifest is rewritten atomically after every completed run.
-     */
-    std::string statePath;
-    /**
-     * Resume from an existing manifest at statePath: previously
-     * completed runs are served from the run cache, everything else
-     * executes. A fingerprint mismatch falls back to a fresh start.
-     */
-    bool resume = false;
-
-    /**
      * On-disk cache size cap in bytes; least-recently-used entries
      * are evicted after each campaign to stay under it. 0 = unlimited.
      */
@@ -95,15 +84,14 @@ struct CampaignConfig
      * (--shard=i/N). The work list is partitioned deterministically
      * (see shardAssignment()); runs owned by other shards complete
      * immediately with RunStatus::OutOfShard and are not journaled.
-     * With a statePath set, each shard checkpoints to its own derived
-     * manifest (shardStatePath()). Default 0/1 = the whole campaign.
+     * Default 0/1 = the whole campaign.
      */
     ShardSpec shard;
 
     /**
      * Heartbeat file base path (--heartbeat); empty disables.
-     * Sharded processes derive their own file with shardStatePath(),
-     * exactly like the checkpoint manifest. A heartbeat is published
+     * Sharded processes derive their own file with shardFilePath().
+     * A heartbeat is published
      * atomically after every run that reaches a terminal status, so a
      * supervisor can distinguish a slow worker from a hung one.
      */
@@ -291,7 +279,7 @@ const std::string &policySourceFingerprint();
  * @p deterministic strips every nondeterministic field (timestamps,
  * wall-clock, cache provenance, attempt counts) and sorts records
  * canonically, so two campaigns over the same run list — interrupted
- * + resumed vs. uninterrupted — produce bit-identical files.
+ * + rerun vs. uninterrupted — produce bit-identical files.
  */
 void setCampaignJournal(const std::string &path,
                         bool deterministic = false);
@@ -305,9 +293,9 @@ void flushCampaignJournal();
  * Request a graceful campaign interruption (async-signal-safe; called
  * from the worker's SIGINT/SIGTERM handler). Runs not yet started
  * complete as Skipped("interrupted by signal"), in-flight runs finish
- * and are checkpointed/cached normally, and the campaign returns with
- * its manifest and journal consistent — a --resume re-simulates only
- * what the interrupt skipped.
+ * and are cached normally, and the campaign returns with its journal
+ * consistent — rerunning the same command re-simulates only what the
+ * interrupt skipped.
  */
 void requestCampaignInterrupt();
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <ostream>
@@ -102,19 +103,46 @@ shardSpecName(const ShardSpec &spec)
 }
 
 std::string
-shardStatePath(const std::string &statePath, const ShardSpec &spec)
+shardFilePath(const std::string &path, const ShardSpec &spec)
 {
-    if (statePath.empty() || !spec.active())
-        return statePath;
+    if (path.empty() || !spec.active())
+        return path;
     const std::string suffix = ".shard" + std::to_string(spec.index) +
                                "of" + std::to_string(spec.count);
-    const std::size_t slash = statePath.find_last_of('/');
-    const std::size_t dot = statePath.find_last_of('.');
+    const std::size_t slash = path.find_last_of('/');
+    const std::size_t dot = path.find_last_of('.');
     if (dot == std::string::npos ||
         (slash != std::string::npos && dot < slash)) {
-        return statePath + suffix;
+        return path + suffix;
     }
-    return statePath.substr(0, dot) + suffix + statePath.substr(dot);
+    return path.substr(0, dot) + suffix + path.substr(dot);
+}
+
+std::string
+runIdentity(const SimOptions &opt)
+{
+    std::ostringstream os;
+    os << opt.benchmark << '|' << opt.scheme << '|' << opt.configLevel
+       << '|' << opt.warmupInsts << '|' << opt.runInsts << '|'
+       << opt.invalidationsPer1kCycles << '|' << opt.coherence << '|'
+       << opt.safeLoads << '|' << opt.sqFilter << '|' << opt.numYlaQw
+       << '|' << opt.tableEntriesOverride << '|' << opt.queueEntries
+       << '|' << (opt.observers.empty() && !opt.tweak ? 0 : 1);
+    return os.str();
+}
+
+std::string
+campaignFingerprint(const std::vector<SimOptions> &runs)
+{
+    std::uint64_t h = 0;
+    for (const SimOptions &opt : runs) {
+        const std::string id = runIdentity(opt);
+        h = hashBytes(id.data(), id.size(), h);
+    }
+    char buf[20];
+    std::snprintf(buf, sizeof(buf), "%016llx",
+                  static_cast<unsigned long long>(h));
+    return buf;
 }
 
 // ---- partition -------------------------------------------------------
@@ -147,8 +175,13 @@ shardAssignment(const std::vector<SimOptions> &runs, unsigned shardCount)
 bool
 journalEntryLess(const JournalEntry &a, const JournalEntry &b)
 {
-    return std::tie(a.benchmark, a.scheme, a.config, a.status, a.error) <
-           std::tie(b.benchmark, b.scheme, b.config, b.status, b.error);
+    // The value tokens break ties between runs that share a journal
+    // identity but differ in hidden knobs (e.g. an invalidation-rate
+    // sweep): without them their order would follow completion order.
+    return std::tie(a.benchmark, a.scheme, a.config, a.status, a.error,
+                    a.cyclesToken, a.ipcToken) <
+           std::tie(b.benchmark, b.scheme, b.config, b.status, b.error,
+                    b.cyclesToken, b.ipcToken);
 }
 
 void

@@ -2,9 +2,9 @@
  * @file
  * Campaign sharding and journal merging.
  *
- * One campaign — the fingerprinted ordered work list that PR 3's
- * checkpoint manifest already captures — can be executed by N
- * cooperating processes. Each process is handed a ShardSpec (`--shard
+ * One campaign — a fingerprinted ordered work list (see
+ * campaignFingerprint()) — can be executed by N cooperating
+ * processes. Each process is handed a ShardSpec (`--shard
  * =i/N`), deterministically derives its slice of the work list with
  * shardAssignment(), runs it through the ordinary runChecked()
  * machinery against the shared concurrent-writer-safe `.dmdc_cache/`,
@@ -63,15 +63,26 @@ bool parseShardSpec(const std::string &text, ShardSpec &out,
 std::string shardSpecName(const ShardSpec &spec);
 
 /**
- * Derive the per-shard checkpoint manifest path from the campaign's
- * base @p statePath: "dir/state.json" -> "dir/state.shard0of2.json"
+ * Derive a per-shard file path (heartbeat, trace) from a campaign-wide
+ * base @p path: "dir/heartbeat.json" -> "dir/heartbeat.shard0of2.json"
  * (suffix precedes the last extension; appended when there is none).
- * Shard processes must not share one manifest file; the campaign
- * fingerprint inside each manifest still covers the *full* work list,
- * so a resumed shard verifies it belongs to the same campaign.
+ * Shard processes must never share one such file.
  */
-std::string shardStatePath(const std::string &statePath,
-                           const ShardSpec &spec);
+std::string shardFilePath(const std::string &path, const ShardSpec &spec);
+
+/**
+ * Stable identity of one run: every behavior-affecting SimOptions
+ * field (attached observers / tweaks are flagged, not hashed). Names
+ * run spans and keys the fault injector; unlike the cache key it does
+ * not include the policy-registry source fingerprint.
+ */
+std::string runIdentity(const SimOptions &opt);
+
+/**
+ * Order-sensitive fingerprint over a campaign's full run list; shard
+ * journals carry it so the merger rejects slices of another campaign.
+ */
+std::string campaignFingerprint(const std::vector<SimOptions> &runs);
 
 /**
  * Deterministically assign each run in @p runs to one of

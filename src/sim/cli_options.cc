@@ -8,7 +8,6 @@
 #include <limits>
 #include <sstream>
 
-#include "common/logging.hh"
 #include "verify/check_mode.hh"
 #include "verify/coherence_agent.hh"
 
@@ -336,10 +335,6 @@ CampaignCliOptions::addTo(CliParser &parser)
                  "retries for transient run failures");
     parser.flag("fail-fast", &config.failFast,
                 "stop launching runs after the first failure");
-    parser.value("state", &config.statePath,
-                 "checkpoint manifest path");
-    parser.flag("resume", &config.resume,
-                "resume from the checkpoint manifest");
     parser.value("shard", &shardText,
                  "run slice i of N of the campaign (i/N)");
     parser.value("json", &jsonPath, "write the campaign journal here");
@@ -372,10 +367,6 @@ CampaignCliOptions::finalize(std::string &err)
     if (!shardText.empty() &&
         !parseShardSpec(shardText, config.shard, err))
         return false;
-    if (config.resume && config.statePath.empty()) {
-        err = "--resume requires --state=<path>";
-        return false;
-    }
     if (!schedulerText.empty() &&
         !parseSchedulerKind(schedulerText, config.scheduler, err))
         return false;
@@ -410,7 +401,6 @@ CampaignCliOptions::finalize(std::string &err)
 void
 CampaignCliOptions::apply() const
 {
-    warnIfDeprecatedTraceEnv();
     CampaignRunner::configureGlobal(config);
     if (!jsonPath.empty())
         setCampaignJournal(jsonPath, jsonDeterministic);
@@ -443,7 +433,7 @@ SupervisorCliOptions::addTo(CliParser &parser)
     parser.value("out", &options.journalPath,
                  "merged journal path (default <launch-dir>/merged.json)");
     parser.flag("resume", &options.resume,
-                "resume an interrupted launch");
+                "keep the launch dir of an interrupted launch");
     parser.flag("verbose", &options.verbose,
                 "log every supervision event");
     parser.value("trace", &trace.channels,
@@ -471,12 +461,11 @@ SupervisorCliOptions::finalize(const std::string &argv0,
             ? std::string(".") : argv0.substr(0, slash);
         options.workerBinary = dir + "/dmdc_sim";
     }
-    // The supervisor owns the sharding, journaling, and checkpoint
+    // The supervisor owns the sharding, journaling, and heartbeat
     // topology; a forwarded flag in that namespace would silently
     // fight it.
     static const char *const kReserved[] = {
-        "--shard", "--json", "--json-deterministic", "--state",
-        "--heartbeat", "--resume",
+        "--shard", "--json", "--json-deterministic", "--heartbeat",
     };
     for (const std::string &arg : options.workerArgs) {
         for (const char *r : kReserved) {
@@ -508,7 +497,6 @@ SupervisorCliOptions::finalize(const std::string &argv0,
 void
 SupervisorCliOptions::applyTracing() const
 {
-    warnIfDeprecatedTraceEnv();
     if (!trace.enabled())
         return;
     TraceOptions resolved = trace;

@@ -10,8 +10,8 @@
  * options, then parse — with strict number validation (malformed or
  * out-of-range values produce a clean usage message and exit code
  * kExitUsage). CampaignCliOptions bundles the campaign-engine flags
- * (--jobs/--no-cache/--json/--timeout/--max-retries/--state/--resume/
- * --shard/...) so they spell and behave identically everywhere.
+ * (--jobs/--no-cache/--json/--timeout/--max-retries/--shard/...) so
+ * they spell and behave identically everywhere.
  */
 
 #ifndef DMDC_SIM_CLI_OPTIONS_HH
@@ -35,8 +35,8 @@ constexpr int kExitOk = 0;       ///< success
 constexpr int kExitFailure = 1;  ///< operation failed (all runs, merge)
 constexpr int kExitUsage = 2;    ///< bad command line / bad config
 constexpr int kExitDegraded = 4; ///< finished, but some runs degraded
-/** Interrupted by SIGINT/SIGTERM after a graceful drain: checkpoint
- *  manifest and journal are flushed and --resume will converge.
+/** Interrupted by SIGINT/SIGTERM after a graceful drain: the journal
+ *  is flushed and rerunning the same command will converge.
  *  Distinct from kExitFailure so a supervisor can tell "stop
  *  requested" from "worker broke". */
 constexpr int kExitInterrupted = 5;
@@ -169,9 +169,9 @@ struct CampaignCliOptions
     void addTo(CliParser &parser);
 
     /**
-     * Cross-validate and derive: parse --shard, require --state with
-     * --resume, require --trace with --trace-out, translate the
-     * cache cap. False + @p err on conflict.
+     * Cross-validate and derive: parse --shard, require --trace with
+     * --trace-out, translate the cache cap. False + @p err on
+     * conflict.
      */
     bool finalize(std::string &err);
 
@@ -204,10 +204,9 @@ struct SupervisorCliOptions
      * Cross-validate: procs >= 1, a usable worker binary (defaulted
      * from @p argv0's directory when --worker is absent), and no
      * forwarded flag that the supervisor itself owns (--shard, --json,
-     * --state, --heartbeat, --resume, ...). Re-appends the tracing
-     * flags to the forwarded worker args so workers trace too (each
-     * deriving its own per-shard output path). False + @p err on
-     * conflict.
+     * --heartbeat, ...). Re-appends the tracing flags to the forwarded
+     * worker args so workers trace too (each deriving its own
+     * per-shard output path). False + @p err on conflict.
      */
     bool finalize(const std::string &argv0, std::string &err);
 

@@ -18,7 +18,7 @@
  *   run-hang      wedge the run (caught by the simulator watchdog)
  *   cache-corrupt write a deliberately corrupt .dmdc_cache/ entry
  *   worker-crash  SIGKILL the whole worker process right after a
- *                 freshly simulated run checkpoints (supervisor chaos)
+ *                 freshly simulated run is cached (supervisor chaos)
  *   worker-hang   stop the worker's heartbeat after a freshly
  *                 simulated run and wedge (supervisor chaos)
  *   serve-crash   SIGKILL the dmdc_serve daemon right after a freshly
@@ -41,9 +41,9 @@
  *
  * The worker-* sites model process-level failures for the shard
  * supervisor. They fire only after a *freshly simulated* run has been
- * checkpointed and cached, so every crash/hang strictly follows
- * progress: a restarted worker resumes from the cache and a campaign
- * with R runs can suffer at most R injected worker faults per shard.
+ * cached, so every crash/hang strictly follows progress: a restarted
+ * worker is served that run from the cache and a campaign with R runs
+ * can suffer at most R injected worker faults per shard.
  * Decisions additionally mix in the worker's restart attempt (the
  * DMDC_SHARD_ATTEMPT environment variable the supervisor sets), so a
  * restart re-rolls rather than replaying its predecessor's fate.
@@ -121,7 +121,7 @@ class FaultInjector
     bool injectCacheCorrupt(const std::string &key) const;
 
     /** Kill the worker process after the freshly simulated run
-     *  identified by @p key checkpoints? @p attempt is the worker's
+     *  identified by @p key is cached? @p attempt is the worker's
      *  restart count (DMDC_SHARD_ATTEMPT), so each respawn re-rolls. */
     bool injectWorkerCrash(const std::string &key,
                            unsigned attempt) const;

@@ -4,7 +4,7 @@
  *
  * A shard worker publishes a tiny JSON heartbeat file after every run
  * it completes (write-to-temp + rename, one file per shard, derived
- * from the base path with shardStatePath()). The record carries a
+ * from the base path with shardFilePath()). The record carries a
  * monotonic counter plus progress coordinates; the supervisor polls
  * the file and declares the worker hung when the counter stops
  * advancing for longer than the hang deadline.

@@ -31,7 +31,7 @@ enum class RunErrorCategory
     Timeout,      ///< watchdog: wall-clock or cycle budget exhausted
 };
 
-/** Stable lower-case name, as recorded in journals and manifests. */
+/** Stable lower-case name, as recorded in journals. */
 inline const char *
 runErrorCategoryName(RunErrorCategory c)
 {
@@ -68,10 +68,9 @@ class RunError : public std::runtime_error
     bool transient_;
 };
 
-/** Terminal state of one campaign run (or manifest work item). */
+/** Terminal state of one campaign run. */
 enum class RunStatus
 {
-    Pending,  ///< not yet executed (checkpoint manifests only)
     Ok,       ///< completed, result valid
     Failed,   ///< threw; result slot is default-constructed
     TimedOut, ///< watchdog fired; result slot is default-constructed
@@ -81,12 +80,11 @@ enum class RunStatus
     OutOfShard,
 };
 
-/** Stable lower-case name, as recorded in journals and manifests. */
+/** Stable lower-case name, as recorded in journals. */
 inline const char *
 runStatusName(RunStatus s)
 {
     switch (s) {
-      case RunStatus::Pending:  return "pending";
       case RunStatus::Ok:       return "ok";
       case RunStatus::Failed:   return "failed";
       case RunStatus::TimedOut: return "timed-out";
@@ -100,9 +98,9 @@ runStatusName(RunStatus s)
 inline bool
 parseRunStatus(const std::string &text, RunStatus &out)
 {
-    for (RunStatus s : {RunStatus::Pending, RunStatus::Ok,
-                        RunStatus::Failed, RunStatus::TimedOut,
-                        RunStatus::Skipped, RunStatus::OutOfShard}) {
+    for (RunStatus s : {RunStatus::Ok, RunStatus::Failed,
+                        RunStatus::TimedOut, RunStatus::Skipped,
+                        RunStatus::OutOfShard}) {
         if (text == runStatusName(s)) {
             out = s;
             return true;

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <deque>
 #include <mutex>
+#include <thread>
 #include <tuple>
 #include <unordered_map>
 
@@ -273,6 +274,13 @@ makeRunScheduler(SchedulerKind kind)
     if (kind == SchedulerKind::StaticLpt)
         return std::make_unique<StaticLptScheduler>();
     return std::make_unique<WorkStealingScheduler>();
+}
+
+unsigned
+defaultWorkerCount()
+{
+    const unsigned hw = std::thread::hardware_concurrency();
+    return hw ? hw : 1;
 }
 
 } // namespace dmdc

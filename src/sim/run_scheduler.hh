@@ -113,6 +113,10 @@ class RunScheduler
 
 std::unique_ptr<RunScheduler> makeRunScheduler(SchedulerKind kind);
 
+/** Worker slots when none are requested: hardware_concurrency(),
+ *  clamped to at least 1. */
+unsigned defaultWorkerCount();
+
 } // namespace dmdc
 
 #endif // DMDC_SIM_RUN_SCHEDULER_HH

@@ -677,8 +677,6 @@ struct ServiceDaemon::Impl
         wc.jobs = 1;
         wc.scheduler = SchedulerKind::StaticLpt;
         wc.shard = ShardSpec{};
-        wc.statePath.clear();
-        wc.resume = false;
         wc.heartbeatPath.clear();
         wc.failFast = false;
         CampaignRunner runner(wc);
@@ -1296,10 +1294,8 @@ ServiceDaemon::start(std::string &err)
     }
     impl_->listenFd = fd;
 
-    unsigned n = options_.workers
-        ? options_.workers : std::thread::hardware_concurrency();
-    if (n == 0)
-        n = 2;
+    const unsigned n = options_.workers
+        ? options_.workers : defaultWorkerCount();
     impl_->sched = makeRunScheduler(SchedulerKind::WorkStealing);
     impl_->sched->seed({}, n);
 

@@ -102,6 +102,112 @@ validateSimOptions(const SimOptions &opt)
     }
 }
 
+RunLoop::RunLoop(Pipeline &pipe, RunLoopOptions options)
+    : pipe_(pipe), opts_(std::move(options))
+{
+    // An injected wedge must never outlive the watchdog, even when
+    // the caller disabled the stall guard.
+    if (opts_.hang && !opts_.stallCycleLimit)
+        opts_.stallCycleLimit = 100000;
+    using WallClock = std::chrono::steady_clock;
+    deadline_ = WallClock::now() +
+        std::chrono::duration_cast<WallClock::duration>(
+            std::chrono::duration<double, std::milli>(opts_.timeoutMs));
+}
+
+void
+RunLoop::run(std::uint64_t insts)
+{
+    // ---- watchdogs ----
+    //
+    // Two independent guards turn a wedged simulation into a
+    // structured RunError(Timeout) instead of a hung worker: a
+    // cycle-budget watchdog (no commit progress for stallCycleLimit
+    // consecutive cycles — deterministic, catches pipeline deadlock)
+    // and an optional wall-clock deadline, checked once every
+    // wallCheckIntervalTicks loop iterations to keep the hot loop
+    // free of clock syscalls. The interval counts loop iterations,
+    // not simulated cycles: a bulk idle skip advances many cycles in
+    // one iteration, and the deadline guards wall time, which scales
+    // with iterations.
+    constexpr std::uint64_t wallCheckIntervalTicks = 4096;
+    static_assert((wallCheckIntervalTicks &
+                   (wallCheckIntervalTicks - 1)) == 0,
+                  "wall-check interval must be a power of two");
+    const bool wall_limited = opts_.timeoutMs > 0.0;
+    const std::uint64_t stall_limit = opts_.stallCycleLimit;
+    const bool hang = opts_.hang;
+    KernelTrace &kt = kernelTrace();
+
+    const std::uint64_t target = pipe_.committed() + insts;
+    std::uint64_t last_committed = pipe_.committed();
+    std::uint64_t stall_cycles = 0;
+    while (pipe_.committed() < target || hang) {
+        unsigned progress = 0;
+        std::uint64_t injected = 0;
+        if (!hang) {
+            progress = pipe_.tick();
+            if (opts_.traffic)
+                injected = opts_.traffic(pipe_);
+        }
+        if (hang || pipe_.committed() == last_committed) {
+            if (stall_limit && ++stall_cycles > stall_limit)
+                throw RunError(
+                    RunErrorCategory::Timeout,
+                    "no commit progress in " +
+                        std::to_string(stall_limit) + " cycles (" +
+                        (hang ? std::string("injected run-hang")
+                              : "wedged pipeline") +
+                        ", benchmark " + pipe_.workload().name() + ")");
+        } else {
+            stall_cycles = 0;
+            last_committed = pipe_.committed();
+        }
+        // Event-driven idle skip: after an empty tick with no
+        // injection, jump to just before the next pipeline event.
+        if (!hang && progress == 0 && injected == 0 &&
+            pipe_.committed() < target) {
+            const Cycle wake = pipe_.nextEventCycle();
+            Cycle n = wake > pipe_.now() + 1
+                ? wake - pipe_.now() - 1 : 0;
+            // Each skipped cycle is a commit-free cycle; cap the jump
+            // so the stall watchdog above still throws at the exact
+            // cycle it would have without skipping.
+            if (stall_limit && n > stall_limit - stall_cycles)
+                n = stall_limit - stall_cycles;
+            if (n > 0) {
+                if (opts_.traffic) {
+                    // Bulk skipping would perturb the source's
+                    // per-cycle state (RNG stream or script phase):
+                    // replay it cycle by cycle, and stop skipping the
+                    // moment it injects (the pipeline is no longer
+                    // idle).
+                    Cycle skipped = 0;
+                    while (skipped < n) {
+                        pipe_.skipIdleCycles(1);
+                        ++skipped;
+                        if (opts_.traffic(pipe_) != 0)
+                            break;
+                    }
+                    n = skipped;
+                } else {
+                    pipe_.skipIdleCycles(n);
+                }
+                stall_cycles += n;
+                traceInstantArg(kt.cat, kt.idleSkip, n);
+            }
+        }
+        if (wall_limited &&
+            (++iterations_ & (wallCheckIntervalTicks - 1)) == 0 &&
+            std::chrono::steady_clock::now() > deadline_)
+            throw RunError(
+                RunErrorCategory::Timeout,
+                "wall-clock timeout after " +
+                    std::to_string(opts_.timeoutMs) + " ms (benchmark " +
+                    pipe_.workload().name() + ")");
+    }
+}
+
 Simulator::Simulator(const SimOptions &options) : options_(options)
 {
     validateSimOptions(options_);
@@ -178,138 +284,42 @@ Simulator::run()
             options_.coherenceAgent, Addr{0x10000000},
             Addr{1} << wp.footprintLog2, params_.mem.l1d.lineBytes,
             wp.seed ^ 0x5ca1ab1eull);
-    auto ext_tick = [&] {
-        if (agent)
-            agent->tick(*pipe_);
-        else
-            injector.tick(*pipe_);
-    };
-    auto ext_injected = [&] {
-        return agent ? agent->injected() : injector.injected();
-    };
-    auto ext_active = [&] {
-        return agent ? agent->active() : injector.active();
-    };
-
-    // ---- watchdogs ----
-    //
-    // Two independent guards turn a wedged simulation into a
-    // structured RunError(Timeout) instead of a hung worker: a
-    // cycle-budget watchdog (no commit progress for stallCycleLimit
-    // consecutive cycles — deterministic, catches pipeline deadlock)
-    // and an optional wall-clock deadline, checked once every
-    // wallCheckIntervalTicks loop iterations to keep the hot loop
-    // free of clock syscalls. The interval counts loop iterations,
-    // not simulated cycles: a bulk idle skip advances many cycles in
-    // one iteration, and the deadline guards wall time, which scales
-    // with iterations.
-    constexpr std::uint64_t wallCheckIntervalTicks = 4096;
-    static_assert((wallCheckIntervalTicks &
-                   (wallCheckIntervalTicks - 1)) == 0,
-                  "wall-check interval must be a power of two");
-    using WallClock = std::chrono::steady_clock;
-    const WallClock::time_point wall_deadline = WallClock::now() +
-        std::chrono::duration_cast<WallClock::duration>(
-            std::chrono::duration<double, std::milli>(
-                options_.timeoutMs));
-    const bool wall_limited = options_.timeoutMs > 0.0;
 
     // Deterministic chaos: a run-hang fault wedges this run — cycles
     // elapse, commits don't — which must surface via the watchdog.
     std::ostringstream fp_os;
     fp_os << options_.benchmark << '|' << params_.lsq.policy << '|'
           << options_.configLevel;
-    const bool hang_injected =
-        FaultInjector::global().injectRunHang(fp_os.str());
-    // An injected wedge must never outlive the watchdog, even when
-    // the caller disabled the stall guard.
-    const std::uint64_t stall_limit = options_.stallCycleLimit
-        ? options_.stallCycleLimit
-        : (hang_injected ? 100000 : 0);
 
-    std::uint64_t ticks = 0;
-    auto run_phase = [&](std::uint64_t insts) {
-        const std::uint64_t target = pipe_->committed() + insts;
-        std::uint64_t last_committed = pipe_->committed();
-        std::uint64_t stall_cycles = 0;
-        while (pipe_->committed() < target || hang_injected) {
-            unsigned progress = 0;
-            const std::uint64_t injected_before = ext_injected();
-            if (!hang_injected) {
-                progress = pipe_->tick();
-                ext_tick();
-            }
-            if (hang_injected || pipe_->committed() == last_committed) {
-                if (stall_limit && ++stall_cycles > stall_limit)
-                    throw RunError(
-                        RunErrorCategory::Timeout,
-                        "no commit progress in " +
-                            std::to_string(stall_limit) +
-                            " cycles (" +
-                            (hang_injected
-                                 ? std::string("injected run-hang")
-                                 : "wedged pipeline") +
-                            ", benchmark " + options_.benchmark + ")");
-            } else {
-                stall_cycles = 0;
-                last_committed = pipe_->committed();
-            }
-            // Event-driven idle skip: after an empty tick with no
-            // injection, jump to just before the next pipeline event.
-            if (!hang_injected && progress == 0 &&
-                ext_injected() == injected_before &&
-                pipe_->committed() < target) {
-                const Cycle wake = pipe_->nextEventCycle();
-                Cycle n = wake > pipe_->now() + 1
-                    ? wake - pipe_->now() - 1 : 0;
-                // Each skipped cycle is a commit-free cycle; cap the
-                // jump so the stall watchdog above still throws at
-                // the exact cycle it would have without skipping.
-                if (stall_limit && n > stall_limit - stall_cycles)
-                    n = stall_limit - stall_cycles;
-                if (n > 0) {
-                    if (ext_active()) {
-                        // Bulk skipping would perturb the source's
-                        // per-cycle state (RNG stream or script
-                        // phase): replay it cycle by cycle, and stop
-                        // skipping the moment it injects (the
-                        // pipeline is no longer idle).
-                        Cycle skipped = 0;
-                        while (skipped < n) {
-                            pipe_->skipIdleCycles(1);
-                            ++skipped;
-                            ext_tick();
-                            if (ext_injected() != injected_before)
-                                break;
-                        }
-                        stall_cycles += skipped;
-                        traceInstantArg(kt.cat, kt.idleSkip, skipped);
-                    } else {
-                        pipe_->skipIdleCycles(n);
-                        stall_cycles += n;
-                        traceInstantArg(kt.cat, kt.idleSkip, n);
-                    }
-                }
-            }
-            if (wall_limited &&
-                (++ticks & (wallCheckIntervalTicks - 1)) == 0 &&
-                WallClock::now() > wall_deadline)
-                throw RunError(
-                    RunErrorCategory::Timeout,
-                    "wall-clock timeout after " +
-                        std::to_string(options_.timeoutMs) +
-                        " ms (benchmark " + options_.benchmark + ")");
-        }
-    };
+    RunLoopOptions lo;
+    lo.stallCycleLimit = options_.stallCycleLimit;
+    lo.timeoutMs = options_.timeoutMs;
+    lo.hang = FaultInjector::global().injectRunHang(fp_os.str());
+    // An inactive injector draws no random numbers, so leaving it out
+    // lets idle cycles skip in bulk without perturbing anything.
+    if (agent) {
+        lo.traffic = [&agent](Pipeline &pipe) {
+            const std::uint64_t before = agent->injected();
+            agent->tick(pipe);
+            return agent->injected() - before;
+        };
+    } else if (injector.active()) {
+        lo.traffic = [&injector](Pipeline &pipe) {
+            const std::uint64_t before = injector.injected();
+            injector.tick(pipe);
+            return injector.injected() - before;
+        };
+    }
+    RunLoop loop(*pipe_, std::move(lo));
 
     {
         TraceSpan span(kt.cat, kt.warmup);
-        run_phase(options_.warmupInsts);
+        loop.run(options_.warmupInsts);
     }
     pipe_->resetStats();
     {
         TraceSpan span(kt.cat, kt.measure);
-        run_phase(options_.runInsts);
+        loop.run(options_.runInsts);
     }
 
     // ---- collect ----

@@ -7,12 +7,14 @@
 #ifndef DMDC_SIM_SIMULATOR_HH
 #define DMDC_SIM_SIMULATOR_HH
 
+#include <chrono>
 #include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "common/trace_sink.hh"
+#include "core/pipeline.hh"
 #include "lsq/lsq_unit.hh"
 #include "sim/results.hh"
 #include "trace/synthetic.hh"
@@ -114,6 +116,49 @@ struct SimOptions
  * structured error instead of a fatal() deep inside construction.
  */
 void validateSimOptions(const SimOptions &options);
+
+/** Knobs of a RunLoop. */
+struct RunLoopOptions
+{
+    /** See SimOptions::stallCycleLimit; 0 disables. */
+    std::uint64_t stallCycleLimit = 100000;
+    /** Wall-clock budget over the loop's lifetime, ms; 0 = none. */
+    double timeoutMs = 0.0;
+    /**
+     * Per-cycle external coherence traffic (invalidation injector or
+     * scripted agent): delivers this cycle's invalidations to the
+     * pipeline and returns how many it delivered. Empty = none.
+     */
+    std::function<std::uint64_t(Pipeline &)> traffic;
+    /** Injected run-hang chaos: never tick, so the stall watchdog
+     *  fires (at 100k cycles even when it is otherwise disabled). */
+    bool hang = false;
+};
+
+/**
+ * The simulation run loop. Ticks a Pipeline until a commit target,
+ * skipping empty cycles in bulk (bit-identically; see
+ * Pipeline::tick()), with two watchdogs that turn a wedged run into
+ * RunError(Timeout): a budget of consecutive commit-free cycles and
+ * an optional wall-clock deadline. Simulator::run() drives warm-up and
+ * measurement through it; tests and examples use it to drive a
+ * Pipeline built around their own Workload.
+ */
+class RunLoop
+{
+  public:
+    explicit RunLoop(Pipeline &pipe, RunLoopOptions options = {});
+
+    /** Tick until @p insts more instructions have committed. */
+    void run(std::uint64_t insts);
+
+  private:
+    Pipeline &pipe_;
+    RunLoopOptions opts_;
+    std::chrono::steady_clock::time_point deadline_;
+    /** Loop iterations across run() calls (paces the deadline check). */
+    std::uint64_t iterations_ = 0;
+};
 
 class OrderingOracle;
 

@@ -142,8 +142,8 @@ std::string
 ShardSupervisor::heartbeatPathFor(unsigned shard) const
 {
     // Must mirror the worker: the runner derives its per-shard
-    // heartbeat file from the base path with shardStatePath().
-    return shardStatePath(opts_.launchDir + "/heartbeat.json",
+    // heartbeat file from the base path with shardFilePath().
+    return shardFilePath(opts_.launchDir + "/heartbeat.json",
                           ShardSpec{shard, opts_.procs});
 }
 
@@ -167,15 +167,10 @@ ShardSupervisor::spawn(Worker &w)
         args.push_back("--shard=" + std::to_string(w.shard) + "/" +
                        std::to_string(opts_.procs));
     }
-    args.push_back("--state=" + opts_.launchDir + "/state.json");
     args.push_back("--heartbeat=" + opts_.launchDir +
                    "/heartbeat.json");
     args.push_back("--json=" + journalPathFor(w.shard));
     args.push_back("--json-deterministic");
-    // Restarts always resume: completed runs are in the manifest/run
-    // cache and must not re-simulate.
-    if (opts_.resume || w.attempt > 0)
-        args.push_back("--resume");
 
     std::vector<char *> argv;
     argv.reserve(args.size() + 1);
@@ -220,7 +215,7 @@ ShardSupervisor::spawn(Worker &w)
     if (opts_.verbose) {
         inform("supervisor: shard %u/%u -> pid %d (attempt %u%s)",
                w.shard, opts_.procs, pid, w.attempt,
-               (opts_.resume || w.attempt > 0) ? ", resuming" : "");
+               w.attempt > 0 ? ", restart" : "");
     }
     return true;
 }
@@ -276,8 +271,8 @@ ShardSupervisor::handleExit(Worker &w, int waitStatus)
     }
 
     // Crash (signal), unexpected interrupt, or failure: restart with
-    // bounded retries. The restarted worker resumes from the shard's
-    // checkpoint manifest, so completed runs never re-simulate.
+    // bounded retries. The restarted worker is served its completed
+    // runs from the run cache, so they never re-simulate.
     if (w.attempt < opts_.shardRetries) {
         ++w.attempt;
         traceInstantArg(supervisorTrace().cat,
@@ -298,7 +293,7 @@ ShardSupervisor::handleExit(Worker &w, int waitStatus)
     }
 
     warn("supervisor: shard %u failed after %u restart(s); giving up "
-         "(manifest and journal kept in %s)",
+         "(journal and log kept in %s)",
          w.shard, w.attempt, opts_.launchDir.c_str());
     traceInstantArg(supervisorTrace().cat, supervisorTrace().failed,
                     w.shard);
@@ -311,7 +306,7 @@ ShardSupervisor::requestStop(int sig)
     stopping_ = true;
     traceInstant(supervisorTrace().cat, supervisorTrace().drain);
     inform("supervisor: signal received; asking workers to finish "
-           "their in-flight run and checkpoint (signal again to "
+           "their in-flight run and cache it (signal again to "
            "force-kill)");
     for (Worker &w : workers_) {
         if (w.state == WorkerState::Running && w.pid > 0) {
@@ -350,14 +345,13 @@ ShardSupervisor::run()
     }
     if (!opts_.resume) {
         // A fresh launch must not inherit a previous campaign's
-        // manifests or journals. Remove only files this launcher
+        // heartbeats or journals. Remove only files this launcher
         // writes; the directory may be shared with user files.
         for (const auto &de : fs::directory_iterator(
                  opts_.launchDir,
                  fs::directory_options::skip_permission_denied, ec)) {
             const std::string name = de.path().filename().string();
-            const bool ours = name.rfind("state.", 0) == 0 ||
-                name.rfind("heartbeat.", 0) == 0 ||
+            const bool ours = name.rfind("heartbeat.", 0) == 0 ||
                 name.rfind("journal.", 0) == 0 ||
                 name.rfind("shard", 0) == 0 || name == "merged.json";
             if (ours)

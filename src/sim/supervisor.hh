@@ -5,8 +5,8 @@
  * ShardSupervisor is the engine behind tools/campaign_launch: it
  * fork/execs one dmdc_sim shard worker per slice, watches their
  * heartbeats and exit statuses, SIGKILLs hung workers, restarts
- * crashed ones with bounded per-shard retries (restarts resume from
- * the checkpoint manifest + run cache, so only unfinished runs
+ * crashed ones with bounded per-shard retries (restarts are served
+ * completed runs from the run cache, so only unfinished runs
  * re-simulate), propagates SIGINT/SIGTERM for a graceful shutdown,
  * and — once every shard succeeds — merges the per-shard journals
  * in-process into a file byte-identical to a serial
@@ -14,7 +14,7 @@
  *
  * Worker-side counterparts live here too: installWorkerSignalHandlers()
  * arms the two-stage SIGINT/SIGTERM protocol inside dmdc_sim (first
- * signal: finish the in-flight run, flush checkpoint + journal, exit
+ * signal: finish the in-flight run, cache it, flush the journal, exit
  * kExitInterrupted; second signal: _exit immediately).
  */
 
@@ -47,13 +47,13 @@ struct SupervisorOptions
     /** Campaign arguments forwarded verbatim to every worker
      *  (--bench/--scheme/--config/--insts/...). */
     std::vector<std::string> workerArgs;
-    /** Scratch directory for per-shard state, heartbeat, journal and
-     *  log files. Created on demand; wiped unless resuming. */
+    /** Scratch directory for per-shard heartbeat, journal and log
+     *  files. Created on demand; wiped unless resuming. */
     std::string launchDir = ".dmdc_launch";
     /** Merged journal target; empty selects launchDir + "/merged.json". */
     std::string journalPath;
-    /** Resume a previously interrupted launch: per-shard manifests are
-     *  kept and workers start with --resume. */
+    /** Resume a previously interrupted launch: keep the launch dir's
+     *  files. Completed runs come from the run cache either way. */
     bool resume = false;
     /** Print per-event supervision log lines. */
     bool verbose = false;
@@ -110,7 +110,7 @@ class ShardSupervisor
 /**
  * Arm the worker-side two-stage SIGINT/SIGTERM protocol: the first
  * signal requests a campaign interrupt (pending runs skip, the
- * in-flight run finishes, checkpoint manifest and journal flush, the
+ * in-flight run finishes and is cached, the journal flushes, the
  * process exits kExitInterrupted); a second signal _exits immediately
  * with the conventional 128+sig status.
  */

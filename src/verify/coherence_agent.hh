@@ -11,9 +11,8 @@
  * workload's data footprint so they actually collide with in-flight
  * loads.
  *
- * The interface mirrors InvalidationInjector so the simulator's run
- * loop (including bulk idle-cycle skipping) treats either source
- * uniformly.
+ * The interface mirrors InvalidationInjector, so the simulator hands
+ * either source to its RunLoop as the same per-cycle traffic hook.
  */
 
 #ifndef DMDC_VERIFY_COHERENCE_AGENT_HH
@@ -62,9 +61,6 @@ class CoherenceAgent
 
     /** Call once per simulated cycle. */
     void tick(Pipeline &pipe);
-
-    /** A constructed agent always generates traffic. */
-    bool active() const { return true; }
 
     std::uint64_t injected() const { return injected_; }
     AgentFamily family() const { return family_; }

@@ -1,11 +1,11 @@
 /**
  * @file
  * Tests of campaign sharding: shard-spec parsing, the deterministic
- * partition function, per-shard state-file naming, and the journal
- * merger — including the central guarantee that N shard processes'
- * journals merge into a file byte-identical to an uninterrupted
- * single-process campaign, and that a chaos-interrupted shard
- * converges on resume.
+ * partition function, per-shard file naming, and the journal merger —
+ * including the central guarantee that N shard processes' journals
+ * merge into a file byte-identical to an uninterrupted single-process
+ * campaign, and that a chaos-interrupted shard converges when rerun
+ * against the same cache.
  */
 
 #include <gtest/gtest.h>
@@ -93,22 +93,39 @@ TEST(ShardSpec, RejectsMalformedSpecs)
     }
 }
 
-TEST(ShardSpec, StatePathNaming)
+TEST(ShardSpec, FilePathNaming)
 {
     const ShardSpec spec{1, 4};
-    EXPECT_EQ(shardStatePath("state.json", spec),
-              "state.shard1of4.json");
-    EXPECT_EQ(shardStatePath("out/campaign.state.json", spec),
-              "out/campaign.state.shard1of4.json");
-    EXPECT_EQ(shardStatePath("no_extension", spec),
+    EXPECT_EQ(shardFilePath("heartbeat.json", spec),
+              "heartbeat.shard1of4.json");
+    EXPECT_EQ(shardFilePath("out/campaign.heartbeat.json", spec),
+              "out/campaign.heartbeat.shard1of4.json");
+    EXPECT_EQ(shardFilePath("no_extension", spec),
               "no_extension.shard1of4");
     // A dot only in a directory component is not an extension.
-    EXPECT_EQ(shardStatePath("out.d/state", spec),
-              "out.d/state.shard1of4");
+    EXPECT_EQ(shardFilePath("out.d/heartbeat", spec),
+              "out.d/heartbeat.shard1of4");
     // Inactive spec / empty path pass through untouched.
-    EXPECT_EQ(shardStatePath("state.json", ShardSpec{0, 1}),
-              "state.json");
-    EXPECT_EQ(shardStatePath("", spec), "");
+    EXPECT_EQ(shardFilePath("heartbeat.json", ShardSpec{0, 1}),
+              "heartbeat.json");
+    EXPECT_EQ(shardFilePath("", spec), "");
+}
+
+TEST(JournalOrder, SharedIdentityRecordsHaveATotalOrder)
+{
+    // Two runs of one (benchmark, scheme, config) triple that differ in
+    // a hidden knob (an invalidation-rate sweep, say) must not land in
+    // completion order.
+    JournalEntry a;
+    a.benchmark = "swim";
+    a.scheme = "dmdc-global";
+    a.cyclesToken = "82189";
+    a.ipcToken = "0.7300246991689886";
+    JournalEntry b = a;
+    b.cyclesToken = "82265";
+    b.ipcToken = "0.72935027046739198";
+    EXPECT_TRUE(journalEntryLess(a, b));
+    EXPECT_FALSE(journalEntryLess(b, a));
 }
 
 // ---- partition -------------------------------------------------------
@@ -218,8 +235,7 @@ class CampaignShard : public ::testing::Test
      */
     fs::path
     runShard(const std::vector<SimOptions> &runs, unsigned index,
-             unsigned count, const fs::path &cacheDir,
-             const std::string &statePath = "", bool resume = false)
+             unsigned count, const fs::path &cacheDir)
     {
         const fs::path journal =
             scratch_ / ("shard" + std::to_string(index) + "of" +
@@ -229,8 +245,6 @@ class CampaignShard : public ::testing::Test
         cfg.cacheDir = cacheDir.string();
         cfg.shard = ShardSpec{index, count};
         cfg.maxRetries = 0;
-        cfg.statePath = statePath;
-        cfg.resume = resume;
         CampaignRunner runner(cfg);
         (void)runner.runChecked(runs);
         flushCampaignJournal();
@@ -417,14 +431,12 @@ TEST_F(CampaignShard, MergerRejectsBadShardSets)
     }
 }
 
-TEST_F(CampaignShard, ChaosShardConvergesOnResume)
+TEST_F(CampaignShard, ChaosShardConvergesOnRerun)
 {
     const std::vector<SimOptions> runs = smallCampaign();
     const fs::path cache = scratch_ / "cache"; // cold: faults can fire
-    const std::string state = (scratch_ / "state.json").string();
 
-    // Pass 1: both shards run under injected chaos with no retries;
-    // each writes its own checkpoint manifest.
+    // Pass 1: both shards run under injected chaos with no retries.
     FaultSpec spec;
     spec.runThrowP = 0.5;
     spec.seed = 11;
@@ -436,7 +448,6 @@ TEST_F(CampaignShard, ChaosShardConvergesOnResume)
         cfg.cacheDir = cache.string();
         cfg.shard = ShardSpec{i, 2};
         cfg.maxRetries = 0;
-        cfg.statePath = state;
         CampaignRunner runner(cfg);
         failures += runner.runChecked(runs).degradedRuns();
     }
@@ -444,20 +455,13 @@ TEST_F(CampaignShard, ChaosShardConvergesOnResume)
         << "chaos seed produced no failures; pick another seed";
     FaultInjector::global().configure({});
 
-    // Shard manifests must not collide on one path.
-    EXPECT_TRUE(fs::exists(
-        shardStatePath(state, ShardSpec{0, 2})));
-    EXPECT_TRUE(fs::exists(
-        shardStatePath(state, ShardSpec{1, 2})));
-
-    // Pass 2: resume both shards with faults off. Survivors come from
+    // Pass 2: rerun both shards with faults off. Survivors come from
     // the shared cache, casualties re-execute; the merged journal is
     // byte-identical to an undisturbed serial campaign.
     std::vector<ShardJournal> shards(2);
     std::string err;
     for (unsigned i = 0; i < 2; ++i) {
-        const fs::path path =
-            runShard(runs, i, 2, cache, state, /*resume=*/true);
+        const fs::path path = runShard(runs, i, 2, cache);
         ASSERT_TRUE(loadShardJournal(path.string(), shards[i], err))
             << err;
     }

@@ -3,8 +3,8 @@
  * Tests of the fault-tolerance layer: structured errors and option
  * validation, the deterministic fault injector, per-run isolation and
  * retries in the campaign engine, watchdog timeouts, cache corruption
- * handling (quarantine + recompute), LRU eviction, and
- * checkpoint/resume with bit-identical journals.
+ * handling (quarantine + recompute), LRU eviction, and rerunning an
+ * interrupted campaign to a bit-identical journal.
  */
 
 #include <gtest/gtest.h>
@@ -15,7 +15,7 @@
 #include <sstream>
 
 #include "sim/campaign_runner.hh"
-#include "sim/campaign_state.hh"
+#include "sim/campaign_shard.hh"
 #include "sim/fault_injector.hh"
 #include "sim/run_error.hh"
 #include "sim/simulator.hh"
@@ -571,48 +571,13 @@ TEST_F(FaultTolerance, QuarantineCapAgesOutOldestFiles)
     EXPECT_GE(again.lastStats().quarantineEvicted, 1u);
 }
 
-// ---- checkpoint / resume ---------------------------------------------
+// ---- interrupted campaigns ---------------------------------------------
 
-TEST_F(FaultTolerance, StateRoundTripsThroughDisk)
+TEST_F(FaultTolerance, RerunAfterFailuresMatchesUninterruptedRunBitForBit)
 {
-    CampaignState state;
-    state.fingerprint = "00d1ce00facade00";
-    CampaignStateEntry e;
-    e.benchmark = "gzip";
-    e.scheme = "dmdc-global";
-    e.configLevel = 3;
-    e.status = RunStatus::Failed;
-    e.category = "sim-invariant";
-    e.error = "it said \"boom\" and a back\\slash";
-    e.attempts = 3;
-    state.entries.push_back(e);
-    e.status = RunStatus::Ok;
-    e.category.clear();
-    e.error.clear();
-    e.attempts = 1;
-    state.entries.push_back(e);
-
-    const std::string path = (scratch_ / "state.json").string();
-    ASSERT_TRUE(saveCampaignState(path, state));
-    CampaignState loaded;
-    std::string err;
-    ASSERT_TRUE(loadCampaignState(path, loaded, err)) << err;
-    ASSERT_EQ(loaded.entries.size(), 2u);
-    EXPECT_EQ(loaded.fingerprint, state.fingerprint);
-    EXPECT_EQ(loaded.entries[0].status, RunStatus::Failed);
-    EXPECT_EQ(loaded.entries[0].error, state.entries[0].error);
-    EXPECT_EQ(loaded.entries[0].attempts, 3u);
-    EXPECT_EQ(loaded.entries[1].status, RunStatus::Ok);
-
-    std::string bad_err;
-    CampaignState missing;
-    EXPECT_FALSE(loadCampaignState(
-        (scratch_ / "nope.json").string(), missing, bad_err));
-    EXPECT_FALSE(bad_err.empty());
-}
-
-TEST_F(FaultTolerance, ResumeMatchesUninterruptedRunBitForBit)
-{
+    // No checkpoint manifest: the journal names every casualty and the
+    // cache holds every survivor, so rerunning the same campaign is
+    // the whole resume protocol.
     const std::vector<SimOptions> runs = {
         quickOptions("gzip", "baseline"),
         quickOptions("gzip", "yla"),
@@ -620,8 +585,8 @@ TEST_F(FaultTolerance, ResumeMatchesUninterruptedRunBitForBit)
         quickOptions("swim", "yla"),
     };
     const std::string ref_path = (scratch_ / "ref.json").string();
+    const std::string int_path = (scratch_ / "int.json").string();
     const std::string res_path = (scratch_ / "res.json").string();
-    const std::string state = (scratch_ / "state.json").string();
 
     // Reference: uninterrupted serial campaign.
     {
@@ -635,8 +600,9 @@ TEST_F(FaultTolerance, ResumeMatchesUninterruptedRunBitForBit)
     }
 
     // Interrupted: chaos kills some runs mid-campaign.
+    std::size_t ok_runs = 0;
     {
-        setCampaignJournal("");
+        setCampaignJournal(int_path, /*deterministic=*/true);
         FaultSpec spec;
         spec.runThrowP = 0.5;
         spec.seed = 5;
@@ -644,73 +610,49 @@ TEST_F(FaultTolerance, ResumeMatchesUninterruptedRunBitForBit)
         CampaignConfig cfg;
         cfg.cacheDir = (scratch_ / "cache_res").string();
         cfg.maxRetries = 0;
-        cfg.statePath = state;
         CampaignRunner runner(cfg);
         const CampaignResult cr = runner.runChecked(runs);
-        // A mixed outcome exercises both resume paths: served-from-
-        // cache for the survivors, fresh execution for the casualties.
-        std::size_t ok_runs = 0;
+        flushCampaignJournal();
+        FaultInjector::global().configure({});
+        // A mixed outcome exercises both halves of the rerun: served
+        // from cache for the survivors, fresh execution for the
+        // casualties.
         for (const RunOutcome &oc : cr.outcomes)
             ok_runs += oc.ok();
         ASSERT_FALSE(cr.allOk()) << "chaos seed produced no failures; "
                                     "pick another seed";
         ASSERT_GT(ok_runs, 0u) << "chaos seed killed every run; "
                                   "pick another seed";
-        FaultInjector::global().configure({});
     }
 
-    // Resume: completed runs come from the cache, the rest execute.
+    // The interrupted journal is the failure manifest: one record per
+    // run, each casualty named with its status.
+    ShardJournal interrupted;
+    std::string err;
+    ASSERT_TRUE(parseShardJournal(slurp(int_path), interrupted, err))
+        << err;
+    ASSERT_EQ(interrupted.entries.size(), runs.size());
+    std::size_t failed_records = 0;
+    for (const JournalEntry &e : interrupted.entries)
+        failed_records += e.status == RunStatus::Failed;
+    EXPECT_EQ(failed_records, runs.size() - ok_runs);
+
+    // Rerun: completed runs come from the cache, the rest execute.
     {
         setCampaignJournal(res_path, /*deterministic=*/true);
         CampaignConfig cfg;
         cfg.cacheDir = (scratch_ / "cache_res").string();
-        cfg.statePath = state;
-        cfg.resume = true;
         CampaignRunner runner(cfg);
         ASSERT_TRUE(runner.runChecked(runs).allOk());
         flushCampaignJournal();
+        EXPECT_EQ(runner.lastStats().diskHits, ok_runs);
+        EXPECT_EQ(runner.lastStats().simulated, runs.size() - ok_runs);
     }
 
     const std::string ref = slurp(ref_path);
     const std::string res = slurp(res_path);
     ASSERT_FALSE(ref.empty());
     EXPECT_EQ(ref, res);
-
-    // The manifest converged to all-ok.
-    CampaignState final_state;
-    std::string err;
-    ASSERT_TRUE(loadCampaignState(state, final_state, err)) << err;
-    for (const CampaignStateEntry &e : final_state.entries)
-        EXPECT_EQ(e.status, RunStatus::Ok);
-}
-
-TEST_F(FaultTolerance, ResumeRejectsForeignManifest)
-{
-    const std::string state = (scratch_ / "state.json").string();
-    const std::vector<SimOptions> first = {
-        quickOptions("gzip", "baseline")};
-    const std::vector<SimOptions> second = {
-        quickOptions("swim", "yla")};
-    {
-        CampaignConfig cfg = cachedConfig();
-        cfg.statePath = state;
-        CampaignRunner runner(cfg);
-        ASSERT_TRUE(runner.runChecked(first).allOk());
-    }
-    // A different campaign resuming the same path starts fresh
-    // (fingerprint mismatch) and rewrites the manifest.
-    CampaignConfig cfg = cachedConfig();
-    cfg.statePath = state;
-    cfg.resume = true;
-    CampaignRunner runner(cfg);
-    ASSERT_TRUE(runner.runChecked(second).allOk());
-
-    CampaignState loaded;
-    std::string err;
-    ASSERT_TRUE(loadCampaignState(state, loaded, err)) << err;
-    EXPECT_EQ(loaded.fingerprint, campaignFingerprint(second));
-    ASSERT_EQ(loaded.entries.size(), 1u);
-    EXPECT_EQ(loaded.entries[0].benchmark, "swim");
 }
 
 } // namespace

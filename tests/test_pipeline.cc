@@ -1,15 +1,16 @@
 /**
  * @file
- * Integration tests of the full pipeline: forward progress,
- * determinism, stat consistency, squash correctness, and the
- * cross-scheme safety property (enforced by a built-in panic, so
- * merely running is a check).
+ * Integration tests of the full pipeline, driven by the simulator's
+ * RunLoop: forward progress, determinism, stat consistency, squash
+ * correctness, and the cross-scheme safety property (enforced by a
+ * built-in panic, so merely running is a check).
  */
 
 #include <gtest/gtest.h>
 
 #include "core/pipeline.hh"
 #include "sim/machine_config.hh"
+#include "sim/simulator.hh"
 #include "trace/spec_suite.hh"
 
 namespace dmdc
@@ -29,7 +30,7 @@ TEST(Pipeline, MakesForwardProgress)
 {
     auto w = makeSpecWorkload("gzip");
     Pipeline pipe(testParams(), *w);
-    pipe.run(20000);
+    RunLoop(pipe).run(20000);
     EXPECT_GE(pipe.committed(), 20000u);
     EXPECT_GT(pipe.ipc(), 0.1);
     EXPECT_LT(pipe.ipc(), 8.0);
@@ -40,7 +41,7 @@ TEST(Pipeline, DeterministicAcrossRuns)
     auto run_once = [] {
         auto w = makeSpecWorkload("vpr");
         Pipeline pipe(testParams(), *w);
-        pipe.run(15000);
+        RunLoop(pipe).run(15000);
         return pipe.now();
     };
     EXPECT_EQ(run_once(), run_once());
@@ -50,7 +51,7 @@ TEST(Pipeline, StatConsistency)
 {
     auto w = makeSpecWorkload("gcc");
     Pipeline pipe(testParams(), *w);
-    pipe.run(30000);
+    RunLoop(pipe).run(30000);
     const PipelineStats &s = pipe.stats();
     // Class counts are bounded by total commits.
     EXPECT_LE(s.committedLoads.value() + s.committedStores.value() +
@@ -74,7 +75,7 @@ TEST(Pipeline, CommittedStreamMatchesArchitecturalTrace)
     auto w_ref = makeSpecWorkload("bzip2");
     Pipeline pipe(testParams(), *w);
     const std::uint64_t n = 20000;
-    pipe.run(n);
+    RunLoop(pipe).run(n);
 
     std::uint64_t loads = 0;
     std::uint64_t stores = 0;
@@ -94,12 +95,13 @@ TEST(Pipeline, ResetStatsZeroesCounters)
 {
     auto w = makeSpecWorkload("mcf");
     Pipeline pipe(testParams(), *w);
-    pipe.run(5000);
+    RunLoop loop(pipe);
+    loop.run(5000);
     EXPECT_GT(pipe.committed(), 0u);
     pipe.resetStats();
     EXPECT_EQ(pipe.committed(), 0u);
     EXPECT_EQ(pipe.stats().cycles.value(), 0u);
-    pipe.run(5000);
+    loop.run(5000);
     EXPECT_GE(pipe.committed(), 5000u);
 }
 
@@ -112,7 +114,7 @@ TEST(Pipeline, BaselineDetectsViolationsWhenPresent)
     for (const char *name : {"gcc", "vortex", "mcf"}) {
         auto w = makeSpecWorkload(name);
         Pipeline pipe(testParams(), *w);
-        pipe.run(60000);
+        RunLoop(pipe).run(60000);
         total_violations +=
             pipe.lsq().activity().trueViolationsDetected.value();
         EXPECT_GE(pipe.stats().baselineReplays.value(),
@@ -126,7 +128,7 @@ TEST(Pipeline, SpeculativeLoadsObserved)
 {
     auto w = makeSpecWorkload("mcf");
     Pipeline pipe(testParams(), *w);
-    pipe.run(30000);
+    RunLoop(pipe).run(30000);
     // Loads do issue past unresolved stores (the paper's premise).
     EXPECT_GT(pipe.stats().speculativeLoads.value(), 100u);
 }
@@ -135,7 +137,7 @@ TEST(Pipeline, ForwardingAndRejectionHappen)
 {
     auto w = makeSpecWorkload("vortex");
     Pipeline pipe(testParams(), *w);
-    pipe.run(60000);
+    RunLoop(pipe).run(60000);
     EXPECT_GT(pipe.stats().loadForwards.value(), 0u);
     EXPECT_GT(pipe.stats().loadRejections.value(), 0u);
 }
@@ -147,14 +149,37 @@ TEST(Pipeline, ExternalInvalidationIsHandledByAllSchemes)
         CoreParams params = makeMachineConfig(1);
         applyScheme(params, scheme, /*coherence=*/true);
         Pipeline pipe(params, *w);
-        pipe.run(2000);
+        RunLoop loop(pipe);
+        loop.run(2000);
         for (int i = 0; i < 200; ++i) {
             pipe.externalInvalidation(0x10000000 + i * 64);
             pipe.tick();
         }
-        pipe.run(5000);
+        loop.run(5000);
         EXPECT_GE(pipe.committed(), 7000u);
     }
+}
+
+TEST(Pipeline, RunLoopReproducesSimulatorRun)
+{
+    // A hand-built pipeline driven by RunLoop is the same run
+    // Simulator::run() performs for the same options.
+    SimOptions opt;
+    opt.benchmark = "gzip";
+    opt.scheme = "dmdc-global";
+    opt.warmupInsts = 2000;
+    opt.runInsts = 20000;
+    const SimResult r = runSimulation(opt);
+
+    auto w = makeSpecWorkload(opt.benchmark);
+    Pipeline pipe(testParams(opt.scheme), *w);
+    RunLoop loop(pipe);
+    loop.run(opt.warmupInsts);
+    pipe.resetStats();
+    loop.run(opt.runInsts);
+    EXPECT_EQ(pipe.stats().committedInsts.value(), r.instructions);
+    EXPECT_EQ(pipe.stats().cycles.value(), r.cycles);
+    EXPECT_EQ(pipe.stats().dmdcReplays.value(), r.dmdcReplays);
 }
 
 // ----------------------------------------------------------------
@@ -181,7 +206,7 @@ TEST_P(SchemeSweep, RunsCleanAndConsistent)
     CoreParams params = makeMachineConfig(sp.config);
     applyScheme(params, sp.scheme);
     Pipeline pipe(params, *w);
-    pipe.run(40000);
+    RunLoop(pipe).run(40000);
 
     EXPECT_GE(pipe.committed(), 40000u);
     EXPECT_GT(pipe.ipc(), 0.05);
@@ -248,7 +273,7 @@ TEST(Pipeline, DmdcWithoutSafeLoadsStillCorrect)
     CoreParams params = makeMachineConfig(2);
     applyScheme(params, "dmdc-global", false, /*safe_loads=*/false);
     Pipeline pipe(params, *w);
-    pipe.run(40000);
+    RunLoop(pipe).run(40000);
     EXPECT_GE(pipe.committed(), 40000u);
     EXPECT_GT(pipe.stats().dmdcReplays.value(), 0u);
 }

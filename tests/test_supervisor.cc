@@ -3,9 +3,9 @@
  * Tests of the supervised shard launcher: heartbeat file round-trips,
  * the clock-agnostic staleness monitor, worker-fault spec parsing, and
  * end-to-end supervision through the real dmdc_sim / campaign_launch
- * binaries — crash -> restart -> resume convergence to the serial
- * journal, SIGTERM draining to a resumable manifest, and retry
- * exhaustion.
+ * binaries — crash -> restart convergence to the serial journal,
+ * SIGTERM draining, and retry exhaustion, each finished by a relaunch
+ * that the shared run cache alone makes converge.
  *
  * The integration tests receive the binary locations from CMake via
  * the DMDC_SIM_BIN / CAMPAIGN_LAUNCH_BIN compile definitions.
@@ -313,7 +313,7 @@ TEST_F(SupervisedLaunch, CrashedWorkersRestartAndConverge)
     EXPECT_EQ(slurp(scratch_ / "merged.json"), serial);
 }
 
-TEST_F(SupervisedLaunch, RetryExhaustionFailsWithManifestIntact)
+TEST_F(SupervisedLaunch, RetryExhaustionFailsAndRelaunchConverges)
 {
     const int rc = shell("DMDC_FAULT='worker-crash:p=1,seed=3' " +
                          launchCmd("--shard-retries=0") +
@@ -321,22 +321,16 @@ TEST_F(SupervisedLaunch, RetryExhaustionFailsWithManifestIntact)
     EXPECT_EQ(rc, kExitFailure);
     EXPECT_FALSE(fs::exists(scratch_ / "merged.json"));
 
-    // Both shards checkpointed before dying: their manifests survive
-    // for a later --resume.
-    for (const char *name :
-         {"state.shard0of2.json", "state.shard1of2.json"}) {
-        EXPECT_TRUE(fs::exists(scratch_ / "launch" / name)) << name;
-    }
-
-    // And a resumed chaos-free launch converges from them.
+    // Both shards cached one run before dying. A fresh chaos-free
+    // launch (the launch dir is wiped) converges from the shared run
+    // cache alone.
     const std::string serial = serialJournal();
-    EXPECT_EQ(shell(launchCmd("--shard-retries=0 --resume") +
-                    " > /dev/null 2>&1"),
+    EXPECT_EQ(shell(launchCmd("--shard-retries=0") + " > /dev/null 2>&1"),
               0);
     EXPECT_EQ(slurp(scratch_ / "merged.json"), serial);
 }
 
-TEST_F(SupervisedLaunch, SigtermDrainsToResumableManifest)
+TEST_F(SupervisedLaunch, SigtermDrainsAndRelaunchConverges)
 {
     const std::string serial = serialJournal();
     ASSERT_FALSE(serial.empty());
@@ -382,7 +376,7 @@ TEST_F(SupervisedLaunch, SigtermDrainsToResumableManifest)
     }
 
     // A --resume relaunch completes the campaign either way, without
-    // losing the work the drained workers checkpointed.
+    // losing the work the drained workers cached.
     EXPECT_EQ(shell(launchCmd("--shard-retries=2 --resume") +
                     " > /dev/null 2>&1"),
               0);

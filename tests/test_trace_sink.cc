@@ -3,8 +3,7 @@
  * Trace-sink unit tests: ring wraparound/overwrite ordering, name
  * interning limits, concurrent writer/snapshot safety (the TSan job
  * builds this binary), Chrome exporter round-trip through the strict
- * JSON parser, and channel reconfiguration in lockstep with the
- * legacy trace() gate.
+ * JSON parser, and channel reconfiguration.
  *
  * Ordering matters inside this file: gtest runs tests in definition
  * order, and the interning-limit test deliberately exhausts the
@@ -24,7 +23,6 @@
 #include <vector>
 
 #include "common/json.hh"
-#include "common/logging.hh"
 #include "common/trace_sink.hh"
 
 using namespace dmdc;
@@ -225,7 +223,7 @@ TEST(TraceSink, SpanCapturesEnablementAtConstruction)
     EXPECT_EQ(traceRecordsPublished(), before + 1);
 }
 
-TEST(TraceSink, ReconfigureFlipsCategoriesAndLegacyGate)
+TEST(TraceSink, ReconfigureFlipsCategories)
 {
     traceReset();
     traceConfigure(enabledOptions("ts-recfg-a", 1024));
@@ -233,20 +231,14 @@ TEST(TraceSink, ReconfigureFlipsCategoriesAndLegacyGate)
     TraceCategory &b = traceCategory("ts-recfg-b");
     EXPECT_TRUE(a.on());
     EXPECT_FALSE(b.on());
-    // The legacy fprintf trace() gate follows the same channel set.
-    EXPECT_TRUE(traceEnabled("ts-recfg-a"));
-    EXPECT_FALSE(traceEnabled("ts-recfg-b"));
 
     traceConfigure(enabledOptions("ts-recfg-b", 1024));
     EXPECT_FALSE(a.on());
     EXPECT_TRUE(b.on());
-    EXPECT_FALSE(traceEnabled("ts-recfg-a"));
-    EXPECT_TRUE(traceEnabled("ts-recfg-b"));
 
     traceConfigure(enabledOptions("all", 1024));
     EXPECT_TRUE(a.on());
     EXPECT_TRUE(b.on());
-    EXPECT_TRUE(traceEnabled("anything"));
 
     TraceOptions off;
     off.channels.clear();

@@ -14,7 +14,8 @@
  *                               next to this launcher)
  *     --out=<path>              merged journal (default
  *                               <launch-dir>/merged.json)
- *     --resume                  resume an interrupted launch
+ *     --resume                  keep the launch dir of an
+ *                               interrupted launch (logs, journals)
  *     --verbose                 log every supervision event
  *     --trace=<channels>        trace launcher + workers (Chrome
  *                               trace-event JSON per process; combine
@@ -29,16 +30,16 @@
  *       --scheme=baseline,dmdc --config=1,2,3
  *
  * The launcher computes the shard plan, spawns N workers with
- * --shard=i/N + per-shard checkpoint manifests and heartbeats,
- * restarts crashed or hung workers (restarts resume, so completed
- * runs never re-simulate), propagates SIGINT/SIGTERM for a graceful
- * checkpointed shutdown (second signal force-kills), and finally
+ * --shard=i/N + per-shard heartbeats, restarts crashed or hung
+ * workers (completed runs are served from the shared run cache, so
+ * they never re-simulate), propagates SIGINT/SIGTERM for a graceful
+ * shutdown (second signal force-kills), and finally
  * merges the shard journals into a file byte-identical to a serial
  * `dmdc_sim --json-deterministic` run.
  *
  * Exit codes: 0 ok; 1 a shard exhausted its retries or the merge
  * failed; 2 usage; 4 finished but some runs degraded (see the merged
- * journal); 5 interrupted by signal (relaunch with --resume).
+ * journal); 5 interrupted by signal (relaunch the same command).
  *
  * The heartbeat protocol here is the same one dmdc_serve publishes
  * (including the service daemon's `draining` wind-down phase), so
@@ -61,8 +62,9 @@ main(int argc, char **argv)
     CliParser cli(argv[0],
                   "Supervised sharded campaign launcher: spawns N "
                   "dmdc_sim shard workers, watches heartbeats, "
-                  "restarts crashed/hung shards from their "
-                  "checkpoints, and merges the journals. Unrecognized "
+                  "restarts crashed/hung shards (completed runs come "
+                  "from the run cache), and merges the journals. "
+                  "Unrecognized "
                   "--name=value options are forwarded to the workers.");
     launch.addTo(cli);
     cli.parseOrExit(argc, argv);

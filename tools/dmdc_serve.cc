@@ -51,7 +51,6 @@
 #include <cstdio>
 #include <string>
 
-#include "common/logging.hh"
 #include "sim/cli_options.hh"
 #include "sim/service.hh"
 #include "verify/check_mode.hh"
@@ -152,7 +151,6 @@ main(int argc, char **argv)
         cli.failUsage("--trace-out requires --trace=<channels|all>");
     if (!trace_out.empty())
         trace_opt.outPath = trace_out;
-    warnIfDeprecatedTraceEnv();
     if (trace_opt.enabled()) {
         traceConfigure(trace_opt);
         traceSetThreadName("serve-main");

@@ -29,9 +29,6 @@
  *     --max-retries=<n>     retries for transient failures (default 2)
  *     --fail-fast           stop scheduling runs after a failure and
  *                           exit non-zero if anything failed
- *     --state=<path>        write a checkpoint manifest after each run
- *     --resume              resume the campaign in --state (completed
- *                           runs are served from the run cache)
  *     --shard=<i>/<N>       run only shard i (0-based) of an N-way
  *                           deterministic partition of the campaign
  *     --json=<path>         write the campaign journal / failure
@@ -223,14 +220,15 @@ runCampaign(const std::vector<SimOptions> &runs,
     }
     flushCampaignJournal();
 
-    // A signal-interrupted campaign has flushed its manifest and
-    // journal; the distinct exit code tells a supervisor (or script)
-    // that --resume will converge. Checked before the failure rules:
+    // A signal-interrupted campaign has flushed its journal; the
+    // distinct exit code tells a supervisor (or script) that rerunning
+    // the same command will converge (completed runs are cache hits).
+    // Checked before the failure rules:
     // an interrupt that lands before any run succeeds is still an
     // interrupt, not a failed campaign.
     if (campaignInterruptRequested()) {
-        std::printf("campaign interrupted; state checkpointed, "
-                    "--resume to continue\n");
+        std::printf("campaign interrupted; rerun the same command to "
+                    "continue\n");
         return kExitInterrupted;
     }
 
@@ -358,8 +356,8 @@ main(int argc, char **argv)
                                  "single run, not a campaign\n");
             return kExitUsage;
         }
-        // Two-stage SIGINT/SIGTERM: finish the in-flight run,
-        // checkpoint, flush the journal, exit kExitInterrupted;
+        // Two-stage SIGINT/SIGTERM: finish the in-flight run, cache
+        // it, flush the journal, exit kExitInterrupted;
         // signal again to die immediately.
         installWorkerSignalHandlers();
         return runCampaign(runs, campaign_cfg);
