@@ -75,7 +75,7 @@ class JsonParser
             out.boolean = (c == 't');
             return literal(c == 't' ? "true" : "false");
         }
-        if (c == 'n') {
+        if (c == 'n' && text_.compare(pos_, 3, "nan") != 0) {
             out.kind = JsonValue::Kind::Null;
             return literal("null");
         }
@@ -221,6 +221,16 @@ class JsonParser
     number(JsonValue &out)
     {
         const std::size_t start = pos_;
+        // "%.17g" spells non-finite doubles nan, -nan, inf and -inf;
+        // accept exactly those four (json.hh).
+        const std::size_t word = text_[pos_] == '-' ? pos_ + 1 : pos_;
+        if (text_.compare(word, 3, "nan") == 0 ||
+            text_.compare(word, 3, "inf") == 0) {
+            pos_ = word + 3;
+            out.kind = JsonValue::Kind::Number;
+            out.text = text_.substr(start, pos_ - start);
+            return true;
+        }
         if (pos_ < text_.size() &&
             (text_[pos_] == '-' || text_[pos_] == '+'))
             ++pos_;
@@ -284,6 +294,14 @@ jsonEscapeString(const std::string &s)
         }
     }
     return out;
+}
+
+std::string
+doubleToken(double v)
+{
+    char buf[40];
+    std::snprintf(buf, sizeof(buf), "%.17g", v);
+    return buf;
 }
 
 } // namespace dmdc

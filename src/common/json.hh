@@ -1,9 +1,11 @@
 /**
  * @file
- * Minimal JSON value tree + strict parser.
+ * The project's one JSON implementation: a value tree, a strict
+ * parser, and the two token writers every emitter shares.
  *
- * Grown out of the journal merger and shared with the dmdc_serve
- * protocol. Two properties matter more than generality:
+ * Journals, run-cache payloads, the dmdc_serve protocol, the ticket
+ * log, trace files and bench_compare all read through parseJson().
+ * Two properties matter more than generality:
  *
  *  - numbers keep their raw source token, so a parsed journal can be
  *    re-serialized byte-identically (the merge and service layers both
@@ -12,15 +14,22 @@
  *    a torn or hand-mangled document fails loudly instead of yielding
  *    a half-read record.
  *
+ * Non-finite numbers: doubleToken() spells them the way "%.17g" does,
+ * so the parser accepts exactly the four tokens `nan`, `-nan`, `inf`
+ * and `-inf` as Number values (raw text kept). Anything else that
+ * merely starts like one (`nan1`, `infinity`, `+inf`) is still a
+ * syntax error. Readers that need a finite value must check for it.
+ *
  * Writing stays with the callers — each emitter owns its exact byte
- * layout — but jsonEscapeString() is shared so every emitter escapes
- * control characters the same reversible way.
+ * layout — but numbers go through doubleToken() and strings through
+ * jsonEscapeString(), so every emitter spells them the same way.
  */
 
 #ifndef DMDC_COMMON_JSON_HH
 #define DMDC_COMMON_JSON_HH
 
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -38,7 +47,7 @@ struct JsonValue
     std::vector<std::pair<std::string, JsonValue>> fields;
 
     const JsonValue *
-    find(const std::string &key) const
+    find(std::string_view key) const
     {
         for (const auto &f : fields) {
             if (f.first == key)
@@ -58,9 +67,16 @@ bool parseJson(const std::string &text, JsonValue &out,
  * quotes and backslashes are backslash-escaped, control characters
  * become \n/\r/\t/\u00XX. (The journal writers intentionally use a
  * lossy space-substitution instead — journal bytes are contractual —
- * so this is for protocol payloads, not journals.)
+ * so this is for every other payload, not journals.)
  */
 std::string jsonEscapeString(const std::string &s);
+
+/**
+ * "%.17g" spelling of @p v: 17 significant digits, enough to
+ * round-trip an IEEE double exactly. Journals, cache keys, cache payloads and
+ * service run specs all use it, so their bytes agree.
+ */
+std::string doubleToken(double v);
 
 } // namespace dmdc
 

@@ -28,6 +28,7 @@
 #include <unistd.h>
 
 #include "common/atomic_file.hh"
+#include "common/json.hh"
 #include "common/logging.hh"
 
 namespace dmdc
@@ -402,31 +403,6 @@ emitRecord(TraceCategory &cat, std::uint16_t name, TraceEventKind kind,
     sink.published.fetch_add(1, std::memory_order_relaxed);
 }
 
-/** Minimal JSON string escaper for interned names. */
-void
-appendJsonString(std::string &out, const std::string &text)
-{
-    out.push_back('"');
-    for (char c : text) {
-        switch (c) {
-          case '"':  out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          case '\r': out += "\\r"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out.push_back(c);
-            }
-        }
-    }
-    out.push_back('"');
-}
-
 /** Microseconds with ns precision ("12.345"). */
 void
 appendMicros(std::string &out, std::uint64_t ns)
@@ -580,9 +556,8 @@ traceExportChrome(const std::string &path, std::string &err)
         comma();
         out += "{\"ph\":\"M\",\"ts\":0,\"pid\":" + pidText +
                ",\"tid\":" + std::to_string(ring->tid()) +
-               ",\"name\":\"thread_name\",\"args\":{\"name\":";
-        appendJsonString(out, name);
-        out += "}}";
+               ",\"name\":\"thread_name\",\"args\":{\"name\":\"" +
+               jsonEscapeString(name) + "\"}}";
     }
 
     for (const Tagged &event : events) {
@@ -593,10 +568,10 @@ traceExportChrome(const std::string &path, std::string &err)
         out += "\",\"ts\":";
         appendMicros(out, rec.tsNs);
         out += ",\"pid\":" + pidText +
-               ",\"tid\":" + std::to_string(event.tid) + ",\"cat\":";
-        appendJsonString(out, sink.categoryText(rec.category));
-        out += ",\"name\":";
-        appendJsonString(out, sink.nameText(rec.name));
+               ",\"tid\":" + std::to_string(event.tid) + ",\"cat\":\"" +
+               jsonEscapeString(sink.categoryText(rec.category)) +
+               "\",\"name\":\"" + jsonEscapeString(sink.nameText(rec.name)) +
+               '"';
         switch (rec.kind) {
           case TraceEventKind::Complete:
             out += ",\"dur\":";

@@ -10,17 +10,13 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cctype>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <ctime>
-#include <filesystem>
-#include <fstream>
 #include <memory>
 #include <sstream>
 #include <thread>
-#include <tuple>
 
 #include <csignal>
 #include <unistd.h>
@@ -28,6 +24,7 @@
 #include "common/atomic_file.hh"
 #include "common/build_info.hh"
 #include "common/crc32.hh"
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "common/random.hh"
 #include "common/trace_sink.hh"
@@ -68,34 +65,6 @@ runnerTrace()
     return ids;
 }
 
-/** Shortest decimal form that round-trips an IEEE double exactly. */
-std::string
-doubleToken(double v)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
-}
-
-/** Escape @p s for embedding in a JSON string literal. */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        if (c == '"' || c == '\\') {
-            out.push_back('\\');
-            out.push_back(c);
-        } else if (static_cast<unsigned char>(c) < 0x20) {
-            out.push_back(' ');
-        } else {
-            out.push_back(c);
-        }
-    }
-    return out;
-}
-
 /**
  * Fingerprint of the simulator behaviour surface: the policy
  * registry's version string (API version + every scheme@revision),
@@ -127,321 +96,6 @@ utcTimestamp()
     char buf[32];
     std::strftime(buf, sizeof(buf), "%Y-%m-%dT%H:%M:%SZ", &tm);
     return buf;
-}
-
-// ---- JSON writing ----------------------------------------------------
-
-/**
- * Flat object writer; benchmark names are [a-z0-9_.-] so no string
- * escaping is required beyond quoting.
- */
-class JsonWriter
-{
-  public:
-    explicit JsonWriter(std::ostream &os) : os_(os) {}
-
-    void open(const char *key = nullptr)
-    {
-        comma();
-        if (key)
-            os_ << '"' << key << "\":";
-        os_ << '{';
-        first_ = true;
-    }
-
-    void close()
-    {
-        os_ << '}';
-        first_ = false;
-    }
-
-    void field(const char *key, const std::string &v)
-    {
-        comma();
-        os_ << '"' << key << "\":\"" << v << '"';
-    }
-
-    void field(const char *key, bool v)
-    {
-        comma();
-        os_ << '"' << key << "\":" << (v ? "true" : "false");
-    }
-
-    void field(const char *key, std::uint64_t v)
-    {
-        comma();
-        os_ << '"' << key << "\":" << v;
-    }
-
-    void field(const char *key, unsigned v)
-    {
-        field(key, static_cast<std::uint64_t>(v));
-    }
-
-    void field(const char *key, double v)
-    {
-        comma();
-        os_ << '"' << key << "\":" << doubleToken(v);
-    }
-
-  private:
-    void comma()
-    {
-        if (!first_)
-            os_ << ',';
-        first_ = false;
-    }
-
-    std::ostream &os_;
-    bool first_ = true;
-};
-
-// ---- JSON reading ----------------------------------------------------
-
-/**
- * Minimal parser for the subset this file writes: objects of string /
- * number / bool values and nested objects. Numbers are kept as raw
- * tokens so integer fields never take a detour through double.
- */
-class JsonReader
-{
-  public:
-    /** Flattened "outer.inner" key -> raw value token (unquoted). */
-    using Map = std::unordered_map<std::string, std::string>;
-
-    static bool
-    parse(const std::string &text, Map &out)
-    {
-        JsonReader r(text);
-        r.skipWs();
-        if (!r.object("", out))
-            return false;
-        r.skipWs();
-        return r.pos_ == text.size();
-    }
-
-  private:
-    explicit JsonReader(const std::string &text) : text_(text) {}
-
-    bool
-    object(const std::string &prefix, Map &out)
-    {
-        if (!consume('{'))
-            return false;
-        skipWs();
-        if (consume('}'))
-            return true;
-        for (;;) {
-            std::string key;
-            if (!quoted(key))
-                return false;
-            skipWs();
-            if (!consume(':'))
-                return false;
-            skipWs();
-            const std::string path =
-                prefix.empty() ? key : prefix + "." + key;
-            if (peek() == '{') {
-                if (!object(path, out))
-                    return false;
-            } else {
-                std::string value;
-                if (peek() == '"') {
-                    if (!quoted(value))
-                        return false;
-                } else if (!scalar(value)) {
-                    return false;
-                }
-                out[path] = value;
-            }
-            skipWs();
-            if (consume(',')) {
-                skipWs();
-                continue;
-            }
-            return consume('}');
-        }
-    }
-
-    bool
-    quoted(std::string &out)
-    {
-        if (!consume('"'))
-            return false;
-        out.clear();
-        while (pos_ < text_.size() && text_[pos_] != '"')
-            out.push_back(text_[pos_++]);
-        return consume('"');
-    }
-
-    bool
-    scalar(std::string &out)
-    {
-        out.clear();
-        while (pos_ < text_.size()) {
-            const char c = text_[pos_];
-            if (c == ',' || c == '}' || c == ']' ||
-                std::isspace(static_cast<unsigned char>(c))) {
-                break;
-            }
-            out.push_back(c);
-            ++pos_;
-        }
-        return !out.empty();
-    }
-
-    char peek() const { return pos_ < text_.size() ? text_[pos_] : 0; }
-
-    bool
-    consume(char c)
-    {
-        if (peek() != c)
-            return false;
-        ++pos_;
-        return true;
-    }
-
-    void
-    skipWs()
-    {
-        while (pos_ < text_.size() &&
-               std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-            ++pos_;
-        }
-    }
-
-    const std::string &text_;
-    std::size_t pos_ = 0;
-};
-
-// ---- SimResult <-> JSON ---------------------------------------------
-
-void
-writeResult(JsonWriter &w, const SimResult &r)
-{
-    w.open("result");
-    w.field("benchmark", r.benchmark);
-    w.field("fp", r.fp);
-    w.field("config_level", r.configLevel);
-    w.field("scheme", r.scheme);
-    w.field("instructions", r.instructions);
-    w.field("cycles", r.cycles);
-    w.field("ipc", r.ipc);
-    w.field("lq_searches", r.lqSearches);
-    w.field("lq_searches_filtered", r.lqSearchesFiltered);
-    w.field("sq_searches", r.sqSearches);
-    w.field("sq_searches_filtered", r.sqSearchesFiltered);
-    w.field("age_table_replays", r.ageTableReplays);
-    w.field("loads_older_than_all_stores", r.loadsOlderThanAllStores);
-    w.field("committed_loads", r.committedLoads);
-    w.field("committed_stores", r.committedStores);
-    w.field("safe_store_frac", r.safeStoreFrac);
-    w.field("safe_load_frac", r.safeLoadFrac);
-    w.field("checking_cycle_frac", r.checkingCycleFrac);
-    w.field("window_instrs", r.windowInstrs);
-    w.field("window_loads", r.windowLoads);
-    w.field("window_safe_loads", r.windowSafeLoads);
-    w.field("window_single_store_frac", r.windowSingleStoreFrac);
-    w.field("window_marked_entries", r.windowMarkedEntries);
-    w.field("dmdc_replays", r.dmdcReplays);
-    w.field("baseline_replays", r.baselineReplays);
-    w.field("true_violations", r.trueViolations);
-    w.field("true_replays", r.trueReplays);
-    w.field("false_addr_x", r.falseAddrX);
-    w.field("false_addr_y", r.falseAddrY);
-    w.field("false_hash_before", r.falseHashBefore);
-    w.field("false_hash_x", r.falseHashX);
-    w.field("false_hash_y", r.falseHashY);
-    w.field("false_overflow", r.falseOverflow);
-    w.open("energy");
-    w.field("fetch", r.energy.fetch);
-    w.field("bpred", r.energy.bpred);
-    w.field("rename", r.energy.rename);
-    w.field("rob", r.energy.rob);
-    w.field("issue_queue", r.energy.issueQueue);
-    w.field("regfile", r.energy.regfile);
-    w.field("fu", r.energy.fu);
-    w.field("l1d", r.energy.l1d);
-    w.field("l2", r.energy.l2);
-    w.field("clock", r.energy.clock);
-    w.field("lq_cam", r.energy.lqCam);
-    w.field("sq", r.energy.sq);
-    w.field("yla", r.energy.yla);
-    w.field("checking", r.energy.checking);
-    w.close();
-    w.close();
-}
-
-bool
-readResult(const JsonReader::Map &m, SimResult &r)
-{
-    bool ok = true;
-    auto raw = [&](const char *name) -> const std::string & {
-        static const std::string empty;
-        auto it = m.find(std::string("result.") + name);
-        if (it == m.end()) {
-            ok = false;
-            return empty;
-        }
-        return it->second;
-    };
-    auto u64 = [&](const char *name) -> std::uint64_t {
-        const std::string &t = raw(name);
-        return t.empty() ? 0 : std::strtoull(t.c_str(), nullptr, 10);
-    };
-    auto f64 = [&](const char *name) -> double {
-        const std::string &t = raw(name);
-        return t.empty() ? 0.0 : std::strtod(t.c_str(), nullptr);
-    };
-
-    r.benchmark = raw("benchmark");
-    r.fp = raw("fp") == "true";
-    r.configLevel = static_cast<unsigned>(u64("config_level"));
-    r.scheme = raw("scheme");
-    r.instructions = u64("instructions");
-    r.cycles = u64("cycles");
-    r.ipc = f64("ipc");
-    r.lqSearches = u64("lq_searches");
-    r.lqSearchesFiltered = u64("lq_searches_filtered");
-    r.sqSearches = u64("sq_searches");
-    r.sqSearchesFiltered = u64("sq_searches_filtered");
-    r.ageTableReplays = u64("age_table_replays");
-    r.loadsOlderThanAllStores = u64("loads_older_than_all_stores");
-    r.committedLoads = u64("committed_loads");
-    r.committedStores = u64("committed_stores");
-    r.safeStoreFrac = f64("safe_store_frac");
-    r.safeLoadFrac = f64("safe_load_frac");
-    r.checkingCycleFrac = f64("checking_cycle_frac");
-    r.windowInstrs = f64("window_instrs");
-    r.windowLoads = f64("window_loads");
-    r.windowSafeLoads = f64("window_safe_loads");
-    r.windowSingleStoreFrac = f64("window_single_store_frac");
-    r.windowMarkedEntries = f64("window_marked_entries");
-    r.dmdcReplays = u64("dmdc_replays");
-    r.baselineReplays = u64("baseline_replays");
-    r.trueViolations = u64("true_violations");
-    r.trueReplays = u64("true_replays");
-    r.falseAddrX = u64("false_addr_x");
-    r.falseAddrY = u64("false_addr_y");
-    r.falseHashBefore = u64("false_hash_before");
-    r.falseHashX = u64("false_hash_x");
-    r.falseHashY = u64("false_hash_y");
-    r.falseOverflow = u64("false_overflow");
-    r.energy.fetch = f64("energy.fetch");
-    r.energy.bpred = f64("energy.bpred");
-    r.energy.rename = f64("energy.rename");
-    r.energy.rob = f64("energy.rob");
-    r.energy.issueQueue = f64("energy.issue_queue");
-    r.energy.regfile = f64("energy.regfile");
-    r.energy.fu = f64("energy.fu");
-    r.energy.l1d = f64("energy.l1d");
-    r.energy.l2 = f64("energy.l2");
-    r.energy.clock = f64("energy.clock");
-    r.energy.lqCam = f64("energy.lq_cam");
-    r.energy.sq = f64("energy.sq");
-    r.energy.yla = f64("energy.yla");
-    r.energy.checking = f64("energy.checking");
-    return ok;
 }
 
 // ---- bench journal / failure manifest --------------------------------
@@ -529,6 +183,25 @@ appendJournalFailure(const SimOptions &opt, const RunOutcome &oc)
                          checkModeName(opt.check), 0, 0, 0});
 }
 
+/** The journal-model view of @p rec: identity, status and outcome. */
+JournalEntry
+journalEntryOf(const JournalRecord &rec)
+{
+    JournalEntry e;
+    e.benchmark = rec.benchmark;
+    e.scheme = rec.scheme;
+    e.config = rec.configLevel;
+    e.status = rec.status;
+    if (rec.status == RunStatus::Ok) {
+        e.ipcToken = doubleToken(rec.ipc);
+        e.cyclesToken = std::to_string(rec.cycles);
+    } else {
+        e.category = rec.category;
+        e.error = rec.error;
+    }
+    return e;
+}
+
 /**
  * Stamp the journal as one shard's slice of a campaign. Called once
  * per runChecked() campaign in sharded mode; fingerprints chain so a
@@ -611,65 +284,42 @@ flushCampaignJournal()
            << ",\"runs_total\":" << j.runsTotal;
     }
     os << ",\"results\":[";
+    const char *sep = "";
     if (j.deterministic) {
         // Workers append in completion order; canonicalize through
         // the shared serializer so shard journals merge into a file
         // byte-identical to a single-process one (campaign_shard.hh).
         std::vector<JournalEntry> entries;
         entries.reserve(j.records.size());
-        for (const JournalRecord &rec : j.records) {
-            JournalEntry e;
-            e.benchmark = rec.benchmark;
-            e.scheme = rec.scheme;
-            e.config = rec.configLevel;
-            e.status = rec.status;
-            if (rec.status == RunStatus::Ok) {
-                e.ipcToken = doubleToken(rec.ipc);
-                e.cyclesToken = std::to_string(rec.cycles);
-            } else {
-                e.category = rec.category;
-                e.error = rec.error;
-            }
-            entries.push_back(std::move(e));
-        }
+        for (const JournalRecord &rec : j.records)
+            entries.push_back(journalEntryOf(rec));
         std::sort(entries.begin(), entries.end(), journalEntryLess);
-        bool first = true;
         for (const JournalEntry &e : entries) {
-            if (!first)
-                os << ',';
-            first = false;
+            os << sep;
+            sep = ",";
             writeJournalEntry(os, e);
         }
     } else {
-        bool first = true;
         for (const JournalRecord &rec : j.records) {
-            if (!first)
-                os << ',';
-            first = false;
-            os << "\n  {\"benchmark\":\"" << rec.benchmark
-               << "\",\"scheme\":\"" << rec.scheme
-               << "\",\"config\":" << rec.configLevel
-               << ",\"status\":\"" << runStatusName(rec.status) << '"';
-            if (rec.status == RunStatus::Ok) {
-                os << ",\"ipc\":" << doubleToken(rec.ipc)
-                   << ",\"cycles\":" << rec.cycles;
-            } else {
-                os << ",\"category\":\"" << jsonEscape(rec.category)
-                   << "\",\"error\":\"" << jsonEscape(rec.error) << '"';
-            }
-            os << ",\"attempts\":" << rec.attempts
-               << ",\"wall_ms\":" << doubleToken(rec.wallMs)
-               << ",\"sim_khz\":" << doubleToken(rec.simKhz)
-               << ",\"cached\":" << (rec.cached ? "true" : "false");
+            std::string extra =
+                ",\"attempts\":" + std::to_string(rec.attempts) +
+                ",\"wall_ms\":" + doubleToken(rec.wallMs) +
+                ",\"sim_khz\":" + doubleToken(rec.simKhz) +
+                ",\"cached\":" + (rec.cached ? "true" : "false");
             if (rec.checkMode != "off") {
-                os << ",\"check\":\"" << rec.checkMode
-                   << "\",\"oracle_loads\":" << rec.oracleLoads
-                   << ",\"oracle_stale\":" << rec.oracleStale
-                   << ",\"oracle_forbidden\":" << rec.oracleForbidden;
+                extra += ",\"check\":\"" + rec.checkMode +
+                         "\",\"oracle_loads\":" +
+                         std::to_string(rec.oracleLoads) +
+                         ",\"oracle_stale\":" +
+                         std::to_string(rec.oracleStale) +
+                         ",\"oracle_forbidden\":" +
+                         std::to_string(rec.oracleForbidden);
             }
             if (j.sharded)
-                os << ",\"shard\":" << rec.shard;
-            os << '}';
+                extra += ",\"shard\":" + std::to_string(rec.shard);
+            os << sep;
+            sep = ",";
+            writeJournalEntry(os, journalEntryOf(rec), extra);
         }
     }
     os << "\n]}\n";
@@ -788,17 +438,21 @@ CampaignRunner::loadFromDisk(const std::string &key, SimResult &out)
       case CacheStore::Load::Hit:
         break;
     }
-    JsonReader::Map m;
-    if (!JsonReader::parse(payload, m)) {
+    JsonValue doc;
+    std::string err;
+    if (!parseJson(payload, doc, err) ||
+        doc.kind != JsonValue::Kind::Object) {
         diskStore_->quarantineKey(key, "has an unparsable payload");
         return CacheLoad::Corrupt;
     }
     // A hash collision surfaces as a key mismatch; that is a plain
     // miss (the fresh result overwrites the entry), not corruption.
-    auto it = m.find("key");
-    if (it == m.end() || it->second != key)
+    const JsonValue *stored = doc.find("key");
+    if (!stored || stored->kind != JsonValue::Kind::String ||
+        stored->text != key)
         return CacheLoad::Miss;
-    if (!readResult(m, out)) {
+    const JsonValue *result = doc.find("result");
+    if (!result || !readSimResultJson(*result, out)) {
         diskStore_->quarantineKey(key, "is missing result fields");
         return CacheLoad::Corrupt;
     }
@@ -808,18 +462,12 @@ CampaignRunner::loadFromDisk(const std::string &key, SimResult &out)
 void
 CampaignRunner::storeToDisk(const std::string &key, const SimResult &r)
 {
-    std::ostringstream payload_os;
-    {
-        JsonWriter w(payload_os);
-        w.open();
-        w.field("version",
-                static_cast<std::uint64_t>(kCacheFormatVersion));
-        w.field("key", key);
-        writeResult(w, r);
-        w.close();
-        payload_os << '\n';
-    }
-    diskStore_->store(key, payload_os.str());
+    std::ostringstream os;
+    os << "{\"version\":" << kCacheFormatVersion << ",\"key\":\""
+       << jsonEscapeString(key) << "\",\"result\":";
+    writeSimResultJson(os, r);
+    os << "}\n";
+    diskStore_->store(key, os.str());
 }
 
 CampaignResult

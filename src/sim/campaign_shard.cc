@@ -33,7 +33,9 @@ journalIdentity(const std::string &benchmark, const std::string &scheme,
 namespace
 {
 
-/** Same escaping the journal writer applies to string fields. */
+/** The journals' lossy string escaper: quotes and backslashes are
+ *  escaped, control characters become spaces (journal bytes are
+ *  contractual, so this never changes). */
 std::string
 escapeJson(const std::string &s)
 {
@@ -185,7 +187,8 @@ journalEntryLess(const JournalEntry &a, const JournalEntry &b)
 }
 
 void
-writeJournalEntry(std::ostream &os, const JournalEntry &e)
+writeJournalEntry(std::ostream &os, const JournalEntry &e,
+                  const std::string &extra)
 {
     os << "\n  {\"benchmark\":\"" << e.benchmark
        << "\",\"scheme\":\"" << e.scheme
@@ -198,7 +201,7 @@ writeJournalEntry(std::ostream &os, const JournalEntry &e)
         os << ",\"category\":\"" << escapeJson(e.category)
            << "\",\"error\":\"" << escapeJson(e.error) << '"';
     }
-    os << '}';
+    os << extra << '}';
 }
 
 // ---- JSON parsing ----------------------------------------------------

@@ -130,8 +130,16 @@ struct JournalEntry
 /** Canonical journal order (matches the runner's deterministic sort). */
 bool journalEntryLess(const JournalEntry &a, const JournalEntry &b);
 
-/** Serialize one record in deterministic-journal form ("\n  {...}"). */
-void writeJournalEntry(std::ostream &os, const JournalEntry &e);
+/**
+ * Serialize one journal record ("\n  {...}"): identity, status, then
+ * ipc/cycles or category/error. Deterministic journals write exactly
+ * that; the non-deterministic journal passes its run-metadata fields,
+ * already serialized as ",\"key\":value..." text, in @p extra, which
+ * lands just before the closing brace. String fields go through the
+ * journals' lossy escaper (control characters become spaces).
+ */
+void writeJournalEntry(std::ostream &os, const JournalEntry &e,
+                       const std::string &extra = {});
 
 /** A parsed journal file (per-shard or merged/serial). */
 struct ShardJournal

@@ -1,16 +1,19 @@
 /**
  * @file
- * Per-run result record and aggregation helpers (group means, ranges,
- * normalization) used by the benchmark harnesses.
+ * Per-run result record, its run-cache JSON form, and aggregation
+ * helpers (group means, ranges, normalization) used by the benchmark
+ * harnesses.
  */
 
 #ifndef DMDC_SIM_RESULTS_HH
 #define DMDC_SIM_RESULTS_HH
 
+#include <iosfwd>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "common/json.hh"
 #include "energy/energy_model.hh"
 #include "sim/machine_config.hh"
 
@@ -99,6 +102,22 @@ struct SimResult
                                    falseHashY + falseOverflow);
     }
 };
+
+/**
+ * Write the persisted fields of @p r as one JSON object: the
+ * run-cache payload's "result" value. One field table in results.cc
+ * drives both this writer and readSimResultJson(); its order is the
+ * payload's byte layout, so changing it needs a kCacheFormatVersion
+ * bump. Identity-only and verdict fields (valid, the oracle counters)
+ * are not persisted: only unchecked, successful runs are cached.
+ */
+void writeSimResultJson(std::ostream &os, const SimResult &r);
+
+/**
+ * Decode an object written by writeSimResultJson() into @p r. False
+ * when any persisted field is missing or has the wrong JSON type.
+ */
+bool readSimResultJson(const JsonValue &obj, SimResult &r);
 
 /** min / mean / max of a sample set. */
 struct Range

@@ -1,10 +1,10 @@
 #include "sim/service.hh"
 
 #include <cerrno>
+#include <cmath>
 #include <chrono>
 #include <condition_variable>
 #include <csignal>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
@@ -53,16 +53,6 @@ serviceTrace()
 {
     static ServiceTrace ids;
     return ids;
-}
-
-/** Same "%.17g" token the journal writer uses (campaign_runner.cc):
- *  the daemon re-derives journal bytes, so the spelling must match. */
-std::string
-journalDoubleToken(double v)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
 }
 
 // ---- deadline-aware socket I/O ---------------------------------------
@@ -276,7 +266,9 @@ fieldDouble(const JsonValue &obj, const char *key, double &out)
     errno = 0;
     char *end = nullptr;
     const double d = std::strtod(v->text.c_str(), &end);
-    if (errno == ERANGE || end != v->text.c_str() + v->text.size())
+    // The parser accepts nan/inf tokens; no spec field may be one.
+    if (errno == ERANGE || end != v->text.c_str() + v->text.size() ||
+        !std::isfinite(d))
         return false;
     out = d;
     return true;
@@ -420,7 +412,7 @@ serviceRunSpecJson(const SimOptions &opt)
        << ",\"warmup\":" << opt.warmupInsts
        << ",\"insts\":" << opt.runInsts
        << ",\"inv\":"
-       << journalDoubleToken(opt.invalidationsPer1kCycles)
+       << doubleToken(opt.invalidationsPer1kCycles)
        << ",\"coherence\":" << (opt.coherence ? "true" : "false")
        << ",\"safe_loads\":" << (opt.safeLoads ? "true" : "false")
        << ",\"sq_filter\":" << (opt.sqFilter ? "true" : "false")
@@ -1010,7 +1002,7 @@ struct ServiceDaemon::Impl
             e.config = t.opt.configLevel;
             e.status = t.outcome.status;
             if (t.outcome.ok()) {
-                e.ipcToken = journalDoubleToken(t.result.ipc);
+                e.ipcToken = doubleToken(t.result.ipc);
                 e.cyclesToken = std::to_string(t.result.cycles);
             } else {
                 e.category = runErrorCategoryName(t.outcome.category);

@@ -1,11 +1,17 @@
 /**
  * @file
- * Tests of the campaign layer: suite running, comparison helpers and
- * formatting utilities the benches rely on.
+ * Tests of the campaign layer: suite running, comparison helpers,
+ * formatting utilities the benches rely on, and the run cache's
+ * SimResult JSON form.
  */
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <sstream>
+
+#include "common/json.hh"
 #include "sim/campaign.hh"
 #include "sim/campaign_runner.hh"
 #include "trace/spec_suite.hh"
@@ -109,6 +115,77 @@ TEST(Campaign, PerMInstNormalization)
     EXPECT_DOUBLE_EQ(r.perMInst(4.0), 2.0);
     SimResult empty;
     EXPECT_DOUBLE_EQ(empty.perMInst(4.0), 0.0);
+}
+
+std::string
+resultJson(const SimResult &r)
+{
+    std::ostringstream os;
+    writeSimResultJson(os, r);
+    return os.str();
+}
+
+TEST(ResultJson, RoundTripsByteIdentically)
+{
+    SimOptions opt;
+    opt.benchmark = "swim";
+    opt.scheme = "dmdc-global";
+    opt.warmupInsts = 2000;
+    opt.runInsts = 15000;
+    const SimResult r = runSimulation(opt);
+    const std::string text = resultJson(r);
+
+    JsonValue doc;
+    std::string err;
+    ASSERT_TRUE(parseJson(text, doc, err)) << err;
+    SimResult back;
+    ASSERT_TRUE(readSimResultJson(doc, back));
+    EXPECT_EQ(resultJson(back), text);
+    EXPECT_EQ(back.cycles, r.cycles);
+    EXPECT_EQ(back.ipc, r.ipc);
+    EXPECT_EQ(back.energy.lqFunction(), r.energy.lqFunction());
+}
+
+TEST(ResultJson, EveryWrittenFieldIsRequired)
+{
+    JsonValue doc;
+    std::string err;
+    ASSERT_TRUE(parseJson(resultJson(SimResult{}), doc, err)) << err;
+    const JsonValue *energy = doc.find("energy");
+    ASSERT_NE(energy, nullptr);
+    ASSERT_FALSE(energy->fields.empty());
+    // Dropping any one field, top-level or inside "energy", must make
+    // the decode fail instead of leaving a default in the result.
+    auto dropEach = [&](JsonValue &obj) {
+        for (std::size_t i = 0; i < obj.fields.size(); ++i) {
+            const auto saved = obj.fields[i];
+            obj.fields.erase(obj.fields.begin() + i);
+            SimResult r;
+            EXPECT_FALSE(readSimResultJson(doc, r)) << saved.first;
+            obj.fields.insert(obj.fields.begin() + i, saved);
+        }
+    };
+    dropEach(doc);
+    for (auto &[name, value] : doc.fields) {
+        if (name == "energy")
+            dropEach(value);
+    }
+    SimResult r;
+    EXPECT_TRUE(readSimResultJson(doc, r));
+}
+
+TEST(ResultJson, NonFiniteDoublesRoundTrip)
+{
+    SimResult r;
+    r.ipc = std::numeric_limits<double>::quiet_NaN();
+    r.energy.yla = std::numeric_limits<double>::infinity();
+    JsonValue doc;
+    std::string err;
+    ASSERT_TRUE(parseJson(resultJson(r), doc, err)) << err;
+    SimResult back;
+    ASSERT_TRUE(readSimResultJson(doc, back));
+    EXPECT_TRUE(std::isnan(back.ipc));
+    EXPECT_EQ(back.energy.yla, r.energy.yla);
 }
 
 } // namespace

@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests for the common infrastructure: bit utilities, RNG,
- * statistics and logging counters.
+ * statistics, logging counters, the JSON parser and the durability
+ * layer.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include "common/append_log.hh"
 #include "common/atomic_file.hh"
 #include "common/bitutils.hh"
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "common/random.hh"
 #include "common/stats.hh"
@@ -227,6 +229,46 @@ TEST(Logging, WarnCountsMessages)
     const auto before = loggedMessageCount(LogLevel::Warn);
     warn("test warning %d", 1);
     EXPECT_EQ(loggedMessageCount(LogLevel::Warn), before + 1);
+}
+
+// ---- JSON ------------------------------------------------------------
+
+TEST(Json, NonFiniteTokensParseAsRawNumbers)
+{
+    // Exactly the spellings "%.17g" gives non-finite doubles.
+    for (const char *token : {"nan", "-nan", "inf", "-inf"}) {
+        JsonValue v;
+        std::string err;
+        ASSERT_TRUE(parseJson(std::string("{\"x\":[") + token + "]}",
+                              v, err))
+            << token << ": " << err;
+        const JsonValue *x = v.find("x");
+        ASSERT_NE(x, nullptr);
+        ASSERT_EQ(x->items.size(), 1u);
+        EXPECT_EQ(x->items[0].kind, JsonValue::Kind::Number) << token;
+        EXPECT_EQ(x->items[0].text, token);
+    }
+    JsonValue v;
+    std::string err;
+    ASSERT_TRUE(parseJson("-inf", v, err)) << err;
+    EXPECT_EQ(v.text, "-inf");
+}
+
+TEST(Json, RejectsNearMissNonFiniteTokens)
+{
+    for (const char *text :
+         {"nan1", "infinity", "-", "+inf", "Nan", "{\"x\":nan1}",
+          "{\"x\":infinity}", "{\"x\":-}", "[-nanx]", "nul"}) {
+        JsonValue v;
+        std::string err;
+        EXPECT_FALSE(parseJson(text, v, err)) << text;
+        EXPECT_FALSE(err.empty()) << text;
+    }
+    // "null" still parses as null, not as a near-miss "nan".
+    JsonValue v;
+    std::string err;
+    ASSERT_TRUE(parseJson("null", v, err)) << err;
+    EXPECT_EQ(v.kind, JsonValue::Kind::Null);
 }
 
 // ---- durability layer (atomic_file / append_log) ---------------------

@@ -3,8 +3,9 @@
  * Tests of the fault-tolerance layer: structured errors and option
  * validation, the deterministic fault injector, per-run isolation and
  * retries in the campaign engine, watchdog timeouts, cache corruption
- * handling (quarantine + recompute), LRU eviction, and rerunning an
- * interrupted campaign to a bit-identical journal.
+ * handling (quarantine + recompute, for bad framing and for bad
+ * payloads), LRU eviction, and rerunning an interrupted campaign to a
+ * bit-identical journal.
  */
 
 #include <gtest/gtest.h>
@@ -480,6 +481,34 @@ TEST_F(CacheCorruption, LegacyHeaderlessEntryQuarantines)
         const std::string text = slurp(entry);
         std::ofstream os(entry, std::ios::trunc);
         os << text.substr(text.find('\n') + 1);
+    });
+}
+
+// The cases above are all caught by the store's CRC framing. These two
+// publish a correctly framed entry whose payload is bad, so only the
+// runner's decode can catch it.
+
+TEST_F(CacheCorruption, UnparsablePayloadQuarantines)
+{
+    roundTrip([this](const fs::path &) {
+        CacheStore store({(scratch_ / "cache").string()});
+        store.store(cacheKey(quickOptions("gzip", "dmdc-global")),
+                    "not json\n");
+    });
+}
+
+TEST_F(CacheCorruption, MissingResultFieldQuarantines)
+{
+    roundTrip([this](const fs::path &) {
+        const std::string key =
+            cacheKey(quickOptions("gzip", "dmdc-global"));
+        CacheStore store({(scratch_ / "cache").string()});
+        std::string payload;
+        ASSERT_EQ(store.load(key, payload), CacheStore::Load::Hit);
+        const std::size_t at = payload.find("\"cycles\":");
+        ASSERT_NE(at, std::string::npos);
+        payload.erase(at, payload.find(',', at) + 1 - at);
+        store.store(key, payload);
     });
 }
 

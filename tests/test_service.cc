@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <set>
@@ -158,6 +159,27 @@ TEST(ServiceJson, RunSpecRequiresBenchmarkAndScheme)
     SimOptions out;
     EXPECT_FALSE(parseServiceRunSpec(spec, out, err));
     EXPECT_FALSE(err.empty());
+}
+
+TEST(ServiceJson, RunSpecRejectsNonFiniteInvalidationRate)
+{
+    // The parser accepts nan/inf tokens; a spec must not smuggle one
+    // into SimOptions.
+    for (const char *token : {"nan", "-nan", "inf", "-inf"}) {
+        JsonValue spec;
+        std::string err;
+        ASSERT_TRUE(parseJson(std::string("{\"benchmark\":\"gzip\","
+                                          "\"scheme\":\"yla\",\"inv\":") +
+                                  token + "}",
+                              spec, err))
+            << err;
+        SimOptions out;
+        ASSERT_TRUE(parseServiceRunSpec(spec, out, err)) << err;
+        EXPECT_TRUE(std::isfinite(out.invalidationsPer1kCycles))
+            << token;
+        EXPECT_EQ(out.invalidationsPer1kCycles,
+                  SimOptions{}.invalidationsPer1kCycles);
+    }
 }
 
 // ---- handshake refusal -----------------------------------------------

@@ -24,182 +24,27 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/json.hh"
+
 namespace
 {
 
-// ---- minimal JSON reader --------------------------------------------
-//
-// Just enough for the journal grammar: objects, arrays, strings
-// without escapes beyond \" and \\, numbers, true/false/null. Not a
-// general-purpose parser and not meant to become one.
+using dmdc::JsonValue;
 
-struct JsonValue
+/** Numeric value of @p v; 0 when it is not a JSON number. */
+double
+number(const JsonValue &v)
 {
-    enum class Kind { Null, Bool, Number, String, Array, Object };
-
-    Kind kind = Kind::Null;
-    bool boolean = false;
-    double number = 0.0;
-    std::string str;
-    std::vector<JsonValue> items;
-    std::map<std::string, JsonValue> fields;
-
-    const JsonValue *
-    get(const std::string &key) const
-    {
-        auto it = fields.find(key);
-        return it == fields.end() ? nullptr : &it->second;
-    }
-};
-
-class JsonParser
-{
-  public:
-    explicit JsonParser(const std::string &text) : text_(text) {}
-
-    bool
-    parse(JsonValue &out)
-    {
-        return value(out) && (skipWs(), pos_ == text_.size());
-    }
-
-    std::string
-    errorContext() const
-    {
-        const std::size_t from = pos_ < 20 ? 0 : pos_ - 20;
-        return text_.substr(from, 40);
-    }
-
-  private:
-    void
-    skipWs()
-    {
-        while (pos_ < text_.size() &&
-               (text_[pos_] == ' ' || text_[pos_] == '\t' ||
-                text_[pos_] == '\n' || text_[pos_] == '\r'))
-            ++pos_;
-    }
-
-    bool
-    literal(const char *word)
-    {
-        const std::size_t n = std::strlen(word);
-        if (text_.compare(pos_, n, word) != 0)
-            return false;
-        pos_ += n;
-        return true;
-    }
-
-    bool
-    string(std::string &out)
-    {
-        if (text_[pos_] != '"')
-            return false;
-        ++pos_;
-        out.clear();
-        while (pos_ < text_.size() && text_[pos_] != '"') {
-            if (text_[pos_] == '\\' && pos_ + 1 < text_.size())
-                ++pos_;
-            out.push_back(text_[pos_++]);
-        }
-        if (pos_ >= text_.size())
-            return false;
-        ++pos_;   // closing quote
-        return true;
-    }
-
-    bool
-    value(JsonValue &out)
-    {
-        skipWs();
-        if (pos_ >= text_.size())
-            return false;
-        const char c = text_[pos_];
-        if (c == '{') {
-            ++pos_;
-            out.kind = JsonValue::Kind::Object;
-            skipWs();
-            if (pos_ < text_.size() && text_[pos_] == '}')
-                return ++pos_, true;
-            for (;;) {
-                skipWs();
-                std::string key;
-                if (!string(key))
-                    return false;
-                skipWs();
-                if (pos_ >= text_.size() || text_[pos_++] != ':')
-                    return false;
-                if (!value(out.fields[key]))
-                    return false;
-                skipWs();
-                if (pos_ >= text_.size())
-                    return false;
-                if (text_[pos_] == ',') {
-                    ++pos_;
-                    continue;
-                }
-                return text_[pos_++] == '}';
-            }
-        }
-        if (c == '[') {
-            ++pos_;
-            out.kind = JsonValue::Kind::Array;
-            skipWs();
-            if (pos_ < text_.size() && text_[pos_] == ']')
-                return ++pos_, true;
-            for (;;) {
-                out.items.emplace_back();
-                if (!value(out.items.back()))
-                    return false;
-                skipWs();
-                if (pos_ >= text_.size())
-                    return false;
-                if (text_[pos_] == ',') {
-                    ++pos_;
-                    continue;
-                }
-                return text_[pos_++] == ']';
-            }
-        }
-        if (c == '"') {
-            out.kind = JsonValue::Kind::String;
-            return string(out.str);
-        }
-        if (c == 't') {
-            out.kind = JsonValue::Kind::Bool;
-            out.boolean = true;
-            return literal("true");
-        }
-        if (c == 'f') {
-            out.kind = JsonValue::Kind::Bool;
-            out.boolean = false;
-            return literal("false");
-        }
-        if (c == 'n' && literal("null")) {
-            out.kind = JsonValue::Kind::Null;
-            return true;
-        }
-        // number ("nan" and "inf" from %.17g land here too)
-        const char *begin = text_.c_str() + pos_;
-        char *end = nullptr;
-        out.number = std::strtod(begin, &end);
-        if (end == begin)
-            return false;
-        out.kind = JsonValue::Kind::Number;
-        pos_ += static_cast<std::size_t>(end - begin);
-        return true;
-    }
-
-    const std::string &text_;
-    std::size_t pos_ = 0;
-};
+    return v.kind == JsonValue::Kind::Number
+        ? std::strtod(v.text.c_str(), nullptr) : 0.0;
+}
 
 // ---- journal model ---------------------------------------------------
 
@@ -224,65 +69,66 @@ bool
 parseJournal(const std::string &text, Journal &out, std::string &err)
 {
     JsonValue root;
-    JsonParser parser(text);
-    if (!parser.parse(root) ||
-        root.kind != JsonValue::Kind::Object) {
-        err = "malformed JSON near '" + parser.errorContext() + "'";
+    std::string perr;
+    if (!dmdc::parseJson(text, root, perr)) {
+        err = "malformed JSON: " + perr;
         return false;
     }
-    if (const JsonValue *v = root.get("commit"))
-        out.commit = v->str;
-    if (const JsonValue *v = root.get("generated_utc"))
-        out.generated = v->str;
-    const JsonValue *results = root.get("results");
+    if (root.kind != JsonValue::Kind::Object) {
+        err = "malformed JSON: not an object";
+        return false;
+    }
+    if (const JsonValue *v = root.find("commit"))
+        out.commit = v->text;
+    if (const JsonValue *v = root.find("generated_utc"))
+        out.generated = v->text;
+    const JsonValue *results = root.find("results");
     if (!results || results->kind != JsonValue::Kind::Array) {
         err = "no \"results\" array";
         return false;
     }
     for (const JsonValue &rec : results->items) {
-        const JsonValue *bench = rec.get("benchmark");
-        const JsonValue *scheme = rec.get("scheme");
-        const JsonValue *config = rec.get("config");
+        const JsonValue *bench = rec.find("benchmark");
+        const JsonValue *scheme = rec.find("scheme");
+        const JsonValue *config = rec.find("config");
         if (!bench || !scheme || !config) {
             err = "result record missing benchmark/scheme/config";
             return false;
         }
         // Failure-manifest records (degraded campaigns) carry no
         // metrics; exclude them rather than comparing zeros.
-        const JsonValue *status = rec.get("status");
-        if (status && status->str != "ok") {
+        const JsonValue *status = rec.find("status");
+        if (status && status->text != "ok") {
             ++out.notOk;
             continue;
         }
-        const JsonValue *ipc = rec.get("ipc");
+        const JsonValue *ipc = rec.find("ipc");
         if (!ipc || ipc->kind != JsonValue::Kind::Number ||
-            !std::isfinite(ipc->number)) {
+            !std::isfinite(number(*ipc))) {
             ++out.unusable;
             continue;
         }
         std::ostringstream key;
-        key << bench->str << '|' << scheme->str << '|'
-            << static_cast<unsigned>(config->number);
+        key << bench->text << '|' << scheme->text << '|'
+            << static_cast<unsigned>(number(*config));
         BenchPoint &p = out.points[key.str()];
-        p.ipc = ipc->number;   // deterministic; any record will do
-        const JsonValue *cached = rec.get("cached");
-        const JsonValue *wall = rec.get("wall_ms");
+        p.ipc = number(*ipc);  // deterministic; any record will do
+        const JsonValue *cached = rec.find("cached");
+        const JsonValue *wall = rec.find("wall_ms");
         const bool uncached = !cached || !cached->boolean;
-        if (wall && uncached &&
-            (p.wallMs < 0.0 || wall->number < p.wallMs))
-            p.wallMs = wall->number;
+        const double wall_ms = wall ? number(*wall) : 0.0;
+        if (wall && uncached && (p.wallMs < 0.0 || wall_ms < p.wallMs))
+            p.wallMs = wall_ms;
         // Simulation throughput: prefer the recorded sim_khz; derive
         // it from cycles/wall_ms for journals predating the field.
         double khz = -1.0;
-        const JsonValue *sim_khz = rec.get("sim_khz");
-        if (sim_khz && sim_khz->kind == JsonValue::Kind::Number &&
-            sim_khz->number > 0.0) {
-            khz = sim_khz->number;
-        } else if (uncached && wall && wall->number > 0.0) {
-            const JsonValue *cycles = rec.get("cycles");
-            if (cycles && cycles->kind == JsonValue::Kind::Number &&
-                cycles->number > 0.0)
-                khz = cycles->number / wall->number;
+        const JsonValue *sim_khz = rec.find("sim_khz");
+        const JsonValue *cycles = rec.find("cycles");
+        if (sim_khz && number(*sim_khz) > 0.0) {
+            khz = number(*sim_khz);
+        } else if (uncached && wall_ms > 0.0 && cycles &&
+                   number(*cycles) > 0.0) {
+            khz = number(*cycles) / wall_ms;
         }
         if (khz > p.simKhz)
             p.simKhz = khz;
