@@ -111,7 +111,7 @@ writeFileAtomic(const std::string &path, const std::string &content)
     std::ostringstream tmp_name;
     // pid + thread id: thread ids alone can collide *across*
     // processes (every process's main thread may share one), and
-    // cache/heartbeat directories are shared between processes.
+    // cache and journal directories are shared between processes.
     tmp_name << path << ".tmp." << ::getpid() << '.'
              << std::this_thread::get_id();
     const std::string tmp = tmp_name.str();

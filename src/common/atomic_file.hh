@@ -4,7 +4,7 @@
  *
  * Several subsystems publish small state files that other processes
  * read concurrently and that must survive a kill at any instant —
- * run-cache entries, campaign journals, heartbeats. POSIX rename()
+ * run-cache entries, campaign journals, trace files. POSIX rename()
  * within one filesystem is atomic, so a reader either sees the
  * previous complete file or the new complete file, never a torn one.
  * This helper centralizes the pattern so no caller hand-rolls it with

@@ -518,9 +518,19 @@ traceExportChrome(const std::string &path, std::string &err)
         TraceRecord rec;
     };
     std::vector<Tagged> events;
-    for (const auto &ring : rings) {
-        for (const TraceRecord &rec : ring->snapshot())
-            events.push_back(Tagged{ring->tid(), rec});
+    // Records a ring overwrote (or that were torn mid-copy) are lost
+    // to the export: everything published up to the highest sequence
+    // number still held, minus what is held.
+    std::vector<std::uint64_t> lost(rings.size(), 0);
+    std::uint64_t totalLost = 0;
+    for (std::size_t r = 0; r < rings.size(); ++r) {
+        const std::vector<TraceRecord> snap = rings[r]->snapshot();
+        if (!snap.empty()) {
+            lost[r] = snap.back().seq + 1 - snap.size();
+            totalLost += lost[r];
+        }
+        for (const TraceRecord &rec : snap)
+            events.push_back(Tagged{rings[r]->tid(), rec});
     }
     std::stable_sort(events.begin(), events.end(),
                      [](const Tagged &a, const Tagged &b) {
@@ -549,15 +559,21 @@ traceExportChrome(const std::string &path, std::string &err)
     out += "{\"ph\":\"M\",\"ts\":0,\"pid\":" + pidText +
            ",\"tid\":0,\"name\":\"process_name\",\"args\":{\"name\":"
            "\"dmdc\"}}";
-    for (const auto &ring : rings) {
-        const std::string name = ring->name();
-        if (name.empty())
-            continue;
+    for (std::size_t r = 0; r < rings.size(); ++r) {
+        const std::string tidText = std::to_string(rings[r]->tid());
+        const std::string name = rings[r]->name();
+        if (!name.empty()) {
+            comma();
+            out += "{\"ph\":\"M\",\"ts\":0,\"pid\":" + pidText +
+                   ",\"tid\":" + tidText +
+                   ",\"name\":\"thread_name\",\"args\":{\"name\":\"" +
+                   jsonEscapeString(name) + "\"}}";
+        }
         comma();
         out += "{\"ph\":\"M\",\"ts\":0,\"pid\":" + pidText +
-               ",\"tid\":" + std::to_string(ring->tid()) +
-               ",\"name\":\"thread_name\",\"args\":{\"name\":\"" +
-               jsonEscapeString(name) + "\"}}";
+               ",\"tid\":" + tidText +
+               ",\"name\":\"trace_records_lost\",\"args\":{\"lost\":" +
+               std::to_string(lost[r]) + "}}";
     }
 
     for (const Tagged &event : events) {
@@ -595,6 +611,13 @@ traceExportChrome(const std::string &path, std::string &err)
         err = "cannot write " + path;
         return false;
     }
+    static std::atomic<bool> warned{false};
+    if (totalLost > 0 && !warned.exchange(true)) {
+        warn("trace: ring wraparound lost %llu records (see the "
+             "trace_records_lost metadata in %s); raise --trace-buffer "
+             "to keep them",
+             static_cast<unsigned long long>(totalLost), path.c_str());
+    }
     return true;
 }
 
@@ -625,8 +648,14 @@ traceRecordsPublished()
 }
 
 std::string
-tracePathWithTag(const std::string &path, const std::string &tag)
+traceShardPath(const std::string &path, unsigned index, unsigned count)
 {
+    if (count <= 1)
+        return path;
+    // Insert the tag before the filename extension; append it when
+    // the file has none.
+    const std::string tag = ".shard" + std::to_string(index) + "of" +
+                            std::to_string(count);
     const std::size_t slash = path.find_last_of('/');
     const std::size_t dot = path.find_last_of('.');
     if (dot == std::string::npos ||
@@ -634,15 +663,6 @@ tracePathWithTag(const std::string &path, const std::string &tag)
         return path + tag;
     }
     return path.substr(0, dot) + tag + path.substr(dot);
-}
-
-std::string
-traceShardPath(const std::string &path, unsigned index, unsigned count)
-{
-    if (count <= 1)
-        return path;
-    return tracePathWithTag(path, ".shard" + std::to_string(index) +
-                                      "of" + std::to_string(count));
 }
 
 } // namespace dmdc

@@ -27,8 +27,8 @@
  * from campaign workers that have already been joined.
  *
  * Multi-process campaigns: each process writes its own trace file
- * (shard workers derive "trace.shard0of2.json" from the base path the
- * way heartbeat files do) and tools/trace_merge combines them —
+ * (shard workers derive "trace.shard0of2.json" from the base path
+ * with traceShardPath()) and tools/trace_merge combines them —
  * process ids keep the streams apart inside one merged timeline.
  */
 
@@ -183,8 +183,12 @@ class TraceSpan
  * Merge every per-thread ring (including rings of exited threads)
  * and write one Chrome trace-event JSON file to @p path. Records are
  * globally ordered by timestamp; torn or mid-overwrite slots are
- * skipped. Returns false + @p err on I/O failure. Exports even when
- * capture is inactive (the file then holds only metadata events).
+ * skipped. Loss is never silent: each ring gets one
+ * "trace_records_lost" metadata event ("ph":"M", args.lost = highest
+ * sequence number held + 1 - records held), and the first export
+ * that lost anything warn()s once. Returns false + @p err on I/O
+ * failure. Exports even when capture is inactive (the file then holds
+ * only metadata events).
  */
 bool traceExportChrome(const std::string &path, std::string &err);
 
@@ -201,19 +205,10 @@ void traceReset();
 std::uint64_t traceRecordsPublished();
 
 /**
- * Insert @p tag before the filename extension: ("trace.json",
- * ".supervisor") -> "trace.supervisor.json"; appended when the file
- * has no extension. Used to keep cooperating processes from
- * colliding on one trace file.
- */
-std::string tracePathWithTag(const std::string &path,
-                             const std::string &tag);
-
-/**
  * Derive the per-process trace path for shard @p index of @p count:
- * "trace.json" -> "trace.shard0of2.json" (unchanged when count <= 1).
- * Mirrors shardFilePath() so multi-process campaigns never collide
- * on one output file.
+ * "trace.json" -> "trace.shard0of2.json", "tracefile" ->
+ * "tracefile.shard0of2" (unchanged when count <= 1), so the processes
+ * of a sharded campaign never collide on one output file.
  */
 std::string traceShardPath(const std::string &path, unsigned index,
                            unsigned count);

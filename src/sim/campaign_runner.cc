@@ -13,6 +13,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <ctime>
 #include <memory>
 #include <sstream>
@@ -30,7 +31,6 @@
 #include "common/trace_sink.hh"
 #include "lsq/policy/registry.hh"
 #include "sim/fault_injector.hh"
-#include "sim/heartbeat.hh"
 
 namespace dmdc
 {
@@ -330,29 +330,23 @@ flushCampaignJournal()
     // instead of truncating the journal to an empty one.
 }
 
-// ---- cooperative interruption & supervised-worker chaos --------------
+// ---- cooperative interruption ---------------------------------------
 
 namespace
 {
 
 std::atomic<bool> g_interruptRequested{false};
 
-/** Set once a worker-hang fault fires: heartbeats stop advancing so
- *  the supervisor's staleness detector has something to detect. */
-std::atomic<bool> g_heartbeatSilenced{false};
+volatile std::sig_atomic_t g_workerSignals = 0;
 
-/** This worker's restart ordinal, set by the supervisor. Mixing it
- *  into worker-crash/hang decisions lets a respawned worker re-roll
- *  instead of replaying its predecessor's fate. */
-unsigned
-shardAttempt()
+extern "C" void
+workerSignalHandler(int sig)
 {
-    static const unsigned attempt = [] {
-        const char *env = std::getenv("DMDC_SHARD_ATTEMPT");
-        return env ? static_cast<unsigned>(
-                         std::strtoul(env, nullptr, 10)) : 0u;
-    }();
-    return attempt;
+    // Second signal: the user wants out *now*; skip all cleanup.
+    g_workerSignals = g_workerSignals + 1;
+    if (g_workerSignals >= 2)
+        _exit(128 + sig);
+    requestCampaignInterrupt();
 }
 
 } // namespace
@@ -368,6 +362,19 @@ bool
 campaignInterruptRequested()
 {
     return g_interruptRequested.load(std::memory_order_relaxed);
+}
+
+void
+installWorkerSignalHandlers()
+{
+    struct sigaction sa;
+    std::memset(&sa, 0, sizeof(sa));
+    sa.sa_handler = workerSignalHandler;
+    sigemptyset(&sa.sa_mask);
+    // No SA_RESTART: a worker blocked in a long read should see EINTR
+    // and fall into the interrupt path instead of finishing the call.
+    sigaction(SIGINT, &sa, nullptr);
+    sigaction(SIGTERM, &sa, nullptr);
 }
 
 // ---- fingerprinting --------------------------------------------------
@@ -517,39 +524,6 @@ CampaignRunner::runChecked(const std::vector<SimOptions> &runs_in,
                               shard);
     }
 
-    // ---- heartbeat ---------------------------------------------------
-    // One atomic heartbeat file per shard process, advanced after
-    // every run that reaches a terminal status. Progress-based on
-    // purpose: a timer would keep beating while the simulation
-    // threads are wedged, which is exactly what a supervisor needs to
-    // detect (see heartbeat.hh).
-    const std::string heartbeatPath =
-        shardFilePath(config_.heartbeatPath, shard);
-    std::mutex hb_mutex;
-    HeartbeatRecord hb;
-    hb.pid = static_cast<int>(::getpid());
-    hb.runsTotal = runs.size();
-    auto beat = [&](HeartbeatPhase phase) {
-        if (heartbeatPath.empty() ||
-            g_heartbeatSilenced.load(std::memory_order_relaxed))
-            return;
-        std::lock_guard<std::mutex> lock(hb_mutex);
-        ++hb.counter;
-        hb.phase = phase;
-        writeHeartbeat(heartbeatPath, hb);
-    };
-    auto beat_progress = [&](const RunOutcome &oc) {
-        if (heartbeatPath.empty())
-            return;
-        {
-            std::lock_guard<std::mutex> lock(hb_mutex);
-            if (oc.inShard())
-                ++hb.completed;
-        }
-        beat(HeartbeatPhase::Running);
-    };
-    beat(HeartbeatPhase::Starting);
-
     // ---- classify: cache hits, leaders, followers --------------------
     struct Pending
     {
@@ -576,7 +550,6 @@ CampaignRunner::runChecked(const std::vector<SimOptions> &runs_in,
                            std::to_string(shard.count);
                 oc.attempts = 0;
                 ++stats.outOfShard;
-                beat_progress(oc);
                 continue;
             }
         }
@@ -597,7 +570,6 @@ CampaignRunner::runChecked(const std::vector<SimOptions> &runs_in,
                     cr.outcomes[i].cached = true;
                     cr.outcomes[i].attempts = 0;
                     appendJournal(cr.results[i], cr.outcomes[i]);
-                    beat_progress(cr.outcomes[i]);
                     continue;
                 }
             }
@@ -614,7 +586,6 @@ CampaignRunner::runChecked(const std::vector<SimOptions> &runs_in,
                 cr.outcomes[i].cached = true;
                 cr.outcomes[i].attempts = 0;
                 appendJournal(cr.results[i], cr.outcomes[i]);
-                beat_progress(cr.outcomes[i]);
                 continue;
             }
         }
@@ -636,7 +607,7 @@ CampaignRunner::runChecked(const std::vector<SimOptions> &runs_in,
 
         auto execute_run =
             [this, &runs, &cr, verbose, &abort_flag,
-             &beat_progress, &rt](const Pending &p) {
+             &rt](const Pending &p) {
                 const auto run_t0 = Clock::now();
                 RunOutcome oc;
                 oc.shard = config_.shard.index;
@@ -746,34 +717,18 @@ CampaignRunner::runChecked(const std::vector<SimOptions> &runs_in,
                     }
                 }
                 cr.outcomes[p.index] = oc;
-                beat_progress(oc);
 
-                // Process-level chaos for the supervisor. Fires only
-                // after a *freshly simulated* run has been cached, so
-                // every injected crash strictly follows progress: the
-                // restarted worker is served this run from the cache
-                // and a shard with R runs can absorb at most R crashes
-                // before finishing.
-                if (oc.ok() && !id.empty()) {
-                    FaultInjector &fi = FaultInjector::global();
-                    if (fi.injectWorkerCrash(id, shardAttempt())) {
-                        warn("injected fault: worker-crash after %s",
-                             id.c_str());
-                        std::raise(SIGKILL);
-                    }
-                    if (fi.injectWorkerHang(id, shardAttempt())) {
-                        warn("injected fault: worker-hang after %s "
-                             "(heartbeat silenced)", id.c_str());
-                        g_heartbeatSilenced.store(
-                            true, std::memory_order_relaxed);
-                        // Wedge far past any hang deadline; the
-                        // supervisor is expected to SIGKILL us first.
-                        for (int t = 0; t < 6000; ++t) {
-                            std::this_thread::sleep_for(
-                                std::chrono::milliseconds(100));
-                        }
-                        std::_Exit(3);
-                    }
+                // Process-level chaos. Fires only after a *freshly
+                // simulated* run has been cached, so every injected
+                // crash strictly follows progress: rerunning the same
+                // command is served this run from the cache, and a
+                // campaign with R runs converges within R + 1
+                // invocations.
+                if (oc.ok() && !id.empty() &&
+                    FaultInjector::global().injectWorkerCrash(id)) {
+                    warn("injected fault: worker-crash after %s",
+                         id.c_str());
+                    std::raise(SIGKILL);
                 }
             };
 
@@ -828,7 +783,6 @@ CampaignRunner::runChecked(const std::vector<SimOptions> &runs_in,
             appendJournalFailure(runs[dst], oc);
         }
         cr.outcomes[dst] = oc;
-        beat_progress(oc);
     }
 
     // ---- accounting + cache hygiene ----------------------------------
@@ -850,9 +804,6 @@ CampaignRunner::runChecked(const std::vector<SimOptions> &runs_in,
     stats.quarantineEvicted =
         diskStore_->stats().quarantineEvicted -
         quarantine_evicted_before;
-
-    beat(campaignInterruptRequested() ? HeartbeatPhase::Interrupted
-                                      : HeartbeatPhase::Done);
 
     stats.wallMs = elapsedMs(t0);
     totalSimulated_ += stats.simulated;

@@ -89,15 +89,6 @@ struct CampaignConfig
     ShardSpec shard;
 
     /**
-     * Heartbeat file base path (--heartbeat); empty disables.
-     * Sharded processes derive their own file with shardFilePath().
-     * A heartbeat is published
-     * atomically after every run that reaches a terminal status, so a
-     * supervisor can distinguish a slow worker from a hung one.
-     */
-    std::string heartbeatPath;
-
-    /**
      * Caps on .dmdc_cache/quarantine/: corrupt cache entries are set
      * aside there for post-mortems, but chaos campaigns would grow it
      * without bound. Oldest entries are evicted first once either cap
@@ -287,7 +278,7 @@ void setCampaignJournal(const std::string &path,
 /** Write the journal now (no-op when no path is set). */
 void flushCampaignJournal();
 
-// ---- cooperative interruption (worker side of the supervisor) --------
+// ---- cooperative interruption ---------------------------------------
 
 /**
  * Request a graceful campaign interruption (async-signal-safe; called
@@ -301,6 +292,15 @@ void requestCampaignInterrupt();
 
 /** Has requestCampaignInterrupt() been called in this process? */
 bool campaignInterruptRequested();
+
+/**
+ * Arm the two-stage SIGINT/SIGTERM protocol of a campaign process:
+ * the first signal requests a campaign interrupt (pending runs skip,
+ * the in-flight run finishes and is cached, the journal flushes, the
+ * process exits kExitInterrupted); a second signal _exits immediately
+ * with the conventional 128+sig status.
+ */
+void installWorkerSignalHandlers();
 
 } // namespace dmdc
 

@@ -105,22 +105,6 @@ shardSpecName(const ShardSpec &spec)
 }
 
 std::string
-shardFilePath(const std::string &path, const ShardSpec &spec)
-{
-    if (path.empty() || !spec.active())
-        return path;
-    const std::string suffix = ".shard" + std::to_string(spec.index) +
-                               "of" + std::to_string(spec.count);
-    const std::size_t slash = path.find_last_of('/');
-    const std::size_t dot = path.find_last_of('.');
-    if (dot == std::string::npos ||
-        (slash != std::string::npos && dot < slash)) {
-        return path + suffix;
-    }
-    return path.substr(0, dot) + suffix + path.substr(dot);
-}
-
-std::string
 runIdentity(const SimOptions &opt)
 {
     std::ostringstream os;

@@ -63,14 +63,6 @@ bool parseShardSpec(const std::string &text, ShardSpec &out,
 std::string shardSpecName(const ShardSpec &spec);
 
 /**
- * Derive a per-shard file path (heartbeat, trace) from a campaign-wide
- * base @p path: "dir/heartbeat.json" -> "dir/heartbeat.shard0of2.json"
- * (suffix precedes the last extension; appended when there is none).
- * Shard processes must never share one such file.
- */
-std::string shardFilePath(const std::string &path, const ShardSpec &spec);
-
-/**
  * Stable identity of one run: every behavior-affecting SimOptions
  * field (attached observers / tweaks are flagged, not hashed). Names
  * run spans and keys the fault injector; unlike the cache key it does

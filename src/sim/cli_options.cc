@@ -137,12 +137,6 @@ CliParser::positional(std::vector<std::string> *out,
     positionalLabel_ = label;
 }
 
-void
-CliParser::passthrough(std::vector<std::string> *out)
-{
-    passthrough_ = out;
-}
-
 const CliParser::Option *
 CliParser::findOption(const std::string &name) const
 {
@@ -223,10 +217,6 @@ CliParser::parse(int argc, char **argv, std::string &err)
                 positional_->push_back(arg);
                 continue;
             }
-            if (passthrough_) {
-                passthrough_->push_back(arg);
-                continue;
-            }
             err = "unexpected argument '" + arg + "'";
             return false;
         }
@@ -236,10 +226,6 @@ CliParser::parse(int argc, char **argv, std::string &err)
                                                    : eq - 2);
         const Option *opt = findOption(name);
         if (!opt) {
-            if (passthrough_) {
-                passthrough_->push_back(arg);
-                continue;
-            }
             err = "unknown option '--" + name + "'";
             return false;
         }
@@ -340,8 +326,6 @@ CampaignCliOptions::addTo(CliParser &parser)
     parser.value("json", &jsonPath, "write the campaign journal here");
     parser.flag("json-deterministic", &jsonDeterministic,
                 "strip nondeterministic journal fields + sort");
-    parser.value("heartbeat", &config.heartbeatPath,
-                 "publish per-run heartbeats at this base path");
     parser.value("scheduler", &schedulerText,
                  "run placement: work-stealing (default) or static-lpt");
     parser.value("trace", &trace.channels,
@@ -371,7 +355,6 @@ CampaignCliOptions::finalize(std::string &err)
         !parseSchedulerKind(schedulerText, config.scheduler, err))
         return false;
     config.cacheMaxBytes = cacheMaxMb * 1024ull * 1024ull;
-    workerMode = !config.heartbeatPath.empty();
     if (!traceOutText.empty() && trace.channels.empty()) {
         err = "--trace-out requires --trace=<channels|all>";
         return false;
@@ -411,98 +394,6 @@ CampaignCliOptions::apply() const
         traceConfigure(resolved);
         traceSetThreadName("main");
     }
-}
-
-// ---- supervisor flag bundle ------------------------------------------
-
-void
-SupervisorCliOptions::addTo(CliParser &parser)
-{
-    parser.value("procs", &options.procs,
-                 "shard worker processes to launch");
-    parser.value("heartbeat-interval", &options.pollIntervalMs,
-                 "supervisor poll cadence, ms");
-    parser.value("hang-deadline", &options.hangDeadlineMs,
-                 "heartbeat staleness before a kill, ms (0 = off)");
-    parser.value("shard-retries", &options.shardRetries,
-                 "restarts allowed per shard");
-    parser.value("launch-dir", &options.launchDir,
-                 "scratch dir for state/heartbeats/journals/logs");
-    parser.value("worker", &options.workerBinary,
-                 "worker binary (default: dmdc_sim next to launcher)");
-    parser.value("out", &options.journalPath,
-                 "merged journal path (default <launch-dir>/merged.json)");
-    parser.flag("resume", &options.resume,
-                "keep the launch dir of an interrupted launch");
-    parser.flag("verbose", &options.verbose,
-                "log every supervision event");
-    parser.value("trace", &trace.channels,
-                 "trace channels for launcher + workers (comma list "
-                 "or 'all')");
-    parser.value("trace-out", &traceOutText,
-                 "Chrome trace-event JSON base path (workers derive "
-                 "per-shard files)");
-    parser.value("trace-buffer", &trace.bufferRecords,
-                 "per-thread trace ring capacity, records");
-    parser.passthrough(&options.workerArgs);
-}
-
-bool
-SupervisorCliOptions::finalize(const std::string &argv0,
-                               std::string &err)
-{
-    if (options.procs == 0) {
-        err = "--procs must be at least 1";
-        return false;
-    }
-    if (options.workerBinary.empty()) {
-        const std::size_t slash = argv0.find_last_of('/');
-        const std::string dir = slash == std::string::npos
-            ? std::string(".") : argv0.substr(0, slash);
-        options.workerBinary = dir + "/dmdc_sim";
-    }
-    // The supervisor owns the sharding, journaling, and heartbeat
-    // topology; a forwarded flag in that namespace would silently
-    // fight it.
-    static const char *const kReserved[] = {
-        "--shard", "--json", "--json-deterministic", "--heartbeat",
-    };
-    for (const std::string &arg : options.workerArgs) {
-        for (const char *r : kReserved) {
-            if (arg == r || arg.rfind(std::string(r) + "=", 0) == 0) {
-                err = "'" + arg + "' is managed by the launcher and "
-                      "cannot be forwarded to workers";
-                return false;
-            }
-        }
-    }
-    if (!traceOutText.empty() && trace.channels.empty()) {
-        err = "--trace-out requires --trace=<channels|all>";
-        return false;
-    }
-    if (!traceOutText.empty())
-        trace.outPath = traceOutText;
-    // Forward the tracing flags verbatim: every worker re-derives its
-    // own per-shard output path from the same base, so one launch
-    // yields one trace file per process for tools/trace_merge.
-    if (trace.enabled()) {
-        options.workerArgs.push_back("--trace=" + trace.channels);
-        options.workerArgs.push_back("--trace-out=" + trace.outPath);
-        options.workerArgs.push_back(
-            "--trace-buffer=" + std::to_string(trace.bufferRecords));
-    }
-    return true;
-}
-
-void
-SupervisorCliOptions::applyTracing() const
-{
-    if (!trace.enabled())
-        return;
-    TraceOptions resolved = trace;
-    resolved.outPath = tracePathWithTag(trace.outPath, ".supervisor");
-    traceConfigure(resolved);
-    traceSetThreadName("supervisor");
 }
 
 } // namespace dmdc

@@ -25,7 +25,6 @@
 #include "common/trace_sink.hh"
 #include "sim/campaign_runner.hh"
 #include "sim/campaign_shard.hh"
-#include "sim/supervisor.hh"
 
 namespace dmdc
 {
@@ -37,8 +36,8 @@ constexpr int kExitUsage = 2;    ///< bad command line / bad config
 constexpr int kExitDegraded = 4; ///< finished, but some runs degraded
 /** Interrupted by SIGINT/SIGTERM after a graceful drain: the journal
  *  is flushed and rerunning the same command will converge.
- *  Distinct from kExitFailure so a supervisor can tell "stop
- *  requested" from "worker broke". */
+ *  Distinct from kExitFailure so a calling script can tell "stop
+ *  requested" (rerun) from "the campaign broke". */
 constexpr int kExitInterrupted = 5;
 
 /**
@@ -91,17 +90,6 @@ class CliParser
     /** Collect bare (non --option) arguments; error when absent. */
     void positional(std::vector<std::string> *out,
                     const std::string &label);
-    /**
-     * Collect *unrecognized* arguments instead of rejecting them:
-     * unknown `--name[=value]` tokens (and, without a positional sink,
-     * bare arguments) are appended to @p out verbatim, in order. This
-     * is how the launcher forwards campaign flags it doesn't know to
-     * its workers. Forwarded options must use the `--name=value`
-     * one-token spelling — a detached value after an unknown option
-     * is indistinguishable from a bare argument.
-     */
-    void passthrough(std::vector<std::string> *out);
-
     /** Parse argv; false + @p err on any problem (nothing printed). */
     bool parse(int argc, char **argv, std::string &err);
     /** Parse argv; on error print message + usage and exit(kExitUsage).
@@ -143,7 +131,6 @@ class CliParser
     std::vector<Option> options_;
     std::vector<std::string> *positional_ = nullptr;
     std::string positionalLabel_;
-    std::vector<std::string> *passthrough_ = nullptr;
 };
 
 /**
@@ -155,7 +142,6 @@ struct CampaignCliOptions
     CampaignConfig config;        ///< assembled runner configuration
     std::string jsonPath;         ///< --json journal target
     bool jsonDeterministic = false;
-    bool workerMode = false;      ///< --heartbeat given (supervised)
     std::uint64_t cacheMaxMb = 0; ///< --cache-max-mb (0 = unlimited)
     std::string shardText;        ///< raw --shard=i/N value
     std::string schedulerText;    ///< raw --scheduler value
@@ -181,41 +167,6 @@ struct CampaignCliOptions
      * cooperating processes never collide on one file.
      */
     void apply() const;
-};
-
-/**
- * The supervisor flag bundle of tools/campaign_launch. Everything the
- * launcher's own parser doesn't recognize is forwarded to the workers
- * via CliParser::passthrough().
- */
-struct SupervisorCliOptions
-{
-    SupervisorOptions options;
-    TraceOptions trace;       ///< --trace / --trace-out / --trace-buffer
-    std::string traceOutText; ///< raw --trace-out value
-
-    /** Register --procs/--heartbeat-interval/--hang-deadline/
-     *  --shard-retries/--launch-dir/--worker/--out/--resume/--verbose
-     *  (plus the tracing flags) on @p parser and hook the passthrough
-     *  sink. */
-    void addTo(CliParser &parser);
-
-    /**
-     * Cross-validate: procs >= 1, a usable worker binary (defaulted
-     * from @p argv0's directory when --worker is absent), and no
-     * forwarded flag that the supervisor itself owns (--shard, --json,
-     * --heartbeat, ...). Re-appends the tracing flags to the forwarded
-     * worker args so workers trace too (each deriving its own
-     * per-shard output path). False + @p err on conflict.
-     */
-    bool finalize(const std::string &argv0, std::string &err);
-
-    /**
-     * Configure the launcher's own trace sink (supervisor-category
-     * spans), writing to a ".supervisor"-tagged sibling of the trace
-     * path so it never collides with worker output.
-     */
-    void applyTracing() const;
 };
 
 } // namespace dmdc

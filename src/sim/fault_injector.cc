@@ -58,8 +58,6 @@ applyItem(FaultSpec &spec, const std::string &item, std::string &err)
         spec.runHangP = p;
     else if (site == "worker-crash")
         spec.workerCrashP = p;
-    else if (site == "worker-hang")
-        spec.workerHangP = p;
     else if (site == "serve-crash")
         spec.serveCrashP = p;
     else if (site == "frame-truncate")
@@ -71,8 +69,8 @@ applyItem(FaultSpec &spec, const std::string &item, std::string &err)
     else {
         err = "unknown fault site '" + site +
             "' (sites: cache-corrupt, run-throw, run-hang, "
-            "worker-crash, worker-hang, serve-crash, frame-truncate, "
-            "client-stall, lsq-corrupt)";
+            "worker-crash, serve-crash, frame-truncate, client-stall, "
+            "lsq-corrupt)";
         return false;
     }
     return true;
@@ -157,17 +155,9 @@ FaultInjector::injectCacheCorrupt(const std::string &key) const
 }
 
 bool
-FaultInjector::injectWorkerCrash(const std::string &key,
-                                 unsigned attempt) const
+FaultInjector::injectWorkerCrash(const std::string &key) const
 {
-    return decide("worker-crash", key, attempt, spec_.workerCrashP);
-}
-
-bool
-FaultInjector::injectWorkerHang(const std::string &key,
-                                unsigned attempt) const
-{
-    return decide("worker-hang", key, attempt, spec_.workerHangP);
+    return decide("worker-crash", key, 0, spec_.workerCrashP);
 }
 
 bool

@@ -17,10 +17,9 @@
  *   run-throw     throw a transient RunError before simulating
  *   run-hang      wedge the run (caught by the simulator watchdog)
  *   cache-corrupt write a deliberately corrupt .dmdc_cache/ entry
- *   worker-crash  SIGKILL the whole worker process right after a
- *                 freshly simulated run is cached (supervisor chaos)
- *   worker-hang   stop the worker's heartbeat after a freshly
- *                 simulated run and wedge (supervisor chaos)
+ *   worker-crash  SIGKILL the whole campaign process (dmdc_sim or a
+ *                 bench) right after a freshly simulated run is
+ *                 cached (process-recovery chaos)
  *   serve-crash   SIGKILL the dmdc_serve daemon right after a freshly
  *                 simulated ticket's finish record reaches the
  *                 durable ticket log (service chaos)
@@ -34,19 +33,12 @@
  *                 the resulting forbidden outcomes, proving it would
  *                 catch a real checking bug
  *
- * The serve-crash site follows the worker-* progress rule: it fires
- * only after a freshly simulated run has been cached and its finish
- * record logged, so every daemon death strictly follows progress and
- * a restart-loop converges in at most one crash per unique run.
- *
- * The worker-* sites model process-level failures for the shard
- * supervisor. They fire only after a *freshly simulated* run has been
- * cached, so every crash/hang strictly follows progress: a restarted
- * worker is served that run from the cache and a campaign with R runs
- * can suffer at most R injected worker faults per shard.
- * Decisions additionally mix in the worker's restart attempt (the
- * DMDC_SHARD_ATTEMPT environment variable the supervisor sets), so a
- * restart re-rolls rather than replaying its predecessor's fate.
+ * The worker-crash and serve-crash sites model process death. They
+ * fire only after a *freshly simulated* run has been cached (and, for
+ * serve-crash, its finish record logged), so every crash strictly
+ * follows progress: rerunning the same command is served that run
+ * from the cache, and a campaign with R runs converges within R + 1
+ * invocations.
  */
 
 #ifndef DMDC_SIM_FAULT_INJECTOR_HH
@@ -65,7 +57,6 @@ struct FaultSpec
     double runThrowP = 0.0;
     double runHangP = 0.0;
     double workerCrashP = 0.0;
-    double workerHangP = 0.0;
     double serveCrashP = 0.0;
     double frameTruncateP = 0.0;
     double clientStallP = 0.0;
@@ -77,7 +68,7 @@ struct FaultSpec
     {
         return cacheCorruptP > 0.0 || runThrowP > 0.0 ||
             runHangP > 0.0 || workerCrashP > 0.0 ||
-            workerHangP > 0.0 || serveCrashP > 0.0 ||
+            serveCrashP > 0.0 ||
             frameTruncateP > 0.0 || clientStallP > 0.0 ||
             lsqCorruptP > 0.0;
     }
@@ -120,16 +111,9 @@ class FaultInjector
     /** Corrupt the cache entry being written for @p key? */
     bool injectCacheCorrupt(const std::string &key) const;
 
-    /** Kill the worker process after the freshly simulated run
-     *  identified by @p key is cached? @p attempt is the worker's
-     *  restart count (DMDC_SHARD_ATTEMPT), so each respawn re-rolls. */
-    bool injectWorkerCrash(const std::string &key,
-                           unsigned attempt) const;
-
-    /** Silence the worker's heartbeat and wedge after the freshly
-     *  simulated run identified by @p key? */
-    bool injectWorkerHang(const std::string &key,
-                          unsigned attempt) const;
+    /** Kill the campaign process after the freshly simulated run
+     *  identified by @p key is cached? */
+    bool injectWorkerCrash(const std::string &key) const;
 
     /** SIGKILL the dmdc_serve daemon after the freshly simulated
      *  ticket identified by @p key logs its finish record? */

@@ -24,7 +24,6 @@
 #include "common/build_info.hh"
 #include "common/logging.hh"
 #include "sim/fault_injector.hh"
-#include "sim/heartbeat.hh"
 #include "sim/run_error.hh"
 #include "common/trace_sink.hh"
 #include "sim/ticket_log.hh"
@@ -537,23 +536,6 @@ struct ServiceDaemon::Impl
     std::uint64_t ticketAppends = 0;
 
     ServiceStats stats;
-    std::uint64_t beatCounter = 0;
-
-    // ---- heartbeat (same layer the shard supervisor watches) ----
-
-    void
-    publishHeartbeatLocked(HeartbeatPhase phase)
-    {
-        if (daemon.options_.heartbeatPath.empty())
-            return;
-        HeartbeatRecord rec;
-        rec.counter = ++beatCounter;
-        rec.completed = stats.executed;
-        rec.runsTotal = stats.unique;
-        rec.pid = static_cast<int>(::getpid());
-        rec.phase = phase;
-        writeHeartbeat(daemon.options_.heartbeatPath, rec);
-    }
 
     // ---- durable tickets ----
 
@@ -669,7 +651,6 @@ struct ServiceDaemon::Impl
         wc.jobs = 1;
         wc.scheduler = SchedulerKind::StaticLpt;
         wc.shard = ShardSpec{};
-        wc.heartbeatPath.clear();
         wc.failFast = false;
         CampaignRunner runner(wc);
         traceSetThreadName("serve-worker-" + std::to_string(w));
@@ -779,8 +760,6 @@ struct ServiceDaemon::Impl
             }
             // Drain-skip: no finish record. The ticket stays pending
             // in the log and the next daemon completes it.
-            publishHeartbeatLocked(draining ? HeartbeatPhase::Draining
-                                            : HeartbeatPhase::Running);
             if (daemon.options_.verbose) {
                 inform("serve: %s -> %s%s", t->identity.c_str(),
                        runStatusName(t->outcome.status),
@@ -1350,10 +1329,6 @@ ServiceDaemon::start(std::string &err)
         impl_->workers.emplace_back([this, w] {
             impl_->workerLoop(w);
         });
-    {
-        std::lock_guard<std::mutex> lock(impl_->m);
-        impl_->publishHeartbeatLocked(HeartbeatPhase::Starting);
-    }
     if (options_.verbose) {
         inform("serve: listening on %s with %u workers",
                options_.socketPath.c_str(), n);
@@ -1448,7 +1423,6 @@ ServiceDaemon::serve()
     {
         std::lock_guard<std::mutex> lock(impl_->m);
         impl_->draining = true;
-        impl_->publishHeartbeatLocked(HeartbeatPhase::Draining);
         traceInstant(serviceTrace().cat, serviceTrace().drain);
         // Unblock connection threads parked in readFrame().
         for (int fd : impl_->liveFds)
@@ -1464,10 +1438,6 @@ ServiceDaemon::serve()
     impl_->connections.clear();
     ::close(impl_->listenFd);
     ::unlink(options_.socketPath.c_str());
-    {
-        std::lock_guard<std::mutex> lock(impl_->m);
-        impl_->publishHeartbeatLocked(HeartbeatPhase::Done);
-    }
     if (options_.verbose) {
         const ServiceStats s = statsSnapshot();
         inform("serve: done: %llu campaigns, %llu runs (%llu unique, "

@@ -138,10 +138,6 @@ struct ServiceOptions
      *  timeouts, retries). Scheduler/shard/journal fields are owned
      *  by the daemon and ignored. */
     CampaignConfig campaign;
-    /** Heartbeat file (see heartbeat.hh); empty disables. The daemon
-     *  publishes progress-based beats exactly like a shard worker, so
-     *  the same supervisor machinery can watch it. */
-    std::string heartbeatPath;
     bool verbose = false;
 
     // ---- robustness knobs ----

@@ -93,24 +93,6 @@ TEST(ShardSpec, RejectsMalformedSpecs)
     }
 }
 
-TEST(ShardSpec, FilePathNaming)
-{
-    const ShardSpec spec{1, 4};
-    EXPECT_EQ(shardFilePath("heartbeat.json", spec),
-              "heartbeat.shard1of4.json");
-    EXPECT_EQ(shardFilePath("out/campaign.heartbeat.json", spec),
-              "out/campaign.heartbeat.shard1of4.json");
-    EXPECT_EQ(shardFilePath("no_extension", spec),
-              "no_extension.shard1of4");
-    // A dot only in a directory component is not an extension.
-    EXPECT_EQ(shardFilePath("out.d/heartbeat", spec),
-              "out.d/heartbeat.shard1of4");
-    // Inactive spec / empty path pass through untouched.
-    EXPECT_EQ(shardFilePath("heartbeat.json", ShardSpec{0, 1}),
-              "heartbeat.json");
-    EXPECT_EQ(shardFilePath("", spec), "");
-}
-
 TEST(JournalOrder, SharedIdentityRecordsHaveATotalOrder)
 {
     // Two runs of one (benchmark, scheme, config) triple that differ in

@@ -1,0 +1,259 @@
+/**
+ * @file
+ * Process-level recovery of dmdc_sim campaigns: a SIGTERM'd campaign
+ * drains and exits kExitInterrupted with a flushed journal, a process
+ * SIGKILLed by the worker-crash fault site leaves every finished run
+ * in the run cache, and in both cases rerunning the same command
+ * converges to a journal byte-identical to the serial
+ * --json-deterministic run. Recovery needs nothing but the run cache.
+ *
+ * The integration tests receive the dmdc_sim location from CMake via
+ * the DMDC_SIM_BIN compile definition.
+ */
+
+#include <gtest/gtest.h>
+
+#include <chrono>
+#include <csignal>
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+#include <string>
+#include <thread>
+#include <vector>
+
+#include <fcntl.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include "common/json.hh"
+#include "sim/cli_options.hh"
+#include "sim/fault_injector.hh"
+
+namespace dmdc
+{
+namespace
+{
+
+namespace fs = std::filesystem;
+
+std::string
+slurp(const fs::path &path)
+{
+    std::ifstream is(path);
+    std::stringstream buf;
+    buf << is.rdbuf();
+    return buf.str();
+}
+
+/** Run @p cmd through the shell; returns the exit code (or -1). */
+int
+shell(const std::string &cmd)
+{
+    const int rc = std::system(cmd.c_str());
+    if (rc == -1)
+        return -1;
+    if (WIFEXITED(rc))
+        return WEXITSTATUS(rc);
+    return 128 + (WIFSIGNALED(rc) ? WTERMSIG(rc) : 0);
+}
+
+// ---- worker-crash fault site -----------------------------------------
+
+TEST(WorkerFaultSpec, ParsesWorkerCrashSite)
+{
+    const FaultSpec spec = parseFaultSpec("worker-crash:p=0.25,seed=9");
+    EXPECT_DOUBLE_EQ(spec.workerCrashP, 0.25);
+    EXPECT_EQ(spec.seed, 9u);
+    EXPECT_TRUE(spec.any());
+
+    // p=1 always fires, p=0 never does, and decisions are pure in
+    // (site, key).
+    FaultInjector inj;
+    FaultSpec certain;
+    certain.workerCrashP = 1.0;
+    inj.configure(certain);
+    EXPECT_TRUE(inj.injectWorkerCrash("run-a"));
+    inj.configure({});
+    EXPECT_FALSE(inj.injectWorkerCrash("run-a"));
+}
+
+// ---- end-to-end recovery ---------------------------------------------
+
+/**
+ * Drives the real dmdc_sim binary. Each test gets a scratch directory
+ * holding a reference cache, a recovery cache and the journals.
+ */
+class ProcessRecovery : public ::testing::Test
+{
+  protected:
+    void
+    SetUp() override
+    {
+        scratch_ = fs::temp_directory_path() /
+            ("dmdc_recovery_" +
+             std::string(::testing::UnitTest::GetInstance()
+                             ->current_test_info()
+                             ->name()));
+        fs::remove_all(scratch_);
+        fs::create_directories(scratch_);
+    }
+
+    void
+    TearDown() override
+    {
+        fs::remove_all(scratch_);
+    }
+
+    /** Full dmdc_sim argv of the test's campaign (benches_ x two
+     *  schemes, insts_ instructions each), journaling to @p journal
+     *  over @p cache. */
+    std::vector<std::string>
+    argv(const std::string &cache, const std::string &journal) const
+    {
+        return {DMDC_SIM_BIN,
+                "--bench=" + benches_,
+                "--scheme=baseline,yla",
+                "--insts=" + insts_,
+                "--warmup=2000",
+                "--jobs=2",
+                "--json-deterministic",
+                "--cache-dir=" + (scratch_ / cache).string(),
+                "--json=" + (scratch_ / journal).string()};
+    }
+
+    static std::string
+    commandLine(const std::vector<std::string> &args)
+    {
+        std::string cmd;
+        for (const std::string &a : args)
+            cmd += a + " ";
+        return cmd + "> /dev/null 2>&1";
+    }
+
+    /** Uninterrupted --json-deterministic reference journal. */
+    std::string
+    serialJournal()
+    {
+        EXPECT_EQ(shell(commandLine(argv("serial_cache", "serial.json"))),
+                  0);
+        return slurp(scratch_ / "serial.json");
+    }
+
+    /** Has any run reached the cache directory @p cache yet? */
+    bool
+    anyRunCached(const std::string &cache) const
+    {
+        std::error_code ec;
+        for (const auto &de : fs::directory_iterator(scratch_ / cache, ec)) {
+            if (de.path().extension() == ".json")
+                return true;
+        }
+        return false;
+    }
+
+    fs::path scratch_;
+    std::string benches_ = "gzip,swim";
+    std::string insts_ = "20000";
+};
+
+TEST_F(ProcessRecovery, SigtermDrainsAndRerunConverges)
+{
+    // Six runs on two threads, long enough that a signal sent once the
+    // first run is cached lands while later runs are still pending.
+    benches_ = "gzip,swim,vpr";
+    insts_ = "200000";
+    const std::string serial = serialJournal();
+    ASSERT_FALSE(serial.empty());
+
+    std::vector<std::string> args = argv("cache", "interrupted.json");
+    std::vector<char *> argvv;
+    for (std::string &s : args)
+        argvv.push_back(s.data());
+    argvv.push_back(nullptr);
+
+    const pid_t pid = fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+        const int null = ::open("/dev/null", O_WRONLY);
+        if (null >= 0) {
+            ::dup2(null, 1);
+            ::dup2(null, 2);
+        }
+        ::execv(argvv[0], argvv.data());
+        ::_exit(127);
+    }
+
+    // Request a graceful stop once the campaign has made progress.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while (!anyRunCached("cache") &&
+           std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    ASSERT_EQ(::kill(pid, SIGTERM), 0);
+
+    int status = 0;
+    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+    ASSERT_TRUE(WIFEXITED(status));
+    const int rc = WEXITSTATUS(status);
+    // Exit 0 means the campaign won the race and finished before the
+    // signal landed; otherwise it reports the interruption.
+    if (rc != kExitOk) {
+        EXPECT_EQ(rc, kExitInterrupted);
+    }
+
+    // Either way the journal was flushed whole: every run is recorded,
+    // as finished or as skipped by the interrupt.
+    JsonValue doc;
+    std::string err;
+    ASSERT_TRUE(
+        parseJson(slurp(scratch_ / "interrupted.json"), doc, err))
+        << err;
+    const JsonValue *results = doc.find("results");
+    ASSERT_NE(results, nullptr);
+    EXPECT_EQ(results->items.size(), 6u);
+    std::size_t skipped = 0;
+    for (const JsonValue &r : results->items) {
+        const std::string status_text = r.find("status")->text;
+        EXPECT_TRUE(status_text == "ok" || status_text == "skipped")
+            << status_text;
+        skipped += status_text == "skipped";
+    }
+    EXPECT_EQ(skipped > 0, rc == kExitInterrupted);
+
+    // Rerunning the same command completes the campaign without losing
+    // the work the drained process cached.
+    EXPECT_EQ(shell(commandLine(argv("cache", "rerun.json"))), kExitOk);
+    EXPECT_EQ(slurp(scratch_ / "rerun.json"), serial);
+}
+
+TEST_F(ProcessRecovery, WorkerCrashLoopConvergesWithinRunsPlusOne)
+{
+    const std::size_t runs = 4;
+    const std::string serial = serialJournal();
+    ASSERT_FALSE(serial.empty());
+
+    // p=1: the process SIGKILLs itself after every freshly simulated
+    // run, which has already been cached. Each invocation therefore
+    // caches at least one run, and the one after the last fresh run is
+    // served entirely from the cache.
+    const std::string cmd = "DMDC_FAULT='worker-crash:p=1,seed=3' " +
+        commandLine(argv("cache", "chaos.json"));
+    std::size_t invocations = 0;
+    int rc = -1;
+    while (rc != kExitOk && invocations < runs + 1) {
+        rc = shell(cmd);
+        ++invocations;
+        if (rc != kExitOk) {
+            EXPECT_EQ(rc, 128 + SIGKILL) << "invocation " << invocations;
+        }
+    }
+    EXPECT_EQ(rc, kExitOk) << "no clean exit in " << invocations
+                           << " invocations";
+    EXPECT_GE(invocations, 2u);
+    EXPECT_EQ(slurp(scratch_ / "chaos.json"), serial);
+}
+
+} // namespace
+} // namespace dmdc

@@ -87,18 +87,15 @@ argValue(const JsonValue &event)
 
 TEST(TraceSink, PathHelpers)
 {
-    EXPECT_EQ(tracePathWithTag("trace.json", ".supervisor"),
-              "trace.supervisor.json");
-    EXPECT_EQ(tracePathWithTag("out/trace.json", ".supervisor"),
-              "out/trace.supervisor.json");
-    EXPECT_EQ(tracePathWithTag("tracefile", ".supervisor"),
-              "tracefile.supervisor");
-    EXPECT_EQ(tracePathWithTag("a.b/tracefile", ".x"),
-              "a.b/tracefile.x");
     EXPECT_EQ(traceShardPath("trace.json", 0, 2),
               "trace.shard0of2.json");
     EXPECT_EQ(traceShardPath("trace.json", 1, 2),
               "trace.shard1of2.json");
+    EXPECT_EQ(traceShardPath("out/trace.json", 1, 4),
+              "out/trace.shard1of4.json");
+    EXPECT_EQ(traceShardPath("tracefile", 1, 4), "tracefile.shard1of4");
+    EXPECT_EQ(traceShardPath("a.b/tracefile", 1, 4),
+              "a.b/tracefile.shard1of4");
     EXPECT_EQ(traceShardPath("trace.json", 0, 1), "trace.json");
     EXPECT_EQ(traceShardPath("trace.json", 0, 0), "trace.json");
 }
@@ -136,6 +133,17 @@ TEST(TraceSink, WraparoundKeepsNewestInOrder)
     ASSERT_EQ(events.size(), 16u);
     for (std::size_t i = 0; i < events.size(); ++i)
         EXPECT_EQ(argValue(*events[i]), total - 16 + i);
+
+    // The overwritten records are reported, not silently dropped: the
+    // one ring's metadata counts every record it no longer holds.
+    const auto lost = eventsNamed(doc, "trace_records_lost");
+    ASSERT_EQ(lost.size(), 1u);
+    EXPECT_EQ(lost[0]->find("ph")->text, "M");
+    EXPECT_EQ(lost[0]->find("tid")->text, events[0]->find("tid")->text);
+    const JsonValue *args = lost[0]->find("args");
+    ASSERT_NE(args, nullptr);
+    ASSERT_NE(args->find("lost"), nullptr);
+    EXPECT_EQ(args->find("lost")->text, std::to_string(total - 16));
 }
 
 TEST(TraceSink, ExporterRoundTrip)

@@ -11,8 +11,6 @@
  *     --timeout=<ms>        per-run wall-clock budget (0 = none)
  *     --max-retries=<n>     retries for transient failures
  *     --no-cache            bypass the run cache (debugging)
- *     --heartbeat=<path>    publish progress heartbeats (supervisor
- *                           compatible, see heartbeat.hh)
  *     --max-connections=<n> concurrent client cap (0 = unlimited);
  *                           over-cap connects get a retryable
  *                           `overloaded` frame
@@ -37,7 +35,9 @@
  * pool and deduplicates overlapping runs by cache key, so a triple
  * submitted by five clients is simulated exactly once. SIGINT/SIGTERM
  * (or a client's shutdown op) drain gracefully: in-flight runs
- * finish, queued work is skipped, and the socket is removed.
+ * finish, queued work is skipped, and the socket is removed. A
+ * client's `stats` op reports what the daemon is doing (campaigns
+ * accepted, unique runs, runs executed and simulated so far).
  *
  * Crash recovery: with a cache directory configured, accepted work
  * is journaled to <cache-dir>/tickets.log. A daemon killed outright
@@ -105,8 +105,6 @@ main(int argc, char **argv)
     cli.value("max-retries", &opt.campaign.maxRetries,
               "retries for transient run failures");
     cli.flag("no-cache", &no_cache, "disable the run cache");
-    cli.value("heartbeat", &opt.heartbeatPath,
-              "publish progress heartbeats at this path");
     cli.value("max-connections", &opt.maxConnections,
               "concurrent client cap (0 = unlimited)");
     cli.value("max-queued", &max_queued,

@@ -35,9 +35,6 @@
  *                           manifest to <path>
  *     --json-deterministic  strip timestamps/wall-clock/attempts from
  *                           the journal and sort records canonically
- *     --heartbeat=<path>    publish an atomic per-run heartbeat file
- *                           (supervised-worker mode: SIGINT/SIGTERM
- *                           drain gracefully and exit 5)
  *     --check=<mode>        off | oracle | litmus: attach the
  *                           commit-time ordering oracle (and, for
  *                           litmus, a scripted coherence agent) to
@@ -51,7 +48,15 @@
  * engine. Individual run failures degrade the campaign (they appear in
  * the journal and the exit status stays 0) unless --fail-fast is given
  * or every run failed. Deterministic chaos can be injected with
- * DMDC_FAULT=run-throw:p=0.1,run-hang:p=0.01,cache-corrupt:p=0.1.
+ * DMDC_FAULT=run-throw:p=0.1,run-hang:p=0.01,cache-corrupt:p=0.1;
+ * DMDC_FAULT=worker-crash:p=<p> SIGKILLs the process right after a
+ * freshly simulated run is cached.
+ *
+ * Interrupt & rerun: in campaign mode a first SIGINT/SIGTERM lets the
+ * in-flight runs finish and reach the cache, flushes the journal, and
+ * exits 5; a second signal exits at once. Recovery from an interrupt
+ * or a crash is rerunning the same command against the same cache:
+ * completed runs are cache hits, and the journal comes out identical.
  *
  * Sharded campaigns: launch N processes with the same run set, a
  * shared --cache-dir, per-process --json=shardK.json and --shard=K/N;
@@ -78,7 +83,6 @@
 #include "sim/run_error.hh"
 #include "sim/service.hh"
 #include "sim/simulator.hh"
-#include "sim/supervisor.hh"
 #include "trace/spec_suite.hh"
 
 using namespace dmdc;
@@ -221,8 +225,8 @@ runCampaign(const std::vector<SimOptions> &runs,
     flushCampaignJournal();
 
     // A signal-interrupted campaign has flushed its journal; the
-    // distinct exit code tells a supervisor (or script) that rerunning
-    // the same command will converge (completed runs are cache hits).
+    // distinct exit code tells the calling script that rerunning the
+    // same command will converge (completed runs are cache hits).
     // Checked before the failure rules:
     // an interrupt that lands before any run succeeds is still an
     // interrupt, not a failed campaign.
@@ -347,10 +351,7 @@ main(int argc, char **argv)
         }
     }
 
-    // --heartbeat marks a supervised worker: always campaign mode
-    // (heartbeats, journal, kExitInterrupted) even for one run.
-    if (runs.size() > 1 || campaign_cfg.shard.active() ||
-        campaign.workerMode) {
+    if (runs.size() > 1 || campaign_cfg.shard.active()) {
         if (dump_stats || dump_energy) {
             std::fprintf(stderr, "dmdc_sim: --stats/--energy need a "
                                  "single run, not a campaign\n");

@@ -7,8 +7,8 @@
  *     --out=<path>   write the merged trace to <path> (default stdout)
  *     --selftest     run the built-in validation suite and exit
  *
- * A multi-process campaign (campaign_launch or sharded dmdc_sim)
- * writes one trace file per process; this tool concatenates their
+ * A multi-process campaign (dmdc_sim or a bench run as --shard=i/N
+ * processes) writes one trace file per process; this tool concatenates their
  * traceEvents arrays into one document Perfetto can load whole. Each
  * input is strictly validated — a JSON object with a traceEvents
  * array whose entries carry "ph", "ts", "pid", "tid", and "name" —
