@@ -4,8 +4,9 @@
  * paths: DynInst pool recycling vs. heap allocation, the store
  * queue's O(1) safe-load check and binary-search load probe, the
  * checking table's occupancy pre-filter, the cost of an empty
- * pipeline tick vs. one bulk-skipped idle cycle, and the trace-sink
- * call sites (disabled vs. recording). These document the
+ * pipeline tick vs. one bulk-skipped idle cycle, a busy tick that
+ * wakes and selects every cycle, and the trace-sink call sites
+ * (disabled vs. recording). These document the
  * kernel-performance architecture (DESIGN.md Sec. 15) and guard the
  * fast paths against accidental complexity regressions.
  */
@@ -228,6 +229,32 @@ BM_SkippedTickBulk(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * 1024);
 }
 BENCHMARK(BM_SkippedTickBulk);
+
+// ---- busy tick: wakeup and select ----------------------------------
+
+/**
+ * One tick of a warm high-IPC pipeline (sixtrack, config 2,
+ * dmdc-global): completions wake consumers and select issues from the
+ * ready sets nearly every cycle. BM_EmptyTick never selects anything.
+ */
+void
+BM_BusyTick(benchmark::State &state)
+{
+    CoreParams p = makeMachineConfig(2);
+    applyScheme(p, "dmdc-global");
+    auto w = makeSpecWorkload("sixtrack");
+    Pipeline pipe(p, *w);
+    while (pipe.committed() < 20000)
+        pipe.tick();
+    const std::uint64_t committed = pipe.committed();
+    for (auto _ : state)
+        benchmark::DoNotOptimize(pipe.tick());
+    state.SetItemsProcessed(state.iterations());
+    state.counters["ipc"] = benchmark::Counter(
+        static_cast<double>(pipe.committed() - committed) /
+        static_cast<double>(state.iterations()));
+}
+BENCHMARK(BM_BusyTick);
 
 // ---- trace-sink call sites ------------------------------------------
 

@@ -27,6 +27,15 @@ enum class InstStage : std::uint8_t
     Squashed,
 };
 
+struct DynInst;
+
+/** One wakeup-list link: consumer @c inst, dispatched as @c seq. */
+struct WaiterLink
+{
+    DynInst *inst = nullptr;
+    SeqNum seq = invalidSeqNum;
+};
+
 /** An in-flight dynamic instruction. */
 struct DynInst
 {
@@ -55,6 +64,26 @@ struct DynInst
     DynInst *renamePrev = nullptr;  ///< previous mapping of op.dst
     SeqNum renamePrevSeq = invalidSeqNum;
     bool inIssueQueue = false;
+    std::uint8_t waitMask = 0;    ///< bit k: waiting on source k+1
+
+    /**
+     * Wakeup lists (core/issue_queue.hh). A consumer registers at
+     * dispatch with every source producer that has not completed:
+     * it sets its waitMask bit and nextWaiter[k] chains it into that
+     * producer's list, whose head is the producer's `waiters`. A link
+     * names only the consumer; the slot it stands for is the
+     * consumer's newest pending source naming that producer.
+     *
+     * Lists are youngest-first. A squash (always a youngest suffix)
+     * therefore finds each victim at the head of every list it is
+     * still on, and the ROB's youngest-first squash walk unlinks it
+     * there: a list only ever names live consumers. The wake
+     * re-checks each link's (DynInst*, seq) and stage and panics on a
+     * stale one; seqs are never recycled and pool slabs outlive the
+     * pipeline, so that check is always a safe dereference.
+     */
+    WaiterLink waiters;
+    WaiterLink nextWaiter[3];
 
     // ---- branch state ----
     BranchPrediction pred;
@@ -86,6 +115,41 @@ struct DynInst
     bool completed() const
     {
         return stage == InstStage::Done || stage == InstStage::Committed;
+    }
+
+    /** Producer of source operand @p slot (0..2 for src1..src3). */
+    DynInst *
+    srcProducer(unsigned slot) const
+    {
+        return slot == 0 ? src1Producer
+            : slot == 1  ? src2Producer
+                         : src3Producer;
+    }
+
+    /**
+     * The source slot that @p producer's list link to this consumer
+     * stands for: the newest pending source naming @p producer
+     * (dispatch registers src1, src2, src3 in that order). Returns 3
+     * when no pending source names it.
+     */
+    unsigned
+    waitSlot(const DynInst *producer) const
+    {
+        for (unsigned slot = 3; slot-- > 0;) {
+            if ((waitMask & (1u << slot)) && srcProducer(slot) == producer)
+                return slot;
+        }
+        return 3;
+    }
+
+    /**
+     * Still waiting on an operand that gates issue. Store data (src3)
+     * does not gate a store's address generation.
+     */
+    bool
+    issueBlocked() const
+    {
+        return waitMask & (isStore() ? 0x3u : 0x7u);
     }
 };
 

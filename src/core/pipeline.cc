@@ -64,7 +64,6 @@ Pipeline::Pipeline(const CoreParams &params, Workload &workload)
       fetchQueue_(params.fetchQueueSize),
       root_("sim")
 {
-    issueScratch_.reserve(params.issueWidth);
     regStats(root_);
 }
 
@@ -120,31 +119,27 @@ Pipeline::producerDone(const DynInst *producer, SeqNum pseq) const
     return producer->completed();
 }
 
-bool
-Pipeline::operandsReady(const DynInst *inst) const
+void
+Pipeline::subscribe(DynInst *inst)
 {
     if (!producerDone(inst->src1Producer, inst->src1ProducerSeq))
-        return false;
+        addWaiter(inst->src1Producer, inst, 0);
     if (!producerDone(inst->src2Producer, inst->src2ProducerSeq))
-        return false;
-    // Store data (src3) is tracked separately; it does not gate
-    // address generation.
-    if (!inst->isStore() &&
-        !producerDone(inst->src3Producer, inst->src3ProducerSeq)) {
-        return false;
-    }
-    return true;
+        addWaiter(inst->src2Producer, inst, 1);
+    if (!producerDone(inst->src3Producer, inst->src3ProducerSeq))
+        addWaiter(inst->src3Producer, inst, 2);
+    // A store whose data (src3) is already available needs no wake.
+    if (inst->isStore() && !(inst->waitMask & 0x4u))
+        lsq_.storeDataReady(inst);
+    if (!inst->issueBlocked())
+        queueFor(inst).markReady(inst);
 }
 
 void
 Pipeline::scheduleCompletion(DynInst *inst, Cycle when)
 {
     completions_.push_back(Event{when, inst->seq, inst});
-    std::push_heap(completions_.begin(), completions_.end(),
-                   [](const Event &a, const Event &b) {
-                       return a.when > b.when ||
-                           (a.when == b.when && a.seq > b.seq);
-                   });
+    std::push_heap(completions_.begin(), completions_.end(), Event::later);
 }
 
 unsigned
@@ -168,7 +163,6 @@ Pipeline::tick()
 
     unsigned progress = 0;
     progress += timed(pt.complete, [&] { return doCompletions(); });
-    progress += scanStoreData();
     progress += timed(pt.commit, [&] { return doCommit(); });
     progress += timed(pt.issue, [&] { return doIssue(); });
     if (pendingReplay_ && pendingAgeReplay_) {
@@ -281,7 +275,7 @@ Pipeline::doDispatch()
             break;
         if (rob_.full() || !rename_.canRename(inst->op))
             break;
-        IssueQueue &iq = inst->op.isFp() ? fpIq_ : intIq_;
+        IssueQueue &iq = queueFor(inst);
         if (iq.full())
             break;
         if (inst->isLoad() && !lsq_.canDispatchLoad())
@@ -298,6 +292,7 @@ Pipeline::doDispatch()
         if (owned->isStore())
             lsq_.dispatchStore(owned);
         owned->stage = InstStage::Dispatched;
+        subscribe(owned);
         ++dispatched;
     }
     if (dispatched)
@@ -309,32 +304,30 @@ Pipeline::doDispatch()
 // Issue and execute
 // --------------------------------------------------------------------
 
-void
-Pipeline::issueLoad(DynInst *inst)
+bool
+Pipeline::executeLoad(DynInst *load)
 {
-    SqCheckResult check = lsq_.loadIssue(inst, now_);
+    SqCheckResult check = lsq_.loadIssue(load, now_);
     switch (check.outcome) {
       case SqCheck::Reject:
         ++stats_.loadRejections;
-        inst->retryCycle = now_ + params_.loadRetryDelay;
-        retryLoads_.push_back(inst);
-        return;
+        load->retryCycle = now_ + params_.loadRetryDelay;
+        return false;
       case SqCheck::Forward:
         ++stats_.loadForwards;
-        lsq_.loadComplete(inst, now_, check.producer->seq);
-        scheduleCompletion(inst, now_ + 1 + mem_.l1d().latency());
-        return;
-      case SqCheck::NoMatch: {
-        if (check.sawUnresolvedOlder)
-            ++stats_.speculativeLoads;
-        ++dcachePortsUsed_;
-        const unsigned lat =
-            mem_.accessData(inst->op.effAddr, false);
-        lsq_.loadComplete(inst, now_, invalidSeqNum);
-        scheduleCompletion(inst, now_ + 1 + lat);
-        return;
-      }
+        lsq_.loadComplete(load, now_, check.producer->seq);
+        scheduleCompletion(load, now_ + 1 + mem_.l1d().latency());
+        return true;
+      case SqCheck::NoMatch:
+        break;
     }
+    if (check.sawUnresolvedOlder)
+        ++stats_.speculativeLoads;
+    ++dcachePortsUsed_;
+    const unsigned lat = mem_.accessData(load->op.effAddr, false);
+    lsq_.loadComplete(load, now_, invalidSeqNum);
+    scheduleCompletion(load, now_ + 1 + lat);
+    return true;
 }
 
 unsigned
@@ -353,40 +346,22 @@ Pipeline::doIssue()
             continue;
         }
         ++progress;
-        SqCheckResult check = lsq_.loadIssue(load, now_);
-        if (check.outcome == SqCheck::Reject) {
-            ++stats_.loadRejections;
-            load->retryCycle = now_ + params_.loadRetryDelay;
+        if (executeLoad(load))
+            it = retryLoads_.erase(it);
+        else
             ++it;
-            continue;
-        }
-        if (check.outcome == SqCheck::Forward) {
-            ++stats_.loadForwards;
-            lsq_.loadComplete(load, now_, check.producer->seq);
-            scheduleCompletion(load, now_ + 1 + mem_.l1d().latency());
-        } else {
-            if (check.sawUnresolvedOlder)
-                ++stats_.speculativeLoads;
-            ++dcachePortsUsed_;
-            const unsigned lat =
-                mem_.accessData(load->op.effAddr, false);
-            lsq_.loadComplete(load, now_, invalidSeqNum);
-            scheduleCompletion(load, now_ + 1 + lat);
-        }
-        it = retryLoads_.erase(it);
     }
 
-    // Merge the two issue queues oldest-first.
-    unsigned issued = 0;
+    // Merge the two ready sets oldest-first. Issuing never wakes
+    // anything (completions land at least a cycle later), so both
+    // sets are stable for the whole walk.
+    unsigned picked = 0;
     std::size_t ii = 0;
     std::size_t fi = 0;
-    const auto &iv = intIq_.entries();
-    const auto &fv = fpIq_.entries();
-    std::vector<DynInst *> &picked = issueScratch_;
-    picked.clear();
+    const auto &iv = intIq_.ready();
+    const auto &fv = fpIq_.ready();
 
-    while (issued + static_cast<unsigned>(picked.size()) <
-               params_.issueWidth &&
+    while (picked < params_.issueWidth &&
            (ii < iv.size() || fi < fv.size())) {
         DynInst *inst;
         if (fi >= fv.size() ||
@@ -395,8 +370,6 @@ Pipeline::doIssue()
         } else {
             inst = fv[fi++];
         }
-        if (!operandsReady(inst))
-            continue;
         if (inst->isLoad() && dcachePortsUsed_ >= params_.l1dPorts)
             continue;
         unsigned latency = 0;
@@ -406,10 +379,11 @@ Pipeline::doIssue()
         inst->stage = InstStage::Issued;
         inst->issueCycle = now_;
         regfile_.noteIssueReads(inst);
-        picked.push_back(inst);
+        ++picked;
 
         if (inst->isLoad()) {
-            issueLoad(inst);
+            if (!executeLoad(inst))
+                retryLoads_.push_back(inst);
         } else if (inst->isStore()) {
             // Stores resolve (and search/filter the LQ) at issue time,
             // the same point at which loads update the YLA registers;
@@ -424,16 +398,11 @@ Pipeline::doIssue()
         }
     }
 
-    for (DynInst *inst : picked) {
-        if (inst->op.isFp())
-            fpIq_.remove(inst);
-        else
-            intIq_.remove(inst);
-    }
-    if (!picked.empty())
-        stats_.issued += picked.size();
-    progress += static_cast<unsigned>(picked.size());
-    return progress;
+    intIq_.removeIssued(ii);
+    fpIq_.removeIssued(fi);
+    if (picked)
+        stats_.issued += picked;
+    return progress + picked;
 }
 
 // --------------------------------------------------------------------
@@ -443,12 +412,10 @@ Pipeline::doIssue()
 unsigned
 Pipeline::doCompletions()
 {
-    auto cmp = [](const Event &a, const Event &b) {
-        return a.when > b.when || (a.when == b.when && a.seq > b.seq);
-    };
     unsigned completed = 0;
     while (!completions_.empty() && completions_.front().when <= now_) {
-        std::pop_heap(completions_.begin(), completions_.end(), cmp);
+        std::pop_heap(completions_.begin(), completions_.end(),
+                      Event::later);
         Event ev = completions_.back();
         completions_.pop_back();
         completeInst(ev.inst);
@@ -463,6 +430,12 @@ Pipeline::completeInst(DynInst *inst)
     inst->stage = InstStage::Done;
     inst->doneCycle = now_;
     regfile_.noteWriteback(inst);
+    wakeWaiters(inst, [this](DynInst *consumer, unsigned slot) {
+        if (slot == 2 && consumer->isStore())
+            lsq_.storeDataReady(consumer);
+        else if (!consumer->issueBlocked())
+            queueFor(consumer).markReady(consumer);
+    });
 
     if (inst->isBranch())
         resolveBranch(inst);
@@ -520,20 +493,6 @@ Pipeline::resolveBranch(DynInst *inst)
     lsq_.branchRecovery(inst->seq);
     fetch_.redirectToTrace(inst->traceIndex + 1,
                            now_ + params_.redirectPenalty);
-}
-
-unsigned
-Pipeline::scanStoreData()
-{
-    unsigned became_ready = 0;
-    lsq_.storeQueue().forEach([this, &became_ready](DynInst *store) {
-        if (!store->sqDataReady &&
-            producerDone(store->src3Producer, store->src3ProducerSeq)) {
-            lsq_.storeDataReady(store);
-            ++became_ready;
-        }
-    });
-    return became_ready;
 }
 
 // --------------------------------------------------------------------
@@ -645,16 +604,10 @@ Pipeline::squashFrom(SeqNum from_seq)
     std::erase_if(completions_, [from_seq](const Event &ev) {
         return ev.seq >= from_seq;
     });
-    std::make_heap(completions_.begin(), completions_.end(),
-                   [](const Event &a, const Event &b) {
-                       return a.when > b.when ||
-                           (a.when == b.when && a.seq > b.seq);
-                   });
+    std::make_heap(completions_.begin(), completions_.end(), Event::later);
     std::erase_if(retryLoads_, [from_seq](const DynInst *inst) {
         return inst->seq >= from_seq;
     });
-    intIq_.squashFrom(from_seq);
-    fpIq_.squashFrom(from_seq);
     lsq_.squashFrom(from_seq);
 
     while (!fetchQueue_.empty() &&
@@ -665,8 +618,13 @@ Pipeline::squashFrom(SeqNum from_seq)
 
     const SeqNum oldest_active =
         rob_.empty() ? invalidSeqNum : rob_.head()->seq;
+    // The youngest-first walk frees issue-queue entries and unlinks
+    // wakeup-list registrations (see DynInst::waiters).
     rob_.squashFrom(from_seq, [this, oldest_active](DynInst *inst) {
         rename_.squash(inst, oldest_active);
+        dropWaiters(inst);
+        if (inst->inIssueQueue)
+            queueFor(inst).squash(inst);
     });
 }
 

@@ -177,20 +177,30 @@ class Pipeline
         Cycle when;
         SeqNum seq;
         DynInst *inst;
+
+        /** Heap order for completions_: a min-heap on (when, seq). */
+        static bool
+        later(const Event &a, const Event &b)
+        {
+            return a.when > b.when || (a.when == b.when && a.seq > b.seq);
+        }
     };
 
-    bool operandsReady(const DynInst *inst) const;
     bool producerDone(const DynInst *producer, SeqNum pseq) const;
+    IssueQueue &queueFor(const DynInst *inst)
+    {
+        return inst->op.isFp() ? fpIq_ : intIq_;
+    }
+    void subscribe(DynInst *inst);
     void scheduleCompletion(DynInst *inst, Cycle when);
     unsigned doFetch();
     unsigned doDispatch();
     unsigned doIssue();
-    void issueLoad(DynInst *inst);
+    bool executeLoad(DynInst *load);
     void resolveStore(DynInst *inst);
     unsigned doCompletions();
     void completeInst(DynInst *inst);
     void resolveBranch(DynInst *inst);
-    unsigned scanStoreData();
     unsigned doCommit();
     void squashFrom(SeqNum from_seq);
     void replayFrom(DynInst *load);
@@ -214,7 +224,6 @@ class Pipeline
     RingBuffer<DynInst *> fetchQueue_;
     std::vector<Event> completions_;    ///< min-heap on (when, seq)
     std::vector<DynInst *> retryLoads_; ///< rejected loads awaiting retry
-    std::vector<DynInst *> issueScratch_; ///< per-tick issue pick list
     unsigned dcachePortsUsed_ = 0;
     std::uint64_t lastDmdcReplayIndex_ = ~std::uint64_t{0};
     DynInst *pendingReplay_ = nullptr;  ///< deferred violation victim

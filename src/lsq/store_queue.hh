@@ -89,15 +89,6 @@ class StoreQueue
     /** Remove all stores with seq >= @p from_seq. */
     void squashFrom(SeqNum from_seq);
 
-    /** Iterate oldest to youngest. */
-    template <typename Fn>
-    void
-    forEach(Fn &&fn) const
-    {
-        for (DynInst *store : entries_)
-            fn(store);
-    }
-
   private:
     /** Re-derive oldestUnresolvedSeq_ after the oldest one resolved. */
     void recomputeOldestUnresolved();

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "core/fu_pool.hh"
 #include "core/issue_queue.hh"
@@ -157,23 +159,119 @@ TEST(Rename, FpAndIntFilesIndependent)
     EXPECT_TRUE(rs.canRename(f->op));
 }
 
-TEST(IssueQueue, InsertRemoveSquash)
+TEST(IssueQueue, ReadySetAgeOrderAndSquash)
 {
     IssueQueue iq(4);
     auto a = makeInst(1);
     auto b = makeInst(2);
     auto c = makeInst(3);
-    iq.insert(a.get());
-    iq.insert(b.get());
-    iq.insert(c.get());
+    auto d = makeInst(4);
+    for (DynInst *inst : {a.get(), b.get(), c.get(), d.get()})
+        iq.insert(inst);
+    EXPECT_TRUE(iq.full());
     EXPECT_TRUE(a->inIssueQueue);
-    iq.remove(b.get());
-    EXPECT_FALSE(b->inIssueQueue);
-    EXPECT_EQ(iq.size(), 2u);
-    iq.squashFrom(3);
+
+    // Wakeups arrive out of age order; select sees them oldest-first.
+    iq.markReady(c.get());
+    iq.markReady(a.get());
+    iq.markReady(d.get());
+    EXPECT_EQ(iq.ready(),
+              (std::vector<DynInst *>{a.get(), c.get(), d.get()}));
+
+    // Select scanned a and c but issued only a.
+    a->stage = InstStage::Issued;
+    iq.removeIssued(2);
+    EXPECT_FALSE(a->inIssueQueue);
+    EXPECT_EQ(iq.size(), 3u);
+    EXPECT_EQ(iq.ready(), (std::vector<DynInst *>{c.get(), d.get()}));
+
+    iq.markReady(b.get());
+    EXPECT_EQ(iq.ready(),
+              (std::vector<DynInst *>{b.get(), c.get(), d.get()}));
+
+    // The ROB's squash walk frees entries youngest-first.
+    iq.squash(d.get());
+    iq.squash(c.get());
     EXPECT_EQ(iq.size(), 1u);
-    EXPECT_FALSE(c->inIssueQueue);
-    EXPECT_EQ(iq.entries().front(), a.get());
+    EXPECT_FALSE(d->inIssueQueue);
+    EXPECT_TRUE(b->inIssueQueue);
+    EXPECT_EQ(iq.ready(), (std::vector<DynInst *>{b.get()}));
+}
+
+/** Dispatch-state consumer of @p producer on source @p slot. */
+void
+waitOn(DynInst *producer, DynInst *consumer, unsigned slot)
+{
+    (slot == 0 ? consumer->src1Producer : consumer->src2Producer) =
+        producer;
+    consumer->stage = InstStage::Dispatched;
+    addWaiter(producer, consumer, slot);
+}
+
+TEST(Wakeup, ProducerWakesEveryWaitingSource)
+{
+    DynInstPool pool(4);
+    DynInst *p = poolInst(pool, 1);
+    DynInst *b = poolInst(pool, 2);
+    DynInst *c = poolInst(pool, 3);
+    waitOn(p, b, 0);
+    waitOn(p, c, 0);
+    waitOn(p, c, 1);
+    EXPECT_TRUE(c->issueBlocked());
+
+    std::vector<std::pair<SeqNum, unsigned>> woken;
+    wakeWaiters(p, [&](DynInst *inst, unsigned slot) {
+        woken.emplace_back(inst->seq, slot);
+    });
+    // Youngest registration first.
+    const std::vector<std::pair<SeqNum, unsigned>> want{
+        {3, 1}, {3, 0}, {2, 0}};
+    EXPECT_EQ(woken, want);
+    EXPECT_FALSE(b->issueBlocked());
+    EXPECT_FALSE(c->issueBlocked());
+    EXPECT_EQ(p->waiters.inst, nullptr);
+}
+
+TEST(Wakeup, SquashedAndRecycledConsumerIsNotWoken)
+{
+    DynInstPool pool(4);
+    DynInst *p = poolInst(pool, 1);
+    p->stage = InstStage::Issued;
+    DynInst *survivor = poolInst(pool, 2);
+    DynInst *victim = poolInst(pool, 3);
+    waitOn(p, survivor, 0);
+    waitOn(p, victim, 0);
+    waitOn(p, victim, 1);
+
+    // Squash the victim while its producer is pending, the way the
+    // ROB's squash walk does, and recycle its slot.
+    victim->stage = InstStage::Squashed;
+    dropWaiters(victim);
+    pool.release(victim);
+    DynInst *recycled = poolInst(pool, 4);
+    ASSERT_EQ(recycled, victim);
+    recycled->stage = InstStage::Dispatched;
+
+    std::vector<DynInst *> woken;
+    wakeWaiters(p, [&](DynInst *inst, unsigned) {
+        woken.push_back(inst);
+    });
+    EXPECT_EQ(woken, std::vector<DynInst *>{survivor});
+    EXPECT_EQ(recycled->waitMask, 0u);
+}
+
+TEST(WakeupDeathTest, StaleWaiterPanicsInsteadOfWakingRecycledSlot)
+{
+    DynInstPool pool(4);
+    DynInst *p = poolInst(pool, 1);
+    DynInst *victim = poolInst(pool, 2);
+    waitOn(p, victim, 0);
+    // A squash that skipped dropWaiters() leaves a stale link.
+    pool.release(victim);
+    DynInst *recycled = poolInst(pool, 3);
+    recycled->stage = InstStage::Dispatched;
+    EXPECT_DEATH(wakeWaiters(p, [](DynInst *, unsigned) {}),
+                 ".*dead consumer.*");
 }
 
 TEST(FuPool, PerCycleBandwidth)

@@ -292,17 +292,19 @@ TEST(StoreQueueIncrementalTest, CheckLoadMatchesLinearReference)
  * same stats as one ticked every cycle.
  */
 void
-expectSkipEquivalence(const std::string &scheme)
+expectSkipEquivalence(const std::string &scheme, unsigned config)
 {
-    CoreParams p = makeMachineConfig(2);
+    CoreParams p = makeMachineConfig(config);
     applyScheme(p, scheme);
 
-    auto w_tick = makeSpecWorkload("gzip");
-    auto w_skip = makeSpecWorkload("gzip");
+    // gcc mispredicts often and, by 20 k instructions, has replayed
+    // under every scheme, so all squash sources run.
+    auto w_tick = makeSpecWorkload("gcc");
+    auto w_skip = makeSpecWorkload("gcc");
     Pipeline ticked(p, *w_tick);
     Pipeline skipped(p, *w_skip);
 
-    constexpr std::uint64_t target = 3000;
+    constexpr std::uint64_t target = 20000;
     std::uint64_t guard = 0;
     while (ticked.committed() < target) {
         ticked.tick();
@@ -336,6 +338,10 @@ expectSkipEquivalence(const std::string &scheme)
     EXPECT_EQ(a.baselineReplays.value(), b.baselineReplays.value());
     EXPECT_EQ(a.dmdcReplays.value(), b.dmdcReplays.value());
     EXPECT_EQ(a.ageTableReplays.value(), b.ageTableReplays.value());
+    EXPECT_GT(a.baselineReplays.value() + a.dmdcReplays.value() +
+                  a.ageTableReplays.value(),
+              0u)
+        << scheme << ": no replay squash exercised";
     EXPECT_EQ(a.loadRejections.value(), b.loadRejections.value());
     EXPECT_EQ(a.loadForwards.value(), b.loadForwards.value());
     EXPECT_EQ(a.speculativeLoads.value(), b.speculativeLoads.value());
@@ -360,20 +366,43 @@ expectSkipEquivalence(const std::string &scheme)
     }
 }
 
-TEST(IdleSkipEquivalenceTest, Baseline)
+struct SkipCase
 {
-    expectSkipEquivalence("baseline");
+    const char *scheme;
+    unsigned config;
+};
+
+class IdleSkipEquivalenceTest : public ::testing::TestWithParam<SkipCase>
+{
+};
+
+TEST_P(IdleSkipEquivalenceTest, MatchesTickedRun)
+{
+    expectSkipEquivalence(GetParam().scheme, GetParam().config);
 }
 
-TEST(IdleSkipEquivalenceTest, Yla)
-{
-    expectSkipEquivalence("yla");
-}
-
-TEST(IdleSkipEquivalenceTest, DmdcGlobal)
-{
-    expectSkipEquivalence("dmdc-global");
-}
+// Every squash source (branch recovery, baseline violation replay,
+// DMDC commit replay, age-table squash-all-younger) must purge the
+// wakeup lists and ready sets; config 3 has 64-entry issue queues.
+INSTANTIATE_TEST_SUITE_P(
+    Schemes, IdleSkipEquivalenceTest,
+    ::testing::Values(SkipCase{"baseline", 2}, SkipCase{"yla", 2},
+                      SkipCase{"dmdc-global", 2},
+                      SkipCase{"dmdc-local", 2},
+                      SkipCase{"dmdc-queue", 2},
+                      SkipCase{"age-table", 2},
+                      SkipCase{"bloom-yla", 2}, SkipCase{"baseline", 3},
+                      SkipCase{"dmdc-global", 3},
+                      SkipCase{"age-table", 3}),
+    [](const ::testing::TestParamInfo<SkipCase> &info) {
+        std::string name = std::string(info.param.scheme) + "_c" +
+            std::to_string(info.param.config);
+        for (char &c : name) {
+            if (c == '-')
+                c = '_';
+        }
+        return name;
+    });
 
 } // namespace
 } // namespace dmdc

@@ -233,10 +233,10 @@ TEST_P(SchemeSweep, RunsCleanAndConsistent)
         ASSERT_NE(pipe.lsq().dmdc(), nullptr);
         const auto &ds = pipe.lsq().dmdc()->stats();
         EXPECT_GT(ds.safeStores.value(), 0u);
-        // Table writes correspond to committed unsafe stores.
-        EXPECT_EQ(ds.tableWrites.value(), ds.unsafeStores.value() == 0
-                      ? ds.tableWrites.value()
-                      : ds.tableWrites.value());
+        // Table writes count committed unsafe stores; unsafe_stores
+        // counts resolves, which include re-resolves after a replay.
+        EXPECT_GT(ds.tableWrites.value(), 0u);
+        EXPECT_LE(ds.tableWrites.value(), ds.unsafeStores.value());
     }
 }
 
