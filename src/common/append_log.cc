@@ -29,8 +29,8 @@ appendLogLine(const std::string &logPath, const std::string &lockPath,
         rc = ::write(fd, line.data(), line.size());
     } while (rc < 0 && errno == EINTR);
     bool ok = rc == static_cast<ssize_t>(line.size());
-    // The record only counts as durable once it's on disk: a ticket
-    // or index entry that evaporates with the page cache defeats the
+    // The record only counts as durable once it's on disk: an index
+    // entry that evaporates with the page cache defeats the
     // crash-recovery replay it exists for. (No-op under
     // setDurableSync(false)/DMDC_NO_FSYNC=1.)
     if (ok && !durableSyncFd(fd))

@@ -1,11 +1,10 @@
 /**
  * @file
- * Shared append-only log-line idiom for crash-safe sidecar logs.
+ * Append-only log-line idiom for crash-safe sidecar logs.
  *
- * Both the cache index (`.dmdc_cache/index.log`) and the service
- * ticket log (`tickets.log`) persist state as newline-terminated,
- * self-validating records appended by concurrent writers. The safety
- * argument is identical for both and lives here:
+ * The cache index (`.dmdc_cache/index.log`) persists state as
+ * newline-terminated, self-validating records appended by concurrent
+ * writers. The safety argument lives here:
  *
  *  - the appender holds the sibling lock file *shared* (flock), which
  *    excludes a concurrent compaction (exclusive holder) from renaming

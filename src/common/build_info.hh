@@ -2,11 +2,10 @@
  * @file
  * Build provenance: the configure-time git commit hash.
  *
- * Journals record the commit that produced them, journal_merge refuses
- * to merge shard journals from different builds, and the dmdc_serve
- * handshake refuses clients built from different sources. Centralized
+ * Journals record the commit that produced them, and journal_merge
+ * refuses to merge shard journals from different builds. Centralized
  * here so exactly one translation unit carries the DMDC_GIT_COMMIT
- * compile definition and every consumer (runner, daemon, client,
+ * compile definition and every consumer (the journal writer,
  * --version) reports the same string.
  */
 

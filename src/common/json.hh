@@ -3,13 +3,13 @@
  * The project's one JSON implementation: a value tree, a strict
  * parser, and the two token writers every emitter shares.
  *
- * Journals, run-cache payloads, the dmdc_serve protocol, the ticket
- * log, trace files and bench_compare all read through parseJson().
- * Two properties matter more than generality:
+ * Journals, run-cache payloads, trace files and bench_compare all
+ * read through parseJson(). Two properties matter more than
+ * generality:
  *
  *  - numbers keep their raw source token, so a parsed journal can be
- *    re-serialized byte-identically (the merge and service layers both
- *    promise bit-exact journals);
+ *    re-serialized byte-identically (the shard merger promises
+ *    bit-exact journals);
  *  - parsing is strict (no trailing content, no unknown escapes), so
  *    a torn or hand-mangled document fails loudly instead of yielding
  *    a half-read record.
@@ -73,8 +73,8 @@ std::string jsonEscapeString(const std::string &s);
 
 /**
  * "%.17g" spelling of @p v: 17 significant digits, enough to
- * round-trip an IEEE double exactly. Journals, cache keys, cache payloads and
- * service run specs all use it, so their bytes agree.
+ * round-trip an IEEE double exactly. Journals, cache keys and cache
+ * payloads all use it, so their bytes agree.
  */
 std::string doubleToken(double v);
 

@@ -125,9 +125,9 @@ constexpr std::size_t kTraceMaxNames = 4096;
  * (Re)configure process-wide tracing: sets the active channel set,
  * the output path, and the per-thread ring capacity, and arms an
  * at-exit export. Empty
- * channels disables capture. Callable repeatedly — the daemon and
- * tests reconfigure without re-exec; rings created under an old
- * capacity are retired (generation bump) rather than resized.
+ * channels disables capture. Callable repeatedly — tests reconfigure
+ * without re-exec; rings created under an old capacity are retired
+ * (generation bump) rather than resized.
  */
 void traceConfigure(const TraceOptions &options);
 

@@ -1,6 +1,9 @@
 #include "sim/cache_store.hh"
 
 #include <algorithm>
+#include <cerrno>
+#include <chrono>
+#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -86,13 +89,49 @@ formatRecord(const char *op, const std::string &file,
 }
 
 std::string
-entryFileName(const std::string &key)
+keyFileName(const std::string &key, const char *extension)
 {
     char name[32];
-    std::snprintf(name, sizeof(name), "%016llx.json",
+    std::snprintf(name, sizeof(name), "%016llx%s",
                   static_cast<unsigned long long>(
-                      hashBytes(key.data(), key.size())));
+                      hashBytes(key.data(), key.size())),
+                  extension);
     return name;
+}
+
+std::string
+entryFileName(const std::string &key)
+{
+    return keyFileName(key, ".json");
+}
+
+const std::string &
+hostName()
+{
+    static const std::string name = [] {
+        char host[256] = {0};
+        if (::gethostname(host, sizeof(host) - 1) != 0 || !host[0])
+            return std::string("unknown");
+        return std::string(host);
+    }();
+    return name;
+}
+
+/** What this process writes into the claims it holds (not cached:
+ *  a forked child is a different holder). */
+std::string
+ownClaimText()
+{
+    return std::to_string(::getpid()) + ' ' + hostName() + '\n';
+}
+
+std::string
+slurp(const std::string &path)
+{
+    std::ifstream is(path, std::ios::binary);
+    std::stringstream buf;
+    buf << is.rdbuf();
+    return buf.str();
 }
 
 } // namespace
@@ -118,6 +157,85 @@ std::string
 CacheStore::entryPath(const std::string &key) const
 {
     return config_.dir + "/" + entryFileName(key);
+}
+
+std::string
+CacheStore::claimPath(const std::string &key) const
+{
+    return config_.dir + "/" + keyFileName(key, ".claim");
+}
+
+CacheStore::Claim
+CacheStore::claim(const std::string &key)
+{
+    std::error_code ec;
+    fs::create_directories(config_.dir, ec);
+    const std::string path = claimPath(key);
+    const std::string mine = ownClaimText();
+    // A few rounds absorb a holder releasing, or a stale claim being
+    // taken over, between our create and our read; persistent
+    // contention reports Held and the caller polls again later.
+    for (int round = 0; round < 4; ++round) {
+        const int fd = ::open(path.c_str(),
+                              O_CREAT | O_EXCL | O_WRONLY | O_CLOEXEC,
+                              0644);
+        if (fd >= 0) {
+            const bool written =
+                ::write(fd, mine.data(), mine.size()) ==
+                static_cast<ssize_t>(mine.size());
+            ::close(fd);
+            if (written)
+                return Claim::Won;
+            ::unlink(path.c_str());
+            return Claim::Unclaimed;
+        }
+        if (errno != EEXIST)
+            return Claim::Unclaimed; // e.g. a read-only cache dir
+
+        const std::string held = slurp(path);
+        if (held.empty()) {
+            // Released since our create, or created but not yet
+            // written: a writer gets a second, then counts as dead.
+            const auto mtime = fs::last_write_time(path, ec);
+            if (ec)
+                continue;
+            if (fs::file_time_type::clock::now() - mtime <
+                std::chrono::seconds(1))
+                return Claim::Held;
+        }
+        long pid = 0;
+        char host[256] = {0};
+        const bool parsed =
+            std::sscanf(held.c_str(), "%ld %255s", &pid, host) == 2 &&
+            pid > 0;
+        if (parsed && hostName() != host)
+            return Claim::Unclaimed; // another host's claim: ignored
+        const bool stale = !parsed || pid == ::getpid() ||
+            (::kill(static_cast<pid_t>(pid), 0) != 0 && errno == ESRCH);
+        if (!stale)
+            return Claim::Held;
+
+        // Take the stale claim over: move it aside and re-check, since
+        // another process may have replaced it with a live claim after
+        // our read. A live claim moved by mistake goes back (link()
+        // never clobbers a claim created meanwhile).
+        const std::string aside =
+            path + "." + std::to_string(::getpid()) + ".stale";
+        if (::rename(path.c_str(), aside.c_str()) != 0)
+            continue;
+        if (slurp(aside) != held)
+            (void)::link(aside.c_str(), path.c_str());
+        ::unlink(aside.c_str());
+    }
+    return Claim::Held;
+}
+
+void
+CacheStore::releaseClaim(const std::string &key)
+{
+    const std::string path = claimPath(key);
+    if (slurp(path) == ownClaimText())
+        ::unlink(path.c_str());
 }
 
 void

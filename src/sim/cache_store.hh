@@ -28,8 +28,32 @@
  * file and verifies its CRC frame, so a process can share the
  * directory with writers it has never synchronized with (the index
  * self-heals by appending the records it was missing). That is what
- * makes one warm cache safely shareable by shard workers, bench
- * binaries, and the dmdc_serve daemon at the same time.
+ * makes one warm cache safely shareable by shard workers and bench
+ * binaries at the same time.
+ *
+ * Cross-process dedup: an advisory claim file per key
+ * (`<hash>.claim`, holding "<pid> <host>") tells concurrent campaigns
+ * on one directory that a key is being simulated, so each key is
+ * simulated once:
+ *
+ *  - claim() creates the file with O_CREAT|O_EXCL (no fsync: it is a
+ *    hint, not durable state). The winner re-probes the cache, since
+ *    another process may have published the entry in the meantime,
+ *    and otherwise simulates, store()s, and releaseClaim()s — also on
+ *    failure, timeout or skip;
+ *  - a claim held by a live process on this host reports Held: the
+ *    caller defers the run and polls later, until the entry appears
+ *    or the claim goes away;
+ *  - a claim is stale when kill(pid, 0) reports ESRCH, when it
+ *    carries this process's own pid (a process never waits on itself;
+ *    the leftover of an earlier process with the same pid), or when it
+ *    is unreadable. Stale claims are taken over by rename + unlink;
+ *  - a claim from another host is ignored (Unclaimed): --shard is the
+ *    multi-host path, and shards never contend for a key.
+ *
+ * Claims are never `*.json`, so index rebuilds and quarantine never
+ * see them. A lost race costs at most one duplicate simulation, never
+ * a wrong result: entries are still published atomically.
  */
 
 #ifndef DMDC_SIM_CACHE_STORE_HH
@@ -58,8 +82,8 @@ constexpr unsigned kCacheIndexVersion = 1;
 /** Knobs of one CacheStore (a strict subset of CampaignConfig). */
 struct CacheStoreConfig
 {
-    /** Directory holding entries, index.log, and quarantine/. Nothing
-     *  is created until the first store or quarantine. */
+    /** Directory holding entries, claims, index.log, and quarantine/.
+     *  Nothing is created until the first claim, store or quarantine. */
     std::string dir = ".dmdc_cache";
 
     /** Live-entry byte cap; LRU entries are evicted past it.
@@ -133,6 +157,20 @@ class CacheStore
      *  another process holds the compaction lock. */
     bool compact();
 
+    /** Outcome of a claim() attempt. */
+    enum class Claim
+    {
+        Won,      ///< this process holds the claim; releaseClaim() it
+        Held,     ///< a live process on this host holds it; retry later
+        Unclaimed ///< another host's claim, or none can be made: proceed
+    };
+
+    /** Try to claim @p key for simulation (see the file comment). */
+    Claim claim(const std::string &key);
+
+    /** Remove this process's claim on @p key, if it still holds it. */
+    void releaseClaim(const std::string &key);
+
     /** Running totals from the index (catching up first). */
     std::uint64_t liveBytes();
     std::size_t liveEntries();
@@ -142,6 +180,9 @@ class CacheStore
 
     /** Entry file path of @p key (hash-named inside dir). */
     std::string entryPath(const std::string &key) const;
+
+    /** Claim file path of @p key (the entry path's `.claim` twin). */
+    std::string claimPath(const std::string &key) const;
 
   private:
     struct Entry

@@ -537,6 +537,19 @@ CampaignRunner::runChecked(const std::vector<SimOptions> &runs_in,
     std::unordered_map<std::string, std::size_t> leaders;
     std::vector<std::pair<std::size_t, std::size_t>> followers;
 
+    // Run i was loaded from its verified disk entry: settle it as a
+    // cache hit.
+    auto settle_disk_hit = [&](std::size_t i, const std::string &key) {
+        traceInstant(rt.cat, rt.diskHit);
+        {
+            std::lock_guard<std::mutex> lock(memMutex_);
+            memCache_.emplace(key, cr.results[i]);
+        }
+        cr.outcomes[i].cached = true;
+        cr.outcomes[i].attempts = 0;
+        appendJournal(cr.results[i], cr.outcomes[i]);
+    };
+
     for (std::size_t i = 0; i < runs.size(); ++i) {
         const SimOptions &opt = runs[i];
         if (shard.active()) {
@@ -580,12 +593,7 @@ CampaignRunner::runChecked(const std::vector<SimOptions> &runs_in,
             }
             if (load == CacheLoad::Hit) {
                 ++stats.diskHits;
-                traceInstant(rt.cat, rt.diskHit);
-                std::lock_guard<std::mutex> lock(memMutex_);
-                memCache_.emplace(key, cr.results[i]);
-                cr.outcomes[i].cached = true;
-                cr.outcomes[i].attempts = 0;
-                appendJournal(cr.results[i], cr.outcomes[i]);
+                settle_disk_hit(i, key);
                 continue;
             }
         }
@@ -607,7 +615,7 @@ CampaignRunner::runChecked(const std::vector<SimOptions> &runs_in,
 
         auto execute_run =
             [this, &runs, &cr, verbose, &abort_flag,
-             &rt](const Pending &p) {
+             &rt](const Pending &p, bool claimed) {
                 const auto run_t0 = Clock::now();
                 RunOutcome oc;
                 oc.shard = config_.shard.index;
@@ -717,6 +725,8 @@ CampaignRunner::runChecked(const std::vector<SimOptions> &runs_in,
                     }
                 }
                 cr.outcomes[p.index] = oc;
+                if (claimed)
+                    diskStore_->releaseClaim(p.key);
 
                 // Process-level chaos. Fires only after a *freshly
                 // simulated* run has been cached, so every injected
@@ -732,11 +742,51 @@ CampaignRunner::runChecked(const std::vector<SimOptions> &runs_in,
                 }
             };
 
+        // Cross-process dedup (cache_store.hh): a cacheable run first
+        // claims its key. Returns false to defer a run another live
+        // process is simulating; true once the run is settled — served
+        // from the entry a claim holder published, or simulated here
+        // (claimed, unclaimable, or waited on past its timeout).
+        std::atomic<std::size_t> peer_hits{0};
+        std::atomic<std::size_t> peer_quarantined{0};
+        auto try_run = [&](const Pending &p, Clock::time_point since) {
+            if (p.key.empty() || !config_.useCache ||
+                abort_flag.load(std::memory_order_relaxed) ||
+                campaignInterruptRequested()) {
+                execute_run(p, false);
+                return true;
+            }
+            const CacheStore::Claim claim = diskStore_->claim(p.key);
+            if (claim == CacheStore::Claim::Held) {
+                const double budget = runs[p.index].timeoutMs != 0.0
+                    ? runs[p.index].timeoutMs : config_.timeoutMs;
+                if (budget <= 0.0 || elapsedMs(since) < budget)
+                    return false;
+            }
+            if (claim == CacheStore::Claim::Won) {
+                const CacheLoad load =
+                    loadFromDisk(p.key, cr.results[p.index]);
+                if (load == CacheLoad::Corrupt) {
+                    ++peer_quarantined;
+                    traceInstant(rt.cat, rt.quarantine);
+                }
+                if (load == CacheLoad::Hit) {
+                    ++peer_hits;
+                    settle_disk_hit(p.index, p.key);
+                    diskStore_->releaseClaim(p.key);
+                    return true;
+                }
+            }
+            execute_run(p, claim == CacheStore::Claim::Won);
+            return true;
+        };
+
         // The scheduler decides placement (see run_scheduler.hh):
         // runs land on per-worker queues keyed by journal identity,
         // and each worker drains its queue — stealing from the others
-        // under the default work-stealing policy — until no unclaimed
-        // run remains.
+        // — until no unclaimed run remains. Runs deferred behind
+        // another process's claim are then polled with bounded
+        // backoff until they settle.
         std::vector<ScheduledRun> items;
         items.reserve(pending.size());
         for (std::size_t s = 0; s < pending.size(); ++s) {
@@ -748,21 +798,42 @@ CampaignRunner::runChecked(const std::vector<SimOptions> &runs_in,
                  static_cast<double>(opt.warmupInsts) +
                      static_cast<double>(opt.runInsts)});
         }
-        std::unique_ptr<RunScheduler> scheduler =
-            makeRunScheduler(config_.scheduler);
-        scheduler->seed(std::move(items), jobs);
+        RunScheduler scheduler;
+        scheduler.seed(std::move(items), jobs);
         std::vector<std::thread> workers;
         workers.reserve(jobs);
         for (unsigned w = 0; w < jobs; ++w) {
             workers.emplace_back([&, w] {
                 traceSetThreadName("worker-" + std::to_string(w));
+                std::vector<std::pair<const Pending *, Clock::time_point>>
+                    deferred;
                 ScheduledRun item;
-                while (scheduler->next(w, item))
-                    execute_run(pending[item.index]);
+                while (scheduler.next(w, item)) {
+                    const Pending &p = pending[item.index];
+                    const auto now = Clock::now();
+                    if (!try_run(p, now))
+                        deferred.emplace_back(&p, now);
+                }
+                unsigned backoff_ms = 1;
+                while (!deferred.empty()) {
+                    std::this_thread::sleep_for(
+                        std::chrono::milliseconds(backoff_ms));
+                    backoff_ms = std::min(backoff_ms * 2, 64u);
+                    deferred.erase(
+                        std::remove_if(deferred.begin(), deferred.end(),
+                                       [&](const auto &d) {
+                                           return try_run(*d.first,
+                                                          d.second);
+                                       }),
+                        deferred.end());
+                }
             });
         }
         for (std::thread &t : workers)
             t.join();
+        stats.simulated -= peer_hits;
+        stats.diskHits += peer_hits;
+        stats.quarantined += peer_quarantined;
     }
 
     // ---- duplicate runs copy their leader ----------------------------

@@ -14,7 +14,10 @@
  * observers, no tweak callback) are additionally memoized in an
  * in-process map and an on-disk JSON cache (.dmdc_cache/), so the
  * Baseline campaigns that nearly every bench binary re-simulates are
- * near-free after the first binary computes them.
+ * near-free after the first binary computes them. Campaigns running
+ * concurrently on one cache directory simulate each key once: a run
+ * another live process has claimed waits for that process's entry
+ * (per-key claims, cache_store.hh).
  *
  * Fault tolerance: each run executes inside an isolation boundary
  * that converts exceptions (structured RunErrors, watchdog timeouts,
@@ -51,13 +54,6 @@ struct CampaignConfig
 {
     /** Worker threads; 0 selects defaultWorkerCount(). */
     unsigned jobs = 0;
-    /**
-     * How runs are placed on worker threads (--scheduler). Both
-     * policies seed per-worker queues with the same LPT partition
-     * --shard uses; WorkStealing additionally rebalances when cost
-     * estimates miss (see run_scheduler.hh).
-     */
-    SchedulerKind scheduler = SchedulerKind::WorkStealing;
     /** Enable the in-process + on-disk run cache. */
     bool useCache = true;
     /** On-disk cache directory (created on demand). */
@@ -254,8 +250,7 @@ std::string cacheKey(const SimOptions &opt);
 /**
  * Hash of the policy registry's version string (API version + every
  * scheme@revision): the simulator-behavior half of every cache key,
- * and the revision the dmdc_serve handshake compares so a client
- * never trusts results from a daemon with different policies.
+ * and the policy revision `dmdc_sim --version` prints.
  */
 const std::string &policySourceFingerprint();
 

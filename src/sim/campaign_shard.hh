@@ -95,8 +95,8 @@ std::vector<unsigned> shardAssignment(const std::vector<SimOptions> &runs,
 
 /**
  * Journal identity of one run ("benchmark|scheme|config"): the
- * co-location key shared by the shard partitioner, the run
- * schedulers, and the dmdc_serve dedup map.
+ * co-location key shared by the shard partitioner and the run
+ * scheduler.
  */
 std::string journalIdentity(const std::string &benchmark,
                             const std::string &scheme, unsigned config);

@@ -326,8 +326,6 @@ CampaignCliOptions::addTo(CliParser &parser)
     parser.value("json", &jsonPath, "write the campaign journal here");
     parser.flag("json-deterministic", &jsonDeterministic,
                 "strip nondeterministic journal fields + sort");
-    parser.value("scheduler", &schedulerText,
-                 "run placement: work-stealing (default) or static-lpt");
     parser.value("trace", &trace.channels,
                  "trace channels (comma list or 'all'); captures a "
                  "Chrome trace");
@@ -351,10 +349,13 @@ CampaignCliOptions::finalize(std::string &err)
     if (!shardText.empty() &&
         !parseShardSpec(shardText, config.shard, err))
         return false;
-    if (!schedulerText.empty() &&
-        !parseSchedulerKind(schedulerText, config.scheduler, err))
+    if (cacheMaxMb > (UINT64_MAX >> 20)) {
+        err = "--cache-max-mb=" + std::to_string(cacheMaxMb) +
+              " overflows a byte count (max " +
+              std::to_string(UINT64_MAX >> 20) + ")";
         return false;
-    config.cacheMaxBytes = cacheMaxMb * 1024ull * 1024ull;
+    }
+    config.cacheMaxBytes = cacheMaxMb << 20;
     if (!traceOutText.empty() && trace.channels.empty()) {
         err = "--trace-out requires --trace=<channels|all>";
         return false;

@@ -144,7 +144,6 @@ struct CampaignCliOptions
     bool jsonDeterministic = false;
     std::uint64_t cacheMaxMb = 0; ///< --cache-max-mb (0 = unlimited)
     std::string shardText;        ///< raw --shard=i/N value
-    std::string schedulerText;    ///< raw --scheduler value
     bool noCache = false;         ///< --no-cache
     TraceOptions trace;           ///< --trace / --trace-out / --trace-buffer
     std::string traceOutText;     ///< raw --trace-out value
@@ -156,8 +155,8 @@ struct CampaignCliOptions
 
     /**
      * Cross-validate and derive: parse --shard, require --trace with
-     * --trace-out, translate the cache cap. False + @p err on
-     * conflict.
+     * --trace-out, translate the cache cap (rejecting one that
+     * overflows bytes). False + @p err on conflict.
      */
     bool finalize(std::string &err);
 

@@ -58,19 +58,12 @@ applyItem(FaultSpec &spec, const std::string &item, std::string &err)
         spec.runHangP = p;
     else if (site == "worker-crash")
         spec.workerCrashP = p;
-    else if (site == "serve-crash")
-        spec.serveCrashP = p;
-    else if (site == "frame-truncate")
-        spec.frameTruncateP = p;
-    else if (site == "client-stall")
-        spec.clientStallP = p;
     else if (site == "lsq-corrupt")
         spec.lsqCorruptP = p;
     else {
         err = "unknown fault site '" + site +
             "' (sites: cache-corrupt, run-throw, run-hang, "
-            "worker-crash, serve-crash, frame-truncate, client-stall, "
-            "lsq-corrupt)";
+            "worker-crash, lsq-corrupt)";
         return false;
     }
     return true;
@@ -158,26 +151,6 @@ bool
 FaultInjector::injectWorkerCrash(const std::string &key) const
 {
     return decide("worker-crash", key, 0, spec_.workerCrashP);
-}
-
-bool
-FaultInjector::injectServeCrash(const std::string &key) const
-{
-    return decide("serve-crash", key, 0, spec_.serveCrashP);
-}
-
-bool
-FaultInjector::injectFrameTruncate(const std::string &identity,
-                                   unsigned attempt) const
-{
-    return decide("frame-truncate", identity, attempt,
-                  spec_.frameTruncateP);
-}
-
-bool
-FaultInjector::injectClientStall(const std::string &identity) const
-{
-    return decide("client-stall", identity, 0, spec_.clientStallP);
 }
 
 bool

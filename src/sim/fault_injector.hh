@@ -20,22 +20,14 @@
  *   worker-crash  SIGKILL the whole campaign process (dmdc_sim or a
  *                 bench) right after a freshly simulated run is
  *                 cached (process-recovery chaos)
- *   serve-crash   SIGKILL the dmdc_serve daemon right after a freshly
- *                 simulated ticket's finish record reaches the
- *                 durable ticket log (service chaos)
- *   frame-truncate  the daemon writes only half of a reply frame and
- *                 drops the connection (torn-frame chaos for clients)
- *   client-stall  the client pauses between sending a request and
- *                 reading the reply, modelling a slow consumer
  *   lsq-corrupt   silently weaken the LSQ's dependence checking for
  *                 the run (drop detected violations and commit-time
  *                 replays): the --check ordering oracle must report
  *                 the resulting forbidden outcomes, proving it would
  *                 catch a real checking bug
  *
- * The worker-crash and serve-crash sites model process death. They
- * fire only after a *freshly simulated* run has been cached (and, for
- * serve-crash, its finish record logged), so every crash strictly
+ * The worker-crash site models process death. It fires only after a
+ * *freshly simulated* run has been cached, so every crash strictly
  * follows progress: rerunning the same command is served that run
  * from the cache, and a campaign with R runs converges within R + 1
  * invocations.
@@ -57,9 +49,6 @@ struct FaultSpec
     double runThrowP = 0.0;
     double runHangP = 0.0;
     double workerCrashP = 0.0;
-    double serveCrashP = 0.0;
-    double frameTruncateP = 0.0;
-    double clientStallP = 0.0;
     double lsqCorruptP = 0.0;
     std::uint64_t seed = 0;
 
@@ -67,10 +56,7 @@ struct FaultSpec
     any() const
     {
         return cacheCorruptP > 0.0 || runThrowP > 0.0 ||
-            runHangP > 0.0 || workerCrashP > 0.0 ||
-            serveCrashP > 0.0 ||
-            frameTruncateP > 0.0 || clientStallP > 0.0 ||
-            lsqCorruptP > 0.0;
+            runHangP > 0.0 || workerCrashP > 0.0 || lsqCorruptP > 0.0;
     }
 };
 
@@ -114,21 +100,6 @@ class FaultInjector
     /** Kill the campaign process after the freshly simulated run
      *  identified by @p key is cached? */
     bool injectWorkerCrash(const std::string &key) const;
-
-    /** SIGKILL the dmdc_serve daemon after the freshly simulated
-     *  ticket identified by @p key logs its finish record? */
-    bool injectServeCrash(const std::string &key) const;
-
-    /** Truncate the reply frame identified by @p identity (the
-     *  request payload) on connection number @p attempt and drop the
-     *  connection? Mixing in the daemon's accepted-connection ordinal
-     *  lets a reconnecting client re-roll deterministically. */
-    bool injectFrameTruncate(const std::string &identity,
-                             unsigned attempt) const;
-
-    /** Stall the client between sending the request identified by
-     *  @p identity and reading its reply? */
-    bool injectClientStall(const std::string &identity) const;
 
     /** Silently weaken the LSQ checking of the run identified by
      *  @p key? (Per-run: the corruption, like a real checking bug,

@@ -1,9 +1,6 @@
 #include "sim/run_scheduler.hh"
 
 #include <algorithm>
-#include <atomic>
-#include <deque>
-#include <mutex>
 #include <thread>
 #include <tuple>
 #include <unordered_map>
@@ -75,33 +72,6 @@ lptAssignGroups(const std::vector<RunGroup> &groups, unsigned bins)
     return assignment;
 }
 
-const char *
-schedulerKindName(SchedulerKind kind)
-{
-    switch (kind) {
-      case SchedulerKind::WorkStealing: return "work-stealing";
-      case SchedulerKind::StaticLpt:    return "static-lpt";
-    }
-    return "?";
-}
-
-bool
-parseSchedulerKind(const std::string &name, SchedulerKind &out,
-                   std::string &err)
-{
-    if (name == "work-stealing") {
-        out = SchedulerKind::WorkStealing;
-        return true;
-    }
-    if (name == "static-lpt") {
-        out = SchedulerKind::StaticLpt;
-        return true;
-    }
-    err = "unknown scheduler '" + name +
-          "' (expected work-stealing or static-lpt)";
-    return false;
-}
-
 namespace
 {
 
@@ -129,151 +99,93 @@ groupItems(const std::vector<ScheduledRun> &items)
     return groups;
 }
 
-/**
- * Shared base: per-worker deques seeded by the LPT partition. The
- * seed places whole identity groups, biggest first, so each deque
- * starts with a balanced, co-located slice.
- */
-class DequeSchedulerBase : public RunScheduler
-{
-  public:
-    void
-    seed(std::vector<ScheduledRun> items, unsigned workers) override
-    {
-        workers_ = std::max(1u, workers);
-        deques_.clear();
-        for (unsigned w = 0; w < workers_; ++w)
-            deques_.push_back(std::make_unique<Deque>());
-        const std::vector<RunGroup> groups = groupItems(items);
-        const std::vector<unsigned> bins =
-            lptAssignGroups(groups, workers_);
-        for (std::size_t g = 0; g < groups.size(); ++g) {
-            Deque &d = *deques_[bins[g]];
-            for (std::size_t member : groups[g].members)
-                d.q.push_back(std::move(items[member]));
-        }
-        for (const auto &d : deques_)
-            d->size.store(d->q.size(), std::memory_order_relaxed);
-    }
-
-    void
-    submit(ScheduledRun item) override
-    {
-        // Co-locate by identity so a daemon submitting the same
-        // triple twice lands both on one worker's deque.
-        const unsigned w = static_cast<unsigned>(
-            hashBytes(item.identity.data(), item.identity.size()) %
-            workers_);
-        Deque &d = *deques_[w];
-        std::lock_guard<std::mutex> lock(d.m);
-        d.q.push_back(std::move(item));
-        d.size.fetch_add(1, std::memory_order_relaxed);
-    }
-
-  protected:
-    struct Deque
-    {
-        std::mutex m;
-        std::deque<ScheduledRun> q;
-        std::atomic<std::size_t> size{0};
-    };
-
-    bool
-    popOwn(unsigned worker, ScheduledRun &out)
-    {
-        Deque &d = *deques_[worker];
-        std::lock_guard<std::mutex> lock(d.m);
-        if (d.q.empty())
-            return false;
-        out = std::move(d.q.front());
-        d.q.pop_front();
-        d.size.fetch_sub(1, std::memory_order_relaxed);
-        return true;
-    }
-
-    unsigned workers_ = 1;
-    std::vector<std::unique_ptr<Deque>> deques_;
-};
-
-/** Pure static partition: a worker owns its bin and nothing else. */
-class StaticLptScheduler final : public DequeSchedulerBase
-{
-  public:
-    bool
-    next(unsigned worker, ScheduledRun &out) override
-    {
-        return popOwn(worker % workers_, out);
-    }
-};
-
-/** LPT-seeded deques plus steal-half rebalancing. */
-class WorkStealingScheduler final : public DequeSchedulerBase
-{
-  public:
-    bool
-    next(unsigned worker, ScheduledRun &out) override
-    {
-        const unsigned w = worker % workers_;
-        for (;;) {
-            if (popOwn(w, out))
-                return true;
-            // Pick the victim with the most unclaimed work (sizes are
-            // racy hints; the steal itself revalidates under lock).
-            unsigned victim = w;
-            std::size_t most = 0;
-            for (unsigned v = 0; v < workers_; ++v) {
-                if (v == w)
-                    continue;
-                const std::size_t sz =
-                    deques_[v]->size.load(std::memory_order_relaxed);
-                if (sz > most) {
-                    most = sz;
-                    victim = v;
-                }
-            }
-            if (most == 0)
-                return false; // nothing unclaimed anywhere
-            stealHalf(victim, w);
-            // Retry even if the steal raced empty: another thief may
-            // have taken it, but then its deque drains toward the
-            // `most == 0` exit.
-        }
-    }
-
-  private:
-    void
-    stealHalf(unsigned victim, unsigned thief)
-    {
-        Deque &v = *deques_[victim];
-        Deque &t = *deques_[thief];
-        // Deadlock-free: every thief locks in index order.
-        Deque &first = victim < thief ? v : t;
-        Deque &second = victim < thief ? t : v;
-        std::lock_guard<std::mutex> l1(first.m);
-        std::lock_guard<std::mutex> l2(second.m);
-        // Take the *back* half: the owner works from the front, so
-        // the steal touches the work it would reach last.
-        const std::size_t n = (v.q.size() + 1) / 2;
-        for (std::size_t i = 0; i < n; ++i) {
-            t.q.push_back(std::move(v.q.back()));
-            v.q.pop_back();
-        }
-        v.size.fetch_sub(n, std::memory_order_relaxed);
-        t.size.fetch_add(n, std::memory_order_relaxed);
-        static TraceCategory &cat = traceCategory("runner");
-        static const std::uint16_t steal = traceNameId("steal");
-        traceInstantArg(cat, steal, n);
-    }
-};
-
 } // namespace
 
-std::unique_ptr<RunScheduler>
-makeRunScheduler(SchedulerKind kind)
+void
+RunScheduler::seed(std::vector<ScheduledRun> items, unsigned workers)
 {
-    if (kind == SchedulerKind::StaticLpt)
-        return std::make_unique<StaticLptScheduler>();
-    return std::make_unique<WorkStealingScheduler>();
+    // The seed places whole identity groups, biggest first, so each
+    // deque starts with a balanced, co-located slice.
+    workers_ = std::max(1u, workers);
+    deques_.clear();
+    for (unsigned w = 0; w < workers_; ++w)
+        deques_.push_back(std::make_unique<Deque>());
+    const std::vector<RunGroup> groups = groupItems(items);
+    const std::vector<unsigned> bins = lptAssignGroups(groups, workers_);
+    for (std::size_t g = 0; g < groups.size(); ++g) {
+        Deque &d = *deques_[bins[g]];
+        for (std::size_t member : groups[g].members)
+            d.q.push_back(std::move(items[member]));
+    }
+    for (const auto &d : deques_)
+        d->size.store(d->q.size(), std::memory_order_relaxed);
+}
+
+bool
+RunScheduler::popOwn(unsigned worker, ScheduledRun &out)
+{
+    Deque &d = *deques_[worker];
+    std::lock_guard<std::mutex> lock(d.m);
+    if (d.q.empty())
+        return false;
+    out = std::move(d.q.front());
+    d.q.pop_front();
+    d.size.fetch_sub(1, std::memory_order_relaxed);
+    return true;
+}
+
+bool
+RunScheduler::next(unsigned worker, ScheduledRun &out)
+{
+    const unsigned w = worker % workers_;
+    for (;;) {
+        if (popOwn(w, out))
+            return true;
+        // Pick the victim with the most unclaimed work (sizes are
+        // racy hints; the steal itself revalidates under lock).
+        unsigned victim = w;
+        std::size_t most = 0;
+        for (unsigned v = 0; v < workers_; ++v) {
+            if (v == w)
+                continue;
+            const std::size_t sz =
+                deques_[v]->size.load(std::memory_order_relaxed);
+            if (sz > most) {
+                most = sz;
+                victim = v;
+            }
+        }
+        if (most == 0)
+            return false; // nothing unclaimed anywhere
+        stealHalf(victim, w);
+        // Retry even if the steal raced empty: another thief may
+        // have taken it, but then its deque drains toward the
+        // `most == 0` exit.
+    }
+}
+
+void
+RunScheduler::stealHalf(unsigned victim, unsigned thief)
+{
+    Deque &v = *deques_[victim];
+    Deque &t = *deques_[thief];
+    // Deadlock-free: every thief locks in index order.
+    Deque &first = victim < thief ? v : t;
+    Deque &second = victim < thief ? t : v;
+    std::lock_guard<std::mutex> l1(first.m);
+    std::lock_guard<std::mutex> l2(second.m);
+    // Take the *back* half: the owner works from the front, so the
+    // steal touches the work it would reach last.
+    const std::size_t n = (v.q.size() + 1) / 2;
+    for (std::size_t i = 0; i < n; ++i) {
+        t.q.push_back(std::move(v.q.back()));
+        v.q.pop_back();
+    }
+    v.size.fetch_sub(n, std::memory_order_relaxed);
+    t.size.fetch_add(n, std::memory_order_relaxed);
+    static TraceCategory &cat = traceCategory("runner");
+    static const std::uint16_t steal = traceNameId("steal");
+    traceInstantArg(cat, steal, n);
 }
 
 unsigned

@@ -1,27 +1,17 @@
 /**
  * @file
- * Pluggable placement of campaign runs onto worker threads.
+ * Placement of campaign runs onto worker threads.
  *
- * Two policies share one grouping rule — runs with equal journal
- * identity (benchmark, scheme, config) always co-locate, because
- * splitting a repeated triple across executors breaks the journal
- * merger's disjointness invariant and wastes duplicate simulations:
- *
- *  - StaticLpt: the shard partitioner's longest-processing-time
- *    greedy, applied to threads instead of processes. Deterministic
- *    placement, zero coordination after seeding; a worker that drains
- *    its bin stops. This is the same pure function `--shard` uses, so
- *    a thread-level and a process-level split of one campaign agree
- *    about who owns what.
- *
- *  - WorkStealing: the same LPT seeding, but a worker that drains its
- *    own deque steals the back half of the fullest victim's. Cost
- *    estimates (instruction budgets) are only estimates — timeouts,
- *    retries, and cache hits skew real run times — and stealing
- *    absorbs the skew without giving up the locality of the seed.
- *    Queues also accept runs submitted after workers have started,
- *    which is what lets the dmdc_serve daemon multiplex late-arriving
- *    campaigns onto one shared pool.
+ * Runs with equal journal identity (benchmark, scheme, config) always
+ * co-locate, because splitting a repeated triple across executors
+ * breaks the journal merger's disjointness invariant and wastes
+ * duplicate simulations. The per-worker deques are seeded with the
+ * shard partitioner's longest-processing-time greedy, applied to
+ * threads instead of processes; a worker that drains its own deque
+ * steals the back half of the fullest victim's. Cost estimates
+ * (instruction budgets) are only estimates — timeouts, retries, and
+ * cache hits skew real run times — and stealing absorbs the skew
+ * without giving up the locality of the seed.
  *
  * The scheduler only decides *placement and order*; execution,
  * isolation, and caching stay in CampaignRunner.
@@ -30,8 +20,11 @@
 #ifndef DMDC_SIM_RUN_SCHEDULER_HH
 #define DMDC_SIM_RUN_SCHEDULER_HH
 
+#include <atomic>
 #include <cstdint>
+#include <deque>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -67,51 +60,44 @@ std::vector<RunGroup> groupRunsByIdentity(
  * Longest-processing-time greedy: big groups first, each placed on
  * the least-loaded of @p bins. Returns one bin per group. The (hash,
  * key) tie-breakers make the result a pure function of the input —
- * shardAssignment() and StaticLpt are both built on this.
+ * shardAssignment() and the RunScheduler seed are both built on this.
  */
 std::vector<unsigned> lptAssignGroups(const std::vector<RunGroup> &groups,
                                       unsigned bins);
 
-/** Placement policies selectable via --scheduler. */
-enum class SchedulerKind
-{
-    WorkStealing, ///< LPT-seeded deques + steal-half (default)
-    StaticLpt,    ///< pure LPT partition, no rebalancing
-};
-
-const char *schedulerKindName(SchedulerKind kind);
-bool parseSchedulerKind(const std::string &name, SchedulerKind &out,
-                        std::string &err);
-
 /**
- * Distributes ScheduledRuns across a fixed number of worker slots.
- * Thread-safe: each worker calls next() from its own thread, and
- * submit() may race with running workers (work-stealing only grows
- * queues; claimed runs never reappear).
+ * Distributes ScheduledRuns across a fixed number of worker slots:
+ * LPT-seeded per-worker deques plus steal-half rebalancing.
+ * Thread-safe: each worker calls next() from its own thread.
  */
 class RunScheduler
 {
   public:
-    virtual ~RunScheduler() = default;
-
     /** Place @p items across @p workers queues. Call once, before the
-     *  workers start; later additions go through submit(). */
-    virtual void seed(std::vector<ScheduledRun> items,
-                      unsigned workers) = 0;
-
-    /** Enqueue one more run after seeding (co-located by identity). */
-    virtual void submit(ScheduledRun item) = 0;
+     *  workers start. */
+    void seed(std::vector<ScheduledRun> items, unsigned workers);
 
     /**
      * Claim the next run for worker @p worker. Returns false when no
-     * unclaimed run remains anywhere (for StaticLpt: in this worker's
-     * bin). Each seeded/submitted run is returned exactly once across
-     * all workers.
+     * unclaimed run remains anywhere. Each seeded run is returned
+     * exactly once across all workers.
      */
-    virtual bool next(unsigned worker, ScheduledRun &out) = 0;
-};
+    bool next(unsigned worker, ScheduledRun &out);
 
-std::unique_ptr<RunScheduler> makeRunScheduler(SchedulerKind kind);
+  private:
+    struct Deque
+    {
+        std::mutex m;
+        std::deque<ScheduledRun> q;
+        std::atomic<std::size_t> size{0};
+    };
+
+    bool popOwn(unsigned worker, ScheduledRun &out);
+    void stealHalf(unsigned victim, unsigned thief);
+
+    unsigned workers_ = 1;
+    std::vector<std::unique_ptr<Deque>> deques_;
+};
 
 /** Worker slots when none are requested: hardware_concurrency(),
  *  clamped to at least 1. */

@@ -5,19 +5,27 @@
  * LRU eviction, index rebuild and compaction, and — the part that
  * cannot be faked in-process — two real processes sharing one store:
  * simultaneous same-key writers and a reader racing a compaction must
- * lose no entries and quarantine nothing that isn't corrupt.
+ * lose no entries and quarantine nothing that isn't corrupt. The
+ * per-key claim rules (exclusive, dead or own pid taken over, other
+ * hosts ignored, released by every run, invisible to the index) close
+ * the file.
  */
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <csignal>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
 
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include "sim/cache_store.hh"
+#include "sim/campaign_runner.hh"
+#include "sim/fault_injector.hh"
 
 namespace dmdc
 {
@@ -234,6 +242,17 @@ runForked(Fn child)
     return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
 }
 
+/** Pid of a child that has exited and been reaped. */
+pid_t
+runForkedPid()
+{
+    const pid_t pid = fork();
+    if (pid == 0)
+        _exit(0);
+    waitpid(pid, nullptr, 0);
+    return pid;
+}
+
 TEST_F(CacheStoreTest, TwoProcessSameKeyWriters)
 {
     // Parent and child both hammer the same keys with identical
@@ -333,6 +352,242 @@ TEST_F(CacheStoreTest, ReaderSurvivesConcurrentCompaction)
         EXPECT_EQ(out, payloadOf(i));
     }
     EXPECT_EQ(fresh.stats().quarantined, 0u);
+}
+
+// ---- per-key claims ---------------------------------------------------
+
+std::string
+thisHost()
+{
+    char host[256] = {0};
+    gethostname(host, sizeof(host) - 1);
+    return host;
+}
+
+std::string
+claimText(long pid, const std::string &host)
+{
+    return std::to_string(pid) + " " + host + "\n";
+}
+
+/** Write a claim for @p key by hand, as another process would. */
+void
+plantClaim(const CacheStore &store, const std::string &key,
+           const std::string &text)
+{
+    fs::create_directories(store.config().dir);
+    std::ofstream(store.claimPath(key)) << text;
+}
+
+std::string
+slurp(const std::string &path)
+{
+    std::ifstream is(path);
+    return std::string(std::istreambuf_iterator<char>(is), {});
+}
+
+/** Claim files (and set-aside stale ones) left in @p dir. */
+std::size_t
+countClaims(const std::string &dir)
+{
+    std::size_t n = 0;
+    for (const auto &e : fs::directory_iterator(dir)) {
+        if (e.path().filename().string().find(".claim") !=
+            std::string::npos)
+            ++n;
+    }
+    return n;
+}
+
+TEST_F(CacheStoreTest, ClaimExcludesOtherLiveProcess)
+{
+    CacheStore store(storeConfig(dir_));
+    ASSERT_EQ(store.claim("key-a"), CacheStore::Claim::Won);
+    EXPECT_EQ(slurp(store.claimPath("key-a")),
+              claimText(getpid(), thisHost()));
+
+    // A second live process on this host must defer to the holder...
+    const std::string dir = dir_;
+    EXPECT_EQ(runForked([&] {
+                  CacheStore other(storeConfig(dir));
+                  _exit(static_cast<int>(other.claim("key-a")));
+              }),
+              static_cast<int>(CacheStore::Claim::Held));
+
+    // ...until the holder releases; then the next claimant wins.
+    store.releaseClaim("key-a");
+    EXPECT_FALSE(fs::exists(store.claimPath("key-a")));
+    EXPECT_EQ(runForked([&] {
+                  CacheStore other(storeConfig(dir));
+                  const CacheStore::Claim c = other.claim("key-a");
+                  other.releaseClaim("key-a");
+                  _exit(static_cast<int>(c));
+              }),
+              static_cast<int>(CacheStore::Claim::Won));
+    EXPECT_EQ(countClaims(dir_), 0u);
+}
+
+TEST_F(CacheStoreTest, DeadHolderClaimIsTakenOver)
+{
+    // A reaped child's pid names no process: kill(pid, 0) is ESRCH.
+    const pid_t dead = runForkedPid();
+    CacheStore store(storeConfig(dir_));
+    plantClaim(store, "key-a", claimText(dead, thisHost()));
+
+    EXPECT_EQ(store.claim("key-a"), CacheStore::Claim::Won);
+    EXPECT_EQ(slurp(store.claimPath("key-a")),
+              claimText(getpid(), thisHost()));
+    store.releaseClaim("key-a");
+    EXPECT_EQ(countClaims(dir_), 0u);
+}
+
+TEST_F(CacheStoreTest, OwnPidClaimIsTakenOver)
+{
+    // Only an earlier process with the same pid can have left it: this
+    // process dedups its own keys before it ever claims.
+    CacheStore store(storeConfig(dir_));
+    plantClaim(store, "key-a", claimText(getpid(), thisHost()));
+    EXPECT_EQ(store.claim("key-a"), CacheStore::Claim::Won);
+    store.releaseClaim("key-a");
+    EXPECT_EQ(countClaims(dir_), 0u);
+}
+
+TEST_F(CacheStoreTest, OtherHostClaimIsIgnored)
+{
+    // pid 1 is alive here, but the claim names another host: it is
+    // neither waited on nor taken over.
+    CacheStore store(storeConfig(dir_));
+    const std::string foreign = claimText(1, thisHost() + "-elsewhere");
+    plantClaim(store, "key-a", foreign);
+    EXPECT_EQ(store.claim("key-a"), CacheStore::Claim::Unclaimed);
+    store.releaseClaim("key-a");
+    EXPECT_EQ(slurp(store.claimPath("key-a")), foreign);
+}
+
+SimOptions
+tinyRun()
+{
+    SimOptions opt;
+    opt.benchmark = "gzip";
+    opt.scheme = "baseline";
+    opt.warmupInsts = 500;
+    opt.runInsts = 5000;
+    return opt;
+}
+
+TEST_F(CacheStoreTest, CampaignRunsReleaseTheirClaims)
+{
+    CampaignConfig cfg;
+    cfg.jobs = 2;
+    cfg.cacheDir = dir_;
+    cfg.maxRetries = 0;
+    std::vector<SimOptions> runs;
+    for (const char *bench : {"gzip", "swim"}) {
+        SimOptions opt = tinyRun();
+        opt.benchmark = bench;
+        runs.push_back(opt);
+    }
+
+    // Failed runs release the claim they simulated under...
+    FaultSpec spec;
+    spec.runThrowP = 1.0;
+    FaultInjector::global().configure(spec);
+    {
+        CampaignRunner runner(cfg);
+        const CampaignResult cr = runner.runChecked(runs);
+        FaultInjector::global().configure({});
+        EXPECT_EQ(runner.lastStats().failed, runs.size());
+    }
+    ASSERT_TRUE(fs::exists(dir_)); // the claims created it
+    EXPECT_EQ(countClaims(dir_), 0u);
+
+    // ...and so do successful ones, after publishing the entry.
+    CampaignRunner runner(cfg);
+    EXPECT_TRUE(runner.runChecked(runs).allOk());
+    EXPECT_EQ(runner.lastStats().simulated, runs.size());
+    EXPECT_EQ(countClaims(dir_), 0u);
+    EXPECT_EQ(countEntries(dir_), runs.size());
+}
+
+TEST_F(CacheStoreTest, DeferredRunSimulatesPastItsTimeout)
+{
+    // A live holder that never finishes (a paused child) cannot stall
+    // a run that has a timeout: past it, the waiter simulates itself.
+    const pid_t holder = fork();
+    ASSERT_GE(holder, 0);
+    if (holder == 0) {
+        pause();
+        _exit(0);
+    }
+    const SimOptions opt = tinyRun();
+    CacheStore store(storeConfig(dir_));
+    const std::string held = claimText(holder, thisHost());
+    plantClaim(store, cacheKey(opt), held);
+
+    CampaignConfig cfg;
+    cfg.jobs = 1;
+    cfg.cacheDir = dir_;
+    cfg.timeoutMs = 300;
+    CampaignRunner runner(cfg);
+    const auto t0 = std::chrono::steady_clock::now();
+    const CampaignResult cr = runner.runChecked({opt});
+    const auto waited = std::chrono::steady_clock::now() - t0;
+    kill(holder, SIGKILL);
+    waitpid(holder, nullptr, 0);
+
+    EXPECT_TRUE(cr.allOk());
+    EXPECT_EQ(runner.lastStats().simulated, 1u);
+    EXPECT_GE(waited, std::chrono::milliseconds(300));
+    // The holder's claim is not the waiter's to remove.
+    EXPECT_EQ(slurp(store.claimPath(cacheKey(opt))), held);
+}
+
+TEST_F(CacheStoreTest, DeferredRunSkipsOnInterrupt)
+{
+    // The parent holds the claim; the child's campaign waits on it
+    // until an interrupt request turns the run into a skip. Forked,
+    // because the interrupt flag is process-wide and one-way.
+    const SimOptions opt = tinyRun();
+    CacheStore store(storeConfig(dir_));
+    ASSERT_EQ(store.claim(cacheKey(opt)), CacheStore::Claim::Won);
+    const std::string dir = dir_;
+    EXPECT_EQ(runForked([&] {
+                  std::thread stopper([] {
+                      std::this_thread::sleep_for(
+                          std::chrono::milliseconds(200));
+                      requestCampaignInterrupt();
+                  });
+                  CampaignConfig cfg;
+                  cfg.jobs = 1;
+                  cfg.cacheDir = dir;
+                  CampaignRunner runner(cfg);
+                  const CampaignResult cr = runner.runChecked({opt});
+                  stopper.join();
+                  _exit(cr.outcomes[0].status == RunStatus::Skipped
+                            ? 0 : 1);
+              }),
+              0);
+    store.releaseClaim(cacheKey(opt));
+    EXPECT_EQ(countClaims(dir_), 0u);
+}
+
+TEST_F(CacheStoreTest, ClaimsStayOutOfTheIndex)
+{
+    {
+        CacheStore store(storeConfig(dir_));
+        ASSERT_EQ(store.claim("key-a"), CacheStore::Claim::Won);
+        store.store("key-b", "payload-b");
+        EXPECT_EQ(store.liveEntries(), 1u);
+        // Left held, as by a process killed mid-simulation.
+    }
+    fs::remove(fs::path(dir_) / "index.log");
+
+    CacheStore fresh(storeConfig(dir_));
+    EXPECT_EQ(fresh.liveEntries(), 1u);
+    EXPECT_EQ(fresh.stats().indexRebuilds, 1u);
+    EXPECT_EQ(fresh.stats().quarantined, 0u);
+    EXPECT_TRUE(fs::exists(fresh.claimPath("key-a")));
+    EXPECT_FALSE(fs::exists(fs::path(dir_) / "quarantine"));
 }
 
 } // namespace

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -19,6 +20,7 @@
 
 #include "sim/campaign_runner.hh"
 #include "sim/campaign_shard.hh"
+#include "sim/cli_options.hh"
 #include "sim/fault_injector.hh"
 
 namespace dmdc
@@ -91,6 +93,60 @@ TEST(ShardSpec, RejectsMalformedSpecs)
         EXPECT_FALSE(parseShardSpec(bad, spec, err)) << bad;
         EXPECT_FALSE(err.empty()) << bad;
     }
+}
+
+/** Parse @p args as a campaign binary would; finalize() verdict. */
+bool
+parseCampaignCli(std::vector<std::string> args, CampaignCliOptions &out,
+                 std::string &err)
+{
+    args.insert(args.begin(), "prog");
+    std::vector<char *> argv;
+    for (std::string &a : args)
+        argv.push_back(a.data());
+    CliParser parser("prog");
+    out.addTo(parser);
+    return parser.parse(static_cast<int>(argv.size()), argv.data(),
+                        err) &&
+           out.finalize(err);
+}
+
+TEST(CampaignCli, CacheCapConvertsMebibytes)
+{
+    CampaignCliOptions cli;
+    std::string err;
+    ASSERT_TRUE(parseCampaignCli({"--cache-max-mb=3"}, cli, err)) << err;
+    EXPECT_EQ(cli.config.cacheMaxBytes, 3ull << 20);
+
+    CampaignCliOptions largest;
+    ASSERT_TRUE(parseCampaignCli({"--cache-max-mb=17592186044415"},
+                                 largest, err))
+        << err;
+    EXPECT_EQ(largest.config.cacheMaxBytes,
+              UINT64_MAX - ((1ull << 20) - 1));
+}
+
+TEST(CampaignCli, RejectsCacheCapThatOverflowsBytes)
+{
+    // 2^44 MiB would wrap to 0 (unlimited), 2^44 + 1 to a 1 MiB cap.
+    for (const char *mb : {"17592186044416", "17592186044417",
+                           "18446744073709551615"}) {
+        CampaignCliOptions cli;
+        std::string err;
+        EXPECT_FALSE(parseCampaignCli(
+            {std::string("--cache-max-mb=") + mb}, cli, err))
+            << mb;
+        EXPECT_NE(err.find("--cache-max-mb"), std::string::npos) << err;
+    }
+}
+
+TEST(CampaignCli, SchedulerFlagIsGone)
+{
+    CampaignCliOptions cli;
+    std::string err;
+    EXPECT_FALSE(
+        parseCampaignCli({"--scheduler=work-stealing"}, cli, err));
+    EXPECT_FALSE(err.empty());
 }
 
 TEST(JournalOrder, SharedIdentityRecordsHaveATotalOrder)

@@ -233,6 +233,20 @@ TEST(Logging, WarnCountsMessages)
 
 // ---- JSON ------------------------------------------------------------
 
+TEST(Json, EscapedStringsSurviveParsing)
+{
+    const std::string nasty =
+        "line1\nline2\ttab \"quoted\" back\\slash \x01 control";
+    const std::string doc = "{\"s\":\"" + jsonEscapeString(nasty) +
+                            "\"}";
+    JsonValue root;
+    std::string err;
+    ASSERT_TRUE(parseJson(doc, root, err)) << err;
+    const JsonValue *s = root.find("s");
+    ASSERT_NE(s, nullptr);
+    EXPECT_EQ(s->text, nasty);
+}
+
 TEST(Json, NonFiniteTokensParseAsRawNumbers)
 {
     // Exactly the spellings "%.17g" gives non-finite doubles.

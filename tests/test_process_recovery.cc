@@ -6,6 +6,8 @@
  * in the run cache, and in both cases rerunning the same command
  * converges to a journal byte-identical to the serial
  * --json-deterministic run. Recovery needs nothing but the run cache.
+ * Two campaigns started together on one cache simulate each run once
+ * between them (the run cache's per-key claims).
  *
  * The integration tests receive the dmdc_sim location from CMake via
  * the DMDC_SIM_BIN compile definition.
@@ -18,6 +20,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -110,17 +113,30 @@ class ProcessRecovery : public ::testing::Test
      *  schemes, insts_ instructions each), journaling to @p journal
      *  over @p cache. */
     std::vector<std::string>
-    argv(const std::string &cache, const std::string &journal) const
+    argv(const std::string &cache, const std::string &journal,
+         bool deterministic = true) const
     {
-        return {DMDC_SIM_BIN,
-                "--bench=" + benches_,
-                "--scheme=baseline,yla",
-                "--insts=" + insts_,
-                "--warmup=2000",
-                "--jobs=2",
-                "--json-deterministic",
-                "--cache-dir=" + (scratch_ / cache).string(),
-                "--json=" + (scratch_ / journal).string()};
+        std::vector<std::string> args = {
+            DMDC_SIM_BIN,
+            "--bench=" + benches_,
+            "--scheme=baseline,yla",
+            "--insts=" + insts_,
+            "--warmup=2000",
+            "--jobs=2",
+            "--cache-dir=" + (scratch_ / cache).string(),
+            "--json=" + (scratch_ / journal).string()};
+        if (deterministic)
+            args.push_back("--json-deterministic");
+        return args;
+    }
+
+    /** Run @p a and @p b at the same time; 0 when both exit 0. */
+    static int
+    concurrently(const std::vector<std::string> &a,
+                 const std::vector<std::string> &b)
+    {
+        return shell(commandLine(a) + " & pid=$!; " + commandLine(b) +
+                     "; rb=$?; wait $pid; ra=$?; exit $((ra | rb))");
     }
 
     static std::string
@@ -253,6 +269,47 @@ TEST_F(ProcessRecovery, WorkerCrashLoopConvergesWithinRunsPlusOne)
                            << " invocations";
     EXPECT_GE(invocations, 2u);
     EXPECT_EQ(slurp(scratch_ / "chaos.json"), serial);
+}
+
+TEST_F(ProcessRecovery, ConcurrentCampaignsSimulateEachRunOnce)
+{
+    benches_ = "gzip,swim,vpr,mcf";
+    const std::string serial = serialJournal();
+    ASSERT_FALSE(serial.empty());
+
+    // Deterministic journals: both byte-identical to the serial run.
+    ASSERT_EQ(concurrently(argv("shared_det", "det_a.json"),
+                           argv("shared_det", "det_b.json")),
+              0);
+    EXPECT_EQ(slurp(scratch_ / "det_a.json"), serial);
+    EXPECT_EQ(slurp(scratch_ / "det_b.json"), serial);
+
+    // Full journals on a fresh cache: every run is simulated by exactly
+    // one of the two processes, and served from disk to the other.
+    ASSERT_EQ(concurrently(argv("shared", "a.json", false),
+                           argv("shared", "b.json", false)),
+              0);
+    std::map<std::string, int> fresh;
+    for (const char *journal : {"a.json", "b.json"}) {
+        JsonValue doc;
+        std::string err;
+        ASSERT_TRUE(parseJson(slurp(scratch_ / journal), doc, err))
+            << err;
+        const JsonValue *results = doc.find("results");
+        ASSERT_NE(results, nullptr);
+        EXPECT_EQ(results->items.size(), 8u) << journal;
+        for (const JsonValue &r : results->items) {
+            const std::string id = r.find("benchmark")->text + "/" +
+                                   r.find("scheme")->text + "/" +
+                                   r.find("config")->text;
+            fresh[id] += r.find("cached")->kind ==
+                             JsonValue::Kind::Bool &&
+                         !r.find("cached")->boolean;
+        }
+    }
+    EXPECT_EQ(fresh.size(), 8u);
+    for (const auto &[id, simulated] : fresh)
+        EXPECT_EQ(simulated, 1) << id;
 }
 
 } // namespace

@@ -1,18 +1,14 @@
 /**
  * @file
- * Tests of the pluggable run scheduler (sim/run_scheduler.hh): the
- * exactly-once claim contract under real thread contention, journal-
- * identity co-location, StaticLpt's drained-bin behavior, and
- * submit-after-seed (the dmdc_serve ingestion path).
+ * Tests of the run scheduler (sim/run_scheduler.hh): the exactly-once
+ * claim contract under real thread contention and the determinism of
+ * the LPT partition it (and --shard) seeds from.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
-#include <map>
 #include <mutex>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -64,10 +60,10 @@ drainConcurrently(RunScheduler &sched, unsigned workers)
 TEST(RunScheduler, WorkStealingClaimsEachRunExactlyOnce)
 {
     for (int round = 0; round < 20; ++round) {
-        auto sched = makeRunScheduler(SchedulerKind::WorkStealing);
+        RunScheduler sched;
         const std::size_t n = 64;
-        sched->seed(makeRuns(n, 16), 4);
-        auto claimed = drainConcurrently(*sched, 4);
+        sched.seed(makeRuns(n, 16), 4);
+        auto claimed = drainConcurrently(sched, 4);
 
         ASSERT_EQ(claimed.size(), n) << "round " << round;
         std::sort(claimed.begin(), claimed.end());
@@ -76,112 +72,6 @@ TEST(RunScheduler, WorkStealingClaimsEachRunExactlyOnce)
                 << "round " << round << ": run " << i
                 << " lost or double-claimed";
     }
-}
-
-TEST(RunScheduler, StaticLptWorkerStopsWhenItsBinDrains)
-{
-    auto sched = makeRunScheduler(SchedulerKind::StaticLpt);
-    sched->seed(makeRuns(6, 6), 8);
-
-    // More workers than groups: some bins are empty, and those
-    // workers must see "no work" immediately rather than stealing.
-    std::set<std::size_t> claimed;
-    for (unsigned w = 0; w < 8; ++w) {
-        ScheduledRun item;
-        while (sched->next(w, item))
-            EXPECT_TRUE(claimed.insert(item.index).second)
-                << "run " << item.index << " claimed twice";
-    }
-    EXPECT_EQ(claimed.size(), 6u);
-
-    ScheduledRun item;
-    EXPECT_FALSE(sched->next(0, item));
-}
-
-TEST(RunScheduler, StaticLptColocatesEqualIdentities)
-{
-    auto sched = makeRunScheduler(SchedulerKind::StaticLpt);
-    sched->seed(makeRuns(24, 4), 3);
-
-    std::map<std::string, std::set<unsigned>> workersByIdentity;
-    std::map<std::size_t, std::string> identityOf;
-    for (const auto &r : makeRuns(24, 4))
-        identityOf[r.index] = r.identity;
-
-    for (unsigned w = 0; w < 3; ++w) {
-        ScheduledRun item;
-        while (sched->next(w, item))
-            workersByIdentity[identityOf[item.index]].insert(w);
-    }
-    ASSERT_EQ(workersByIdentity.size(), 4u);
-    for (const auto &kv : workersByIdentity)
-        EXPECT_EQ(kv.second.size(), 1u)
-            << "identity " << kv.first << " split across workers";
-}
-
-TEST(RunScheduler, WorkStealingAcceptsSubmitAfterSeed)
-{
-    // The daemon's shape: seed an empty pool, then submit runs while
-    // workers are already draining. Everything submitted must come
-    // back exactly once.
-    auto sched = makeRunScheduler(SchedulerKind::WorkStealing);
-    sched->seed({}, 3);
-
-    const std::size_t n = 30;
-    std::atomic<std::size_t> submitted{0};
-    std::thread producer([&] {
-        auto runs = makeRuns(n, 5);
-        for (auto &r : runs) {
-            sched->submit(r);
-            submitted.fetch_add(1);
-        }
-    });
-
-    // Consumers poll until the producer is done and the queues drain.
-    std::mutex m;
-    std::set<std::size_t> claimed;
-    std::vector<std::thread> consumers;
-    for (unsigned w = 0; w < 3; ++w) {
-        consumers.emplace_back([&, w] {
-            ScheduledRun item;
-            while (true) {
-                if (sched->next(w, item)) {
-                    std::lock_guard<std::mutex> guard(m);
-                    EXPECT_TRUE(claimed.insert(item.index).second);
-                } else if (submitted.load() == n) {
-                    // One last sweep after the producer finished: a
-                    // false next() now means genuinely empty.
-                    if (!sched->next(w, item))
-                        break;
-                    std::lock_guard<std::mutex> guard(m);
-                    EXPECT_TRUE(claimed.insert(item.index).second);
-                } else {
-                    std::this_thread::yield();
-                }
-            }
-        });
-    }
-    producer.join();
-    for (auto &t : consumers)
-        t.join();
-    EXPECT_EQ(claimed.size(), n);
-}
-
-TEST(RunScheduler, KindNamesRoundTrip)
-{
-    SchedulerKind kind;
-    std::string err;
-    ASSERT_TRUE(parseSchedulerKind("work-stealing", kind, err));
-    EXPECT_EQ(kind, SchedulerKind::WorkStealing);
-    ASSERT_TRUE(parseSchedulerKind("static-lpt", kind, err));
-    EXPECT_EQ(kind, SchedulerKind::StaticLpt);
-    EXPECT_FALSE(parseSchedulerKind("fifo", kind, err));
-    EXPECT_FALSE(err.empty());
-
-    EXPECT_STREQ(schedulerKindName(SchedulerKind::WorkStealing),
-                 "work-stealing");
-    EXPECT_STREQ(schedulerKindName(SchedulerKind::StaticLpt),
-                 "static-lpt");
 }
 
 TEST(RunScheduler, LptAssignmentIsDeterministic)

@@ -75,13 +75,13 @@
 #include <string>
 #include <vector>
 
+#include "common/build_info.hh"
 #include "common/logging.hh"
 #include "energy/energy_model.hh"
 #include "lsq/policy/registry.hh"
 #include "sim/campaign_runner.hh"
 #include "sim/cli_options.hh"
 #include "sim/run_error.hh"
-#include "sim/service.hh"
 #include "sim/simulator.hh"
 #include "trace/spec_suite.hh"
 
@@ -283,13 +283,10 @@ main(int argc, char **argv)
                "print the scheme registry and exit");
     cli.action("version",
                [] {
-                   // The same identity triple the dmdc_serve
-                   // handshake compares (service.hh).
-                   const ServiceIdentity id = localServiceIdentity();
                    std::printf("commit %s\ncache-format %u\n"
                                "policy-revision %s\n",
-                               id.commit.c_str(), id.cacheFormat,
-                               id.policyRevision.c_str());
+                               buildCommit(), kCacheFormatVersion,
+                               policySourceFingerprint().c_str());
                    std::exit(kExitOk);
                },
                "print commit/cache-format/policy revision and exit");
