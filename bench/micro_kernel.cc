@@ -5,7 +5,8 @@
  * queue's O(1) safe-load check and binary-search load probe, the
  * checking table's occupancy pre-filter, the cost of an empty
  * pipeline tick vs. one bulk-skipped idle cycle, a busy tick that
- * wakes and selects every cycle, and the trace-sink call sites
+ * wakes and selects every cycle, synthetic workload generation
+ * (correct-path and wrong-path ops), and the trace-sink call sites
  * (disabled vs. recording). These document the
  * kernel-performance architecture (DESIGN.md Sec. 15) and guard the
  * fast paths against accidental complexity regressions.
@@ -24,6 +25,7 @@
 #include "lsq/store_queue.hh"
 #include "sim/machine_config.hh"
 #include "trace/spec_suite.hh"
+#include "trace/synthetic.hh"
 
 namespace
 {
@@ -255,6 +257,64 @@ BM_BusyTick(benchmark::State &state)
         static_cast<double>(state.iterations()));
 }
 BENCHMARK(BM_BusyTick);
+
+// ---- workload generation -------------------------------------------
+
+/** The kernel-busy benchmark pool (high-IPC, generation-bound). */
+std::vector<std::unique_ptr<SyntheticWorkload>>
+busyPool()
+{
+    std::vector<std::unique_ptr<SyntheticWorkload>> pool;
+    for (const char *name : {"sixtrack", "crafty", "mesa", "eon", "gzip"})
+        pool.push_back(makeSpecWorkload(name));
+    return pool;
+}
+
+/**
+ * One correct-path op() per iteration, round-robin over the busy
+ * pool, each workload discarding ops as a ROB-sized commit lag
+ * retires them: the generator's per-op cost as the pipeline sees it.
+ */
+void
+BM_WorkloadOp(benchmark::State &state)
+{
+    constexpr std::uint64_t lag = 256;
+    auto pool = busyPool();
+    std::size_t k = 0;
+    std::uint64_t index = 0;
+    for (auto _ : state) {
+        Workload &w = *pool[k];
+        benchmark::DoNotOptimize(w.op(index).effAddr);
+        if (index >= lag)
+            w.discardBefore(index - lag);
+        if (++k == pool.size()) {
+            k = 0;
+            ++index;
+        }
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_WorkloadOp);
+
+/** One wrong-path op per iteration at in-region PCs (every pool
+ *  member has over 1024 static slots), fresh salts. */
+void
+BM_WrongPathOp(benchmark::State &state)
+{
+    auto pool = busyPool();
+    std::size_t k = 0;
+    std::uint64_t i = 0;
+    for (auto _ : state) {
+        Workload &w = *pool[k];
+        const Addr pc = pool[k]->codeBase() + 4 * ((i * 13) & 1023);
+        benchmark::DoNotOptimize(w.wrongPathOp(pc, i).effAddr);
+        ++i;
+        if (++k == pool.size())
+            k = 0;
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_WrongPathOp);
 
 // ---- trace-sink call sites ------------------------------------------
 

@@ -1,31 +1,19 @@
 /**
  * @file
- * xoshiro256** generator implementation.
+ * Rng seeding, the geometric reference formula and its threshold
+ * tables, and the byte-string hash.
  */
 
 #include "common/random.hh"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <map>
+#include <mutex>
 
 namespace dmdc
 {
-
-std::uint64_t
-splitmix64(std::uint64_t &state)
-{
-    std::uint64_t z = (state += 0x9e3779b97f4a7c15ull);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
-}
-
-std::uint64_t
-mixHash(std::uint64_t v)
-{
-    std::uint64_t state = v;
-    return splitmix64(state);
-}
 
 std::uint64_t
 hashBytes(const void *data, std::size_t len, std::uint64_t seed)
@@ -38,17 +26,6 @@ hashBytes(const void *data, std::size_t len, std::uint64_t seed)
     }
     return mixHash(h);
 }
-
-namespace
-{
-
-inline std::uint64_t
-rotl(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
-} // namespace
 
 Rng::Rng(std::uint64_t seed_value)
 {
@@ -63,32 +40,6 @@ Rng::seed(std::uint64_t seed_value)
         word = splitmix64(sm);
 }
 
-std::uint64_t
-Rng::next()
-{
-    const std::uint64_t result = rotl(s[1] * 5, 7) * 9;
-    const std::uint64_t t = s[1] << 17;
-
-    s[2] ^= s[0];
-    s[3] ^= s[1];
-    s[1] ^= s[2];
-    s[0] ^= s[3];
-    s[2] ^= t;
-    s[3] = rotl(s[3], 45);
-
-    return result;
-}
-
-std::uint64_t
-Rng::range(std::uint64_t bound)
-{
-    assert(bound > 0);
-    // Rejection-free multiply-shift; bias is negligible for
-    // simulation-scale bounds.
-    return static_cast<std::uint64_t>(
-        (static_cast<unsigned __int128>(next()) * bound) >> 64);
-}
-
 std::int64_t
 Rng::between(std::int64_t lo, std::int64_t hi)
 {
@@ -97,34 +48,101 @@ Rng::between(std::int64_t lo, std::int64_t hi)
         range(static_cast<std::uint64_t>(hi - lo) + 1));
 }
 
-double
-Rng::uniform()
+namespace
 {
-    // 53 random mantissa bits.
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
+
+/** The geometric formula, given its denominator log1p(-1/mean). */
+unsigned
+geometricFormula(double mean, double log_q, std::uint64_t draw)
+{
+    // Inverse-transform sampling, clamped to keep tails sane.
+    const double u = static_cast<double>(draw) * 0x1.0p-53;
+    const double v = std::log1p(-u) / log_q;
+    const double clamped = std::fmin(v + 1.0, mean * 16.0);
+    return static_cast<unsigned>(clamped < 1.0 ? 1.0 : clamped);
 }
 
-bool
-Rng::chance(double p)
-{
-    if (p <= 0.0)
-        return false;
-    if (p >= 1.0)
-        return true;
-    return uniform() < p;
-}
+} // namespace
 
 unsigned
 Rng::geometric(double mean)
 {
     if (mean <= 1.0)
         return 1;
-    const double p = 1.0 / mean;
-    // Inverse-transform sampling, clamped to keep tails sane.
-    const double u = uniform();
-    const double v = std::log1p(-u) / std::log1p(-p);
-    const double clamped = std::fmin(v + 1.0, mean * 16.0);
-    return static_cast<unsigned>(clamped < 1.0 ? 1.0 : clamped);
+    return geometricOfDraw(mean, next() >> 11);
+}
+
+unsigned
+Rng::geometricOfDraw(double mean, std::uint64_t draw)
+{
+    return geometricFormula(mean, std::log1p(-1.0 / mean), draw);
+}
+
+GeometricTable::GeometricTable(double mean)
+{
+    if (mean <= 1.0)
+        return;
+    constexpr std::uint64_t drawEnd = std::uint64_t{1} << 53;
+    const double log_q = std::log1p(-1.0 / mean);
+    auto reaches = [mean, log_q](std::uint64_t draw, unsigned k) {
+        return geometricFormula(mean, log_q, draw) >= k;
+    };
+    const unsigned top = geometricFormula(mean, log_q, drawEnd - 1);
+    thresholds_.reserve(top + 1);
+    thresholds_.push_back(0);
+    for (unsigned k = 2; k <= top; ++k) {
+        // The answer lies in [lo, hi]: the sample reaches k at the top
+        // draw and never below where it reaches k - 1.
+        std::uint64_t lo = thresholds_.back();
+        std::uint64_t hi = drawEnd - 1;
+        // Closed form: the sample reaches k where
+        // u >= 1 - (1 - 1/mean)^(k-1). Rounding can move the exact
+        // boundary by a draw, so the formula decides: two evaluations
+        // confirm a good guess, a few more gallop to a bracket and
+        // bisect it.
+        const double u = -std::expm1((k - 1) * log_q) * 0x1.0p53;
+        std::uint64_t guess = u < static_cast<double>(hi)
+            ? static_cast<std::uint64_t>(std::ceil(u)) : hi;
+        guess = std::max(guess, lo);
+        if (reaches(guess, k)) {
+            hi = guess;
+            for (std::uint64_t step = 1; step <= hi - lo; step *= 2) {
+                if (!reaches(hi - step, k)) {
+                    lo = hi - step + 1;
+                    break;
+                }
+                hi -= step;
+            }
+        } else {
+            lo = guess + 1;
+            for (std::uint64_t step = 1; step < hi - guess; step *= 2) {
+                if (reaches(guess + step, k)) {
+                    hi = guess + step;
+                    break;
+                }
+                guess += step;
+                lo = guess + 1;
+            }
+        }
+        while (lo < hi) {
+            const std::uint64_t mid = lo + (hi - lo) / 2;
+            if (reaches(mid, k))
+                hi = mid;
+            else
+                lo = mid + 1;
+        }
+        thresholds_.push_back(lo);
+    }
+    thresholds_.push_back(drawEnd);
+}
+
+const GeometricTable &
+GeometricTable::forMean(double mean)
+{
+    static std::mutex mutex;
+    static std::map<double, GeometricTable> tables;
+    const std::lock_guard<std::mutex> lock(mutex);
+    return tables.try_emplace(mean, mean).first->second;
 }
 
 } // namespace dmdc

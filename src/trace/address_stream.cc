@@ -81,25 +81,27 @@ void
 RecentStoreBuffer::push(Addr a, unsigned size)
 {
     ring_[head_] = Entry{a, size};
-    head_ = (head_ + 1) % ring_.size();
+    if (++head_ == ring_.size())
+        head_ = 0;
     if (count_ < ring_.size())
         ++count_;
 }
 
 Addr
 RecentStoreBuffer::sample(Rng &rng, unsigned &size_out,
-                          double mean_back) const
+                          const GeometricTable &back_dist) const
 {
     if (count_ == 0) {
         size_out = 8;
         return invalidAddr;
     }
     // Geometric bias toward the most recent entry.
-    unsigned back = rng.geometric(mean_back);
+    unsigned back = back_dist.sample(rng);
     if (back > count_)
         back = count_;
-    const unsigned idx =
-        (head_ + static_cast<unsigned>(ring_.size()) - back) % ring_.size();
+    unsigned idx = head_ - back;
+    if (head_ < back)
+        idx += static_cast<unsigned>(ring_.size());
     size_out = ring_[idx].size;
     return ring_[idx].addr;
 }

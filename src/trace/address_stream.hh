@@ -96,10 +96,10 @@ class RecentStoreBuffer
     /**
      * A recent store address, geometrically biased toward the newest
      * (short store-to-load distances dominate in real code).
-     * @param mean_back mean distance (in stores) from the newest entry
+     * @param back distance (in stores) from the newest entry
      */
     Addr sample(Rng &rng, unsigned &size_out,
-                double mean_back = 4.0) const;
+                const GeometricTable &back) const;
 
   private:
     struct Entry { Addr addr; unsigned size; };

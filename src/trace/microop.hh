@@ -83,19 +83,22 @@ isFpReg(RegIndex r)
  */
 struct MicroOp
 {
+    // The narrow fields sit together after pc so they pack into 16
+    // bytes: 48 per op instead of 56, in the trace window and in
+    // every DynInst.
     Addr pc = 0;
     OpClass cls = OpClass::Nop;
+    std::uint8_t memSize = 0;     ///< access width in bytes (1/2/4/8)
 
     RegIndex dst = noReg;
     RegIndex src1 = noReg;
     RegIndex src2 = noReg;
     RegIndex src3 = noReg;   ///< store data source
 
-    Addr effAddr = invalidAddr;
-    std::uint8_t memSize = 0;     ///< access width in bytes (1/2/4/8)
-
     BranchKind branch = BranchKind::NotABranch;
     bool taken = false;
+
+    Addr effAddr = invalidAddr;
     Addr targetPc = 0;
     Addr nextPc = 0;              ///< architectural successor PC
 
@@ -105,6 +108,8 @@ struct MicroOp
     bool isBranch() const { return cls == OpClass::Branch; }
     bool isFp() const { return isFpClass(cls); }
 };
+
+static_assert(sizeof(MicroOp) == 48, "MicroOp narrow fields must pack");
 
 } // namespace dmdc
 

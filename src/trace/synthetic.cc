@@ -5,6 +5,7 @@
 
 #include "trace/synthetic.hh"
 
+#include <algorithm>
 #include <array>
 
 #include "common/bitutils.hh"
@@ -21,6 +22,31 @@ constexpr Addr codeBaseAddr = 0x00400000;
 constexpr Addr dataBaseAddr = 0x10000000;
 constexpr Addr hotBaseAddr = 0x7fff0000;
 constexpr unsigned instBytes = 4;
+/** Initial op-window capacity (a power of two); it doubles on demand. */
+constexpr std::size_t initialWindow = 16;
+
+/** Step a ring index forward by one slot. */
+template <typename Ring>
+void
+advance(unsigned &head, const Ring &ring)
+{
+    if (++head == ring.size())
+        head = 0;
+}
+
+/** The entry @p back >= 1 slots behind @p head, at most the ring's
+ *  oldest. */
+template <typename Ring>
+auto
+behind(const Ring &ring, unsigned head, unsigned back)
+{
+    if (back > ring.size())
+        back = static_cast<unsigned>(ring.size());
+    unsigned idx = head - back;
+    if (head < back)
+        idx += static_cast<unsigned>(ring.size());
+    return ring[idx];
+}
 
 } // namespace
 
@@ -46,6 +72,10 @@ struct SyntheticWorkload::DynState
 {
     explicit DynState(const WorkloadParams &p)
         : rng(p.seed * 0x2545f4914f6cdd1dull + 1),
+          depDist(GeometricTable::forMean(p.depDistMean)),
+          aluChain(GeometricTable::forMean(2.0)),
+          shareBack(GeometricTable::forMean(4.0)),
+          nearStoreBack(GeometricTable::forMean(1.5)),
           chase(dataBaseAddr, Addr{1} << p.footprintLog2,
                 p.seed ^ 0xabcdefull),
           hotLoad(hotBaseAddr, (Addr{1} << p.hotLog2) / 2),
@@ -73,6 +103,10 @@ struct SyntheticWorkload::DynState
     }
 
     Rng rng;
+    const GeometricTable &depDist;        ///< producer-consumer distance
+    const GeometricTable &aluChain;       ///< index-arithmetic chains
+    const GeometricTable &shareBack;      ///< store distance, shared loads
+    const GeometricTable &nearStoreBack;  ///< store distance, near loads
     std::uint32_t curSlot = 0;
     std::vector<std::uint32_t> callStack;
 
@@ -107,7 +141,9 @@ struct SyntheticWorkload::DynState
 SyntheticWorkload::SyntheticWorkload(const WorkloadParams &params)
     : params_(params),
       static_(std::make_unique<Static>()),
-      dyn_(std::make_unique<DynState>(params))
+      dyn_(std::make_unique<DynState>(params)),
+      window_(initialWindow),
+      windowMask_(initialWindow - 1)
 {
     if (params_.numMainBlocks < 4)
         fatal("workload '%s': need at least 4 main blocks",
@@ -312,57 +348,33 @@ SyntheticWorkload::generateNext()
     op.cls = slot.cls;
 
     auto pick_int_src = [&]() -> RegIndex {
-        unsigned back = d.rng.geometric(params_.depDistMean);
-        if (back > d.recentInt.size())
-            back = static_cast<unsigned>(d.recentInt.size());
-        const unsigned idx =
-            (d.intHead + static_cast<unsigned>(d.recentInt.size()) - back) %
-            d.recentInt.size();
-        return d.recentInt[idx];
+        return behind(d.recentInt, d.intHead, d.depDist.sample(d.rng));
     };
     auto pick_fp_src = [&]() -> RegIndex {
-        unsigned back = d.rng.geometric(params_.depDistMean);
-        if (back > d.recentFp.size())
-            back = static_cast<unsigned>(d.recentFp.size());
-        const unsigned idx =
-            (d.fpHead + static_cast<unsigned>(d.recentFp.size()) - back) %
-            d.recentFp.size();
-        return d.recentFp[idx];
-    };
-    auto push_int_dst = [&](RegIndex r) {
-        d.recentInt[d.intHead] = r;
-        d.intHead = (d.intHead + 1) % d.recentInt.size();
-    };
-    auto push_fp_dst = [&](RegIndex r) {
-        d.recentFp[d.fpHead] = r;
-        d.fpHead = (d.fpHead + 1) % d.recentFp.size();
+        return behind(d.recentFp, d.fpHead, d.depDist.sample(d.rng));
     };
     auto pick_alu_src = [&]() -> RegIndex {
         // Short index-arithmetic chains: recent ALU results only.
-        unsigned back = d.rng.geometric(2.0);
-        if (back > d.recentIntAlu.size())
-            back = static_cast<unsigned>(d.recentIntAlu.size());
-        const unsigned idx = (d.intAluHead +
-            static_cast<unsigned>(d.recentIntAlu.size()) - back) %
-            d.recentIntAlu.size();
-        return d.recentIntAlu[idx];
+        return behind(d.recentIntAlu, d.intAluHead,
+                      d.aluChain.sample(d.rng));
     };
     auto new_int_dst = [&](bool alu_result) -> RegIndex {
         // Avoid reg 0; cycle through a window of the int file.
         const RegIndex r =
             static_cast<RegIndex>(1 + (d.intDstCounter++ % 30));
-        push_int_dst(r);
+        d.recentInt[d.intHead] = r;
+        advance(d.intHead, d.recentInt);
         if (alu_result) {
             d.recentIntAlu[d.intAluHead] = r;
-            d.intAluHead = (d.intAluHead + 1) %
-                d.recentIntAlu.size();
+            advance(d.intAluHead, d.recentIntAlu);
         }
         return r;
     };
     auto new_fp_dst = [&]() -> RegIndex {
         const RegIndex r = static_cast<RegIndex>(
             firstFpReg + (d.fpDstCounter++ % 30));
-        push_fp_dst(r);
+        d.recentFp[d.fpHead] = r;
+        advance(d.fpHead, d.recentFp);
         return r;
     };
     auto pick_size = [&](bool fp_dst) -> unsigned {
@@ -391,7 +403,8 @@ SyntheticWorkload::generateNext()
             d.chaseReg = op.dst;
         } else if (shared) {
             unsigned ssize = 8;
-            const Addr a = d.recentStores.sample(d.rng, ssize);
+            const Addr a =
+                d.recentStores.sample(d.rng, ssize, d.shareBack);
             op.src1 = pick_int_src();
             fp_dst = params_.fp && d.rng.chance(0.7);
             op.memSize = d.rng.chance(0.8)
@@ -403,7 +416,7 @@ SyntheticWorkload::generateNext()
             // store, different quad word.
             unsigned ssize = 8;
             const Addr store_addr =
-                d.recentStores.sample(d.rng, ssize, 1.5);
+                d.recentStores.sample(d.rng, ssize, d.nearStoreBack);
             fp_dst = params_.fp && d.rng.chance(0.7);
             op.src1 = pick_alu_src();
             op.memSize = fp_dst ? 8 : (d.rng.chance(0.5) ? 8 : 4);
@@ -421,7 +434,7 @@ SyntheticWorkload::generateNext()
             Addr a;
             if (d.rng.chance(params_.strideFrac) && !d.streams.empty()) {
                 a = d.streams[d.streamRR].next();
-                d.streamRR = (d.streamRR + 1) % d.streams.size();
+                advance(d.streamRR, d.streams);
             } else {
                 a = d.hotLoad.next(d.rng);
             }
@@ -430,17 +443,15 @@ SyntheticWorkload::generateNext()
         }
         if (!isFpReg(op.dst)) {
             d.recentLoadDst[d.loadDstHead] = op.dst;
-            d.loadDstHead = (d.loadDstHead + 1) % d.recentLoadDst.size();
+            advance(d.loadDstHead, d.recentLoadDst);
         }
         break;
       }
       case OpClass::Store: {
-        bool late_resolving = false;
         if (d.rng.chance(params_.storeAddrFromLoadFrac)) {
             // Address depends on a recent load result: resolves late.
             op.src1 = d.recentLoadDst[
                 d.rng.range(d.recentLoadDst.size())];
-            late_resolving = true;
         } else if (d.rng.chance(params_.storeAddrReadyFrac)) {
             // Stable base pointer: no in-flight producer, the store
             // resolves as soon as it issues (the common case).
@@ -455,23 +466,19 @@ SyntheticWorkload::generateNext()
         Addr a;
         if (d.rng.chance(params_.strideFrac) && !d.streams.empty()) {
             a = d.streams[d.streamRR].next();
-            d.streamRR = (d.streamRR + 1) % d.streams.size();
+            advance(d.streamRR, d.streams);
         } else {
             a = d.hotStore.next(d.rng);
         }
         op.effAddr = a & ~Addr{op.memSize - 1u};
-        // Loads that re-read stored locations (shareProb) sample this
-        // buffer. Real consumers compute the address the same way the
-        // store did, so they practically never issue before a
-        // promptly-resolving store; late-resolving (load-fed) stores
-        // are therefore rarely entered, keeping true order violations
-        // at the paper's few-per-million rate while still exercising
-        // forwarding, rejection and the occasional real violation.
-        // Only stores whose address is ready at rename (they resolve
-        // before any younger load can issue) enter the share buffer,
-        // plus a trickle of slow ones so genuine violations remain
-        // possible at the paper's few-per-million rate.
-        (void)late_resolving;
+        // Loads that re-read stored locations (shareProb, nearStore)
+        // sample this buffer. Real consumers compute the address the
+        // same way the store did, so they practically never issue
+        // before a promptly-resolving store. Hence only stores whose
+        // address is ready at rename enter the buffer, plus a trickle
+        // of slower ones, so forwarding, rejection and genuine order
+        // violations all occur, the last at the paper's
+        // few-per-million rate.
         if (op.src1 == noReg || d.rng.chance(0.03))
             d.recentStores.push(op.effAddr, op.memSize);
         break;
@@ -547,7 +554,16 @@ SyntheticWorkload::generateNext()
     if (d.curSlot >= st.slots.size())
         d.curSlot = 0;
 
-    window_.push_back(op);
+    if (windowEnd_ - windowBase_ == window_.size()) {
+        // Full: double the ring, re-placing each live op by its index.
+        std::vector<MicroOp> grown(window_.size() * 2);
+        const std::uint64_t mask = grown.size() - 1;
+        for (std::uint64_t i = windowBase_; i < windowEnd_; ++i)
+            grown[i & mask] = window_[i & windowMask_];
+        window_.swap(grown);
+        windowMask_ = mask;
+    }
+    window_[windowEnd_++ & windowMask_] = op;
 }
 
 const MicroOp &
@@ -558,17 +574,20 @@ SyntheticWorkload::op(std::uint64_t index)
               params_.name.c_str(),
               static_cast<unsigned long long>(index),
               static_cast<unsigned long long>(windowBase_));
-    while (windowBase_ + window_.size() <= index)
+    while (windowEnd_ <= index)
         generateNext();
-    return window_[index - windowBase_];
+    return window_[index & windowMask_];
 }
 
 MicroOp
 SyntheticWorkload::wrongPathOp(Addr pc, std::uint64_t salt)
 {
     const auto &st = *static_;
-    const std::uint64_t slot_idx =
-        ((pc - codeBaseAddr) / instBytes) % st.slots.size();
+    // PCs outside the code region (predicted targets of wrong paths)
+    // fold back into it; in-region PCs skip the division.
+    std::uint64_t slot_idx = (pc - codeBaseAddr) / instBytes;
+    if (slot_idx >= st.slots.size())
+        slot_idx %= st.slots.size();
     const StaticSlot &slot = st.slots[slot_idx];
     std::uint64_t h = mixHash(pc ^ (salt * 0x9e3779b97f4a7c15ull));
 
@@ -656,10 +675,9 @@ SyntheticWorkload::wrongPathOp(Addr pc, std::uint64_t salt)
 void
 SyntheticWorkload::discardBefore(std::uint64_t index)
 {
-    while (windowBase_ < index && !window_.empty()) {
-        window_.pop_front();
-        ++windowBase_;
-    }
+    // Never past the generated end: reading resumes there.
+    if (index > windowBase_)
+        windowBase_ = std::min(index, windowEnd_);
 }
 
 } // namespace dmdc

@@ -16,7 +16,6 @@
 #define DMDC_TRACE_SYNTHETIC_HH
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
@@ -119,8 +118,15 @@ class SyntheticWorkload : public Workload
     std::unique_ptr<Static> static_;
     std::unique_ptr<DynState> dyn_;
 
-    std::deque<MicroOp> window_;
+    /**
+     * Ops [windowBase_, windowEnd_) live at window_[index & windowMask_].
+     * The ring doubles when full, so its size follows the reader's
+     * commit lag without depending on any core parameter.
+     */
+    std::vector<MicroOp> window_;
+    std::uint64_t windowMask_ = 0;
     std::uint64_t windowBase_ = 0;
+    std::uint64_t windowEnd_ = 0;
 };
 
 } // namespace dmdc

@@ -30,7 +30,8 @@ class Workload
     /**
      * The @p index-th correct-path micro-op (0-based, program order).
      * Indices may be re-read after a squash, but never before
-     * discardBefore() has retired them.
+     * discardBefore() has retired them. The reference is valid until
+     * the next op() call.
      */
     virtual const MicroOp &op(std::uint64_t index) = 0;
 

@@ -12,6 +12,8 @@
 #include <fstream>
 #include <set>
 #include <sstream>
+#include <thread>
+#include <vector>
 
 #include <unistd.h>
 
@@ -23,6 +25,7 @@
 #include "common/random.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
+#include "trace/spec_suite.hh"
 
 namespace dmdc
 {
@@ -155,6 +158,104 @@ TEST(Rng, MixHashIsStable)
 {
     EXPECT_EQ(mixHash(12345), mixHash(12345));
     EXPECT_NE(mixHash(12345), mixHash(12346));
+}
+
+/**
+ * Literal outputs of the hashes and the generator. The synthetic
+ * streams are built from Rng and mixHash, and hashBytes keys the run
+ * cache, so none of these may move.
+ */
+TEST(Rng, OutputsArePinned)
+{
+    std::uint64_t state = 0;
+    EXPECT_EQ(splitmix64(state), 0xe220a8397b1dcdafull);
+    EXPECT_EQ(splitmix64(state), 0x6e789e6aa1b965f4ull);
+    EXPECT_EQ(state, 0x3c6ef372fe94f82aull);
+    EXPECT_EQ(mixHash(12345), 0x22118258a9d111a0ull);
+    EXPECT_EQ(hashBytes("dmdc", 4), 0xd4f216c1b6d739c1ull);
+    Rng rng(1);
+    EXPECT_EQ(rng.next(), 0xb3f2af6d0fc710c5ull);
+    EXPECT_EQ(rng.next(), 0x853b559647364ceaull);
+    EXPECT_EQ(rng.next(), 0x92f89756082a4514ull);
+    EXPECT_EQ(rng.next(), 0x642e1c7bc266a3a7ull);
+}
+
+/**
+ * Every mean the workload generator samples through a table: the
+ * fixed 1.5 / 2.0 / 4.0 and each distinct depDistMean of the suite.
+ */
+std::vector<double>
+generatorMeans()
+{
+    std::set<double> means = {1.5, 2.0, 4.0};
+    for (const auto &name : specAllNames())
+        means.insert(specParams(name).depDistMean);
+    return {means.begin(), means.end()};
+}
+
+TEST(GeometricTable, ThresholdsAreExactFormulaBoundaries)
+{
+    for (const double mean : generatorMeans()) {
+        const GeometricTable table(mean);
+        const auto &t = table.thresholds();
+        ASSERT_GE(t.size(), 3u) << mean;
+        EXPECT_EQ(t.front(), 0u) << mean;
+        EXPECT_EQ(t.back(), 1ull << 53) << mean;
+        // The top draw reaches the last real entry's value exactly.
+        EXPECT_EQ(Rng::geometricOfDraw(mean, (1ull << 53) - 1),
+                  t.size() - 1) << mean;
+        for (std::size_t k = 1; k + 1 < t.size(); ++k) {
+            EXPECT_LT(Rng::geometricOfDraw(mean, t[k] - 1), k + 1)
+                << "mean " << mean << " k " << k;
+            EXPECT_GE(Rng::geometricOfDraw(mean, t[k]), k + 1)
+                << "mean " << mean << " k " << k;
+        }
+    }
+}
+
+TEST(GeometricTable, LockstepDrawsMatchTheFormula)
+{
+    for (const double mean : generatorMeans()) {
+        const GeometricTable table(mean);
+        Rng a(static_cast<std::uint64_t>(mean * 1000));
+        Rng b(static_cast<std::uint64_t>(mean * 1000));
+        unsigned mismatches = 0;
+        for (int i = 0; i < 1000000; ++i)
+            mismatches += table.sample(a) != b.geometric(mean);
+        EXPECT_EQ(mismatches, 0u) << mean;
+        EXPECT_EQ(a.next(), b.next()) << mean;
+    }
+}
+
+TEST(GeometricTable, MeanAtMostOneDrawsNothing)
+{
+    for (const double mean : {0.5, 1.0}) {
+        const GeometricTable table(mean);
+        EXPECT_TRUE(table.thresholds().empty());
+        Rng a(3);
+        Rng b(3);
+        for (int i = 0; i < 100; ++i)
+            EXPECT_EQ(table.sample(a), 1u);
+        EXPECT_EQ(a.next(), b.next());
+    }
+}
+
+TEST(GeometricTable, ForMeanIsOneSharedTablePerMean)
+{
+    // Workloads are built on campaign worker threads concurrently.
+    std::vector<const GeometricTable *> seen(8, nullptr);
+    std::vector<std::thread> threads;
+    for (std::size_t i = 0; i < seen.size(); ++i) {
+        threads.emplace_back([&seen, i] {
+            seen[i] = &GeometricTable::forMean(i % 2 ? 3.25 : 2.75);
+        });
+    }
+    for (auto &t : threads)
+        t.join();
+    for (std::size_t i = 0; i < seen.size(); ++i)
+        EXPECT_EQ(seen[i], seen[i % 2]) << i;
+    EXPECT_NE(seen[0], seen[1]);
+    EXPECT_EQ(seen[0]->thresholds(), GeometricTable(2.75).thresholds());
 }
 
 TEST(Stats, CounterBasics)

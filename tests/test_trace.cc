@@ -6,8 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "trace/address_stream.hh"
 #include "trace/branch_model.hh"
@@ -73,10 +76,11 @@ TEST(HotRegion, BoundsRespected)
 TEST(RecentStoreBuffer, SampleReturnsPushedAddresses)
 {
     Rng rng(9);
+    const GeometricTable back(4.0);
     RecentStoreBuffer buf(8);
     EXPECT_TRUE(buf.empty());
     unsigned size = 0;
-    EXPECT_EQ(buf.sample(rng, size), invalidAddr);
+    EXPECT_EQ(buf.sample(rng, size, back), invalidAddr);
 
     std::set<Addr> pushed;
     for (Addr a = 0x100; a < 0x100 + 16 * 8; a += 8) {
@@ -84,7 +88,7 @@ TEST(RecentStoreBuffer, SampleReturnsPushedAddresses)
         pushed.insert(a);
     }
     for (int i = 0; i < 200; ++i) {
-        const Addr a = buf.sample(rng, size);
+        const Addr a = buf.sample(rng, size, back);
         EXPECT_TRUE(pushed.count(a));
         EXPECT_EQ(size, 4u);
     }
@@ -252,6 +256,130 @@ TEST(SyntheticWorkload, DiscardBeforePreventsOldReads)
     w->discardBefore(500);
     EXPECT_EQ(w->op(500).pc, w->op(500).pc);   // still readable
     EXPECT_DEATH((void)w->op(100), ".*");
+}
+
+/** Order-sensitive fold of every MicroOp field into @p h. */
+std::uint64_t
+foldOp(std::uint64_t h, const MicroOp &op)
+{
+    const std::uint64_t fields[] = {
+        op.pc, op.nextPc, op.targetPc, op.effAddr,
+        static_cast<std::uint64_t>(op.cls),
+        static_cast<std::uint64_t>(op.branch),
+        static_cast<std::uint64_t>(op.taken),
+        static_cast<std::uint16_t>(op.dst),
+        static_cast<std::uint16_t>(op.src1),
+        static_cast<std::uint16_t>(op.src2),
+        static_cast<std::uint16_t>(op.src3),
+        op.memSize,
+    };
+    for (const std::uint64_t f : fields) {
+        h = (h ^ f) * 0x100000001b3ull;
+        h ^= h >> 29;
+    }
+    return h;
+}
+
+/**
+ * Fingerprint of a benchmark's stream: the first 200 k correct-path
+ * ops, then 10 k wrong-path ops at PCs inside, past the end of, and
+ * below the code region.
+ */
+std::uint64_t
+streamFingerprint(const std::string &name)
+{
+    auto w = makeSpecWorkload(name);
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (std::uint64_t i = 0; i < 200000; ++i) {
+        h = foldOp(h, w->op(i));
+        w->discardBefore(i);
+    }
+    for (std::uint64_t i = 0; i < 10000; ++i) {
+        const Addr pc = (i % 16 == 0) ? i * 0x1000 + 2
+                                      : w->codeBase() + 4 * (i * 13);
+        h = foldOp(h, w->wrongPathOp(pc, i * 3 + 1));
+    }
+    return h;
+}
+
+/**
+ * The generated streams are part of every result: schemes are only
+ * comparable on the same trace, and cached results are keyed on the
+ * benchmark name, not on the stream. Any change to these values
+ * changes the trace of that benchmark.
+ */
+TEST(SyntheticWorkload, StreamFingerprintsArePinned)
+{
+    const std::map<std::string, std::uint64_t> pinned = {
+        {"bzip2", 0xa53f66e963cc714aull},
+        {"crafty", 0x290ef9b783e5425eull},
+        {"eon", 0x70db3bef260a88c2ull},
+        {"gap", 0x572d42d040a6c27bull},
+        {"gcc", 0x32894f56a166f4e8ull},
+        {"gzip", 0xd28dc7f344cbf8aeull},
+        {"mcf", 0x8882a664c6775d9eull},
+        {"parser", 0xda92477516aaac70ull},
+        {"perlbmk", 0x94238de9cd943a89ull},
+        {"twolf", 0xe889dd08a743be4ull},
+        {"vortex", 0x88bc0de6bb2e67dfull},
+        {"vpr", 0xfc737f80d03d533ull},
+        {"ammp", 0x873102cb3848ea13ull},
+        {"applu", 0xf72a1294edbf38d0ull},
+        {"apsi", 0x9c35f62e909153fdull},
+        {"art", 0x956dbc645eef5401ull},
+        {"equake", 0x1150eff42748d200ull},
+        {"facerec", 0xaf1675cf985980eeull},
+        {"fma3d", 0xf956363cb7a91b9aull},
+        {"galgel", 0x82d5636431c9ca6ull},
+        {"lucas", 0x5c4cb413b2b27084ull},
+        {"mesa", 0xe7f820def287c453ull},
+        {"mgrid", 0x93020afd0c548f55ull},
+        {"sixtrack", 0xbfa8bdd674233f5cull},
+        {"swim", 0x66e59a0fcacc7ba8ull},
+        {"wupwise", 0xc97ea7fef22b99feull},
+    };
+    ASSERT_EQ(pinned.size(), specAllNames().size());
+    for (const auto &name : specAllNames())
+        EXPECT_EQ(streamFingerprint(name), pinned.at(name)) << name;
+}
+
+/**
+ * Reading with a commit lag of ~700 ops makes the op window grow past
+ * its initial capacity and wrap many times; every re-read after a
+ * discard must still see the fresh stream.
+ */
+TEST(SyntheticWorkload, WindowGrowsAndWrapsUnderDiscardLag)
+{
+    constexpr std::uint64_t n = 20000;
+    auto ref = makeSpecWorkload("sixtrack");
+    std::vector<MicroOp> want;
+    for (std::uint64_t i = 0; i < n + 10; ++i)
+        want.push_back(ref->op(i));
+
+    auto w = makeSpecWorkload("sixtrack");
+    auto same = [&](std::uint64_t i) {
+        const MicroOp &op = w->op(i);
+        return foldOp(0, op) == foldOp(0, want[i]);
+    };
+    constexpr std::uint64_t lag = 700;
+    std::uint64_t keep = 0;
+    for (std::uint64_t i = 0; i < n; ++i) {
+        ASSERT_TRUE(same(i)) << "index " << i;
+        if (i < lag)
+            continue;
+        // Vary the lag so the live range straddles the wrap point at
+        // every phase.
+        keep = std::max(keep, i - lag + i % 97);
+        w->discardBefore(keep);
+        ASSERT_TRUE(same(keep)) << "oldest retained " << keep;
+        ASSERT_TRUE(same((keep + i) / 2)) << "middle " << i;
+        ASSERT_TRUE(same(i)) << "newest " << i;
+    }
+    // Discarding past the generated end empties the window; reading
+    // resumes at the first ungenerated index.
+    w->discardBefore(n + 50);
+    for (std::uint64_t i = n; i < n + 10; ++i)
+        EXPECT_TRUE(same(i)) << "after the end " << i;
 }
 
 TEST(SyntheticWorkload, UnknownBenchmarkIsFatal)
