@@ -4,8 +4,9 @@
  * paths: DynInst pool recycling vs. heap allocation, the store
  * queue's O(1) safe-load check and binary-search load probe, the
  * checking table's occupancy pre-filter, the cost of an empty
- * pipeline tick vs. one bulk-skipped idle cycle, a busy tick that
- * wakes and selects every cycle, synthetic workload generation
+ * pipeline tick vs. one bulk-skipped idle cycle, busy ticks that
+ * wake, select and complete every cycle (config 2, and config 3's
+ * 512-entry ROB), synthetic workload generation
  * (correct-path and wrong-path ops), and the trace-sink call sites
  * (disabled vs. recording). These document the
  * kernel-performance architecture (DESIGN.md Sec. 15) and guard the
@@ -232,19 +233,16 @@ BM_SkippedTickBulk(benchmark::State &state)
 }
 BENCHMARK(BM_SkippedTickBulk);
 
-// ---- busy tick: wakeup and select ----------------------------------
+// ---- busy ticks: wakeup, select and completion --------------------
 
-/**
- * One tick of a warm high-IPC pipeline (sixtrack, config 2,
- * dmdc-global): completions wake consumers and select issues from the
- * ready sets nearly every cycle. BM_EmptyTick never selects anything.
- */
+/** Ticks of a pipeline warmed up by 20 k committed instructions. */
 void
-BM_BusyTick(benchmark::State &state)
+busyTicks(benchmark::State &state, unsigned config, const char *scheme,
+          const char *bench)
 {
-    CoreParams p = makeMachineConfig(2);
-    applyScheme(p, "dmdc-global");
-    auto w = makeSpecWorkload("sixtrack");
+    CoreParams p = makeMachineConfig(config);
+    applyScheme(p, scheme);
+    auto w = makeSpecWorkload(bench);
     Pipeline pipe(p, *w);
     while (pipe.committed() < 20000)
         pipe.tick();
@@ -256,7 +254,30 @@ BM_BusyTick(benchmark::State &state)
         static_cast<double>(pipe.committed() - committed) /
         static_cast<double>(state.iterations()));
 }
+
+/**
+ * One tick of a warm high-IPC pipeline (sixtrack, config 2,
+ * dmdc-global): completions wake consumers and select issues from the
+ * ready sets nearly every cycle. BM_EmptyTick never selects anything.
+ */
+void
+BM_BusyTick(benchmark::State &state)
+{
+    busyTicks(state, 2, "dmdc-global", "sixtrack");
+}
 BENCHMARK(BM_BusyTick);
+
+/**
+ * The same on config 3's 512-entry ROB (equake, baseline): the most
+ * completions in flight, so the completion structure's schedule,
+ * drain and squash purge cost the most here.
+ */
+void
+BM_BusyTickWide(benchmark::State &state)
+{
+    busyTicks(state, 3, "baseline", "equake");
+}
+BENCHMARK(BM_BusyTickWide);
 
 // ---- workload generation -------------------------------------------
 

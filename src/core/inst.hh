@@ -45,6 +45,11 @@ struct DynInst
     bool wrongPath = false;
 
     InstStage stage = InstStage::Fetched;
+    /**
+     * Next event in this Issued instruction's CompletionWheel bucket;
+     * next to `stage` so a drain touches one cache line.
+     */
+    DynInst *nextEvent = nullptr;
     Cycle fetchReadyCycle = 0;    ///< earliest dispatch cycle
     Cycle issueCycle = 0;
     Cycle doneCycle = 0;

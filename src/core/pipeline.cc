@@ -44,6 +44,22 @@ pipelineTrace()
     return ids;
 }
 
+/**
+ * Bound on how far ahead of issue a completion lands: a load completes
+ * 1 + its memory latency later (at most an L1D and L2 miss to memory),
+ * everything else after its FU latency.
+ */
+Cycle
+completionHorizon(const CoreParams &p)
+{
+    const FuPoolParams &fu = p.fu;
+    const Cycle load = 1 + p.mem.l1d.latency + p.mem.l2.latency +
+        p.mem.memLatency;
+    return 1 + std::max<Cycle>({load, fu.intAluLat, fu.intMultLat,
+                                fu.intDivLat, fu.fpAddLat, fu.fpMultLat,
+                                fu.fpDivLat});
+}
+
 } // namespace
 
 Pipeline::Pipeline(const CoreParams &params, Workload &workload)
@@ -62,6 +78,7 @@ Pipeline::Pipeline(const CoreParams &params, Workload &workload)
       fuPool_(params.fu),
       lsq_(params.lsq),
       fetchQueue_(params.fetchQueueSize),
+      completions_(completionHorizon(params)),
       root_("sim")
 {
     regStats(root_);
@@ -135,13 +152,6 @@ Pipeline::subscribe(DynInst *inst)
         queueFor(inst).markReady(inst);
 }
 
-void
-Pipeline::scheduleCompletion(DynInst *inst, Cycle when)
-{
-    completions_.push_back(Event{when, inst->seq, inst});
-    std::push_heap(completions_.begin(), completions_.end(), Event::later);
-}
-
 unsigned
 Pipeline::tick()
 {
@@ -211,8 +221,7 @@ Pipeline::nextEventCycle() const
         if (c > now_ && (wake == 0 || c < wake))
             wake = c;
     };
-    if (!completions_.empty())
-        consider(completions_.front().when);
+    consider(completions_.nextDue(now_));
     if (!fetchQueue_.empty())
         consider(fetchQueue_.front()->fetchReadyCycle);
     consider(fetch_.stallUntil());
@@ -316,7 +325,7 @@ Pipeline::executeLoad(DynInst *load)
       case SqCheck::Forward:
         ++stats_.loadForwards;
         lsq_.loadComplete(load, now_, check.producer->seq);
-        scheduleCompletion(load, now_ + 1 + mem_.l1d().latency());
+        completions_.schedule(load, now_ + 1 + mem_.l1d().latency(), now_);
         return true;
       case SqCheck::NoMatch:
         break;
@@ -326,7 +335,7 @@ Pipeline::executeLoad(DynInst *load)
     ++dcachePortsUsed_;
     const unsigned lat = mem_.accessData(load->op.effAddr, false);
     lsq_.loadComplete(load, now_, invalidSeqNum);
-    scheduleCompletion(load, now_ + 1 + lat);
+    completions_.schedule(load, now_ + 1 + lat, now_);
     return true;
 }
 
@@ -391,10 +400,10 @@ Pipeline::doIssue()
             // generation.
             inst->doneCycle = now_;
             resolveStore(inst);
-            scheduleCompletion(inst, now_ + latency);
+            completions_.schedule(inst, now_ + latency, now_);
         } else {
             // Branches resolve at completion; ALU ops simply finish.
-            scheduleCompletion(inst, now_ + latency);
+            completions_.schedule(inst, now_ + latency, now_);
         }
     }
 
@@ -412,13 +421,15 @@ Pipeline::doIssue()
 unsigned
 Pipeline::doCompletions()
 {
+    // Oldest first. A completing branch's squash cuts the younger
+    // events still listed for this cycle.
     unsigned completed = 0;
-    while (!completions_.empty() && completions_.front().when <= now_) {
-        std::pop_heap(completions_.begin(), completions_.end(),
-                      Event::later);
-        Event ev = completions_.back();
-        completions_.pop_back();
-        completeInst(ev.inst);
+    while (DynInst *inst = completions_.pop(now_)) {
+        if (inst->stage != InstStage::Issued) {
+            panic("completion of seq %llu, which is not issued",
+                  static_cast<unsigned long long>(inst->seq));
+        }
+        completeInst(inst);
         ++completed;
     }
     return completed;
@@ -601,10 +612,7 @@ Pipeline::squashFrom(SeqNum from_seq)
 {
     // Structures holding raw pointers are purged before the ROB frees
     // the instructions.
-    std::erase_if(completions_, [from_seq](const Event &ev) {
-        return ev.seq >= from_seq;
-    });
-    std::make_heap(completions_.begin(), completions_.end(), Event::later);
+    completions_.squashFrom(from_seq);
     std::erase_if(retryLoads_, [from_seq](const DynInst *inst) {
         return inst->seq >= from_seq;
     });

@@ -14,6 +14,7 @@
 #include "branch/predictor.hh"
 #include "common/object_pool.hh"
 #include "common/stats.hh"
+#include "core/completion_wheel.hh"
 #include "core/fetch.hh"
 #include "core/fu_pool.hh"
 #include "core/issue_queue.hh"
@@ -172,27 +173,12 @@ class Pipeline
     StatGroup &statRoot() { return root_; }
 
   private:
-    struct Event
-    {
-        Cycle when;
-        SeqNum seq;
-        DynInst *inst;
-
-        /** Heap order for completions_: a min-heap on (when, seq). */
-        static bool
-        later(const Event &a, const Event &b)
-        {
-            return a.when > b.when || (a.when == b.when && a.seq > b.seq);
-        }
-    };
-
     bool producerDone(const DynInst *producer, SeqNum pseq) const;
     IssueQueue &queueFor(const DynInst *inst)
     {
         return inst->op.isFp() ? fpIq_ : intIq_;
     }
     void subscribe(DynInst *inst);
-    void scheduleCompletion(DynInst *inst, Cycle when);
     unsigned doFetch();
     unsigned doDispatch();
     unsigned doIssue();
@@ -222,7 +208,7 @@ class Pipeline
 
     Cycle now_ = 0;
     RingBuffer<DynInst *> fetchQueue_;
-    std::vector<Event> completions_;    ///< min-heap on (when, seq)
+    CompletionWheel completions_;
     std::vector<DynInst *> retryLoads_; ///< rejected loads awaiting retry
     unsigned dcachePortsUsed_ = 0;
     std::uint64_t lastDmdcReplayIndex_ = ~std::uint64_t{0};

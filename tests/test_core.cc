@@ -1,7 +1,7 @@
 /**
  * @file
- * Unit tests for the core structures: ROB, rename, issue queue, FU
- * pool, register-file activity.
+ * Unit tests for the core structures: ROB, rename, issue queue,
+ * completion wheel, FU pool, register-file activity.
  */
 
 #include <gtest/gtest.h>
@@ -10,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/completion_wheel.hh"
 #include "core/fu_pool.hh"
 #include "core/issue_queue.hh"
 #include "core/regfile.hh"
@@ -272,6 +273,133 @@ TEST(WakeupDeathTest, StaleWaiterPanicsInsteadOfWakingRecycledSlot)
     recycled->stage = InstStage::Dispatched;
     EXPECT_DEATH(wakeWaiters(p, [](DynInst *, unsigned) {}),
                  ".*dead consumer.*");
+}
+
+// ---- completion wheel ------------------------------------------------
+
+/** Issued instructions with seqs 1..n (index k holds seq k + 1). */
+std::vector<std::unique_ptr<DynInst>>
+issuedInsts(unsigned n)
+{
+    std::vector<std::unique_ptr<DynInst>> insts;
+    for (unsigned k = 0; k < n; ++k) {
+        insts.push_back(makeInst(k + 1));
+        insts.back()->stage = InstStage::Issued;
+    }
+    return insts;
+}
+
+/** Pop everything due at @p now, as seqs. */
+std::vector<SeqNum>
+drain(CompletionWheel &wheel, Cycle now)
+{
+    std::vector<SeqNum> seqs;
+    while (DynInst *inst = wheel.pop(now))
+        seqs.push_back(inst->seq);
+    return seqs;
+}
+
+TEST(CompletionWheel, SizedFromHorizon)
+{
+    EXPECT_EQ(CompletionWheel(139).size(), 256u);
+    EXPECT_EQ(CompletionWheel(256).size(), 256u);
+    EXPECT_EQ(CompletionWheel(319).size(), 512u);
+    EXPECT_EQ(CompletionWheel(21).size(), 64u);
+}
+
+TEST(CompletionWheel, OutOfOrderArrivalsDrainSeqAscending)
+{
+    CompletionWheel wheel(139);
+    auto in = issuedInsts(6);
+    // Older long-latency ops land in the same cycle as younger short
+    // ones scheduled before them.
+    for (unsigned k : {4u, 2u, 5u, 0u, 3u})
+        wheel.schedule(in[k].get(), 20, 10);
+    wheel.schedule(in[1].get(), 21, 10);
+    EXPECT_TRUE(drain(wheel, 19).empty());
+    EXPECT_EQ(drain(wheel, 20), (std::vector<SeqNum>{1, 3, 4, 5, 6}));
+    EXPECT_EQ(drain(wheel, 21), (std::vector<SeqNum>{2}));
+    EXPECT_EQ(wheel.nextDue(21), 0u);
+}
+
+TEST(CompletionWheel, SquashCutsTheSuffixOfEveryBucket)
+{
+    CompletionWheel wheel(139);
+    auto in = issuedInsts(8);
+    const std::pair<unsigned, Cycle> events[] = {
+        {0, 5}, {4, 5}, {6, 5}, {1, 7}, {5, 7}, {7, 9}};
+    for (const auto &[k, when] : events)
+        wheel.schedule(in[k].get(), when, 1);
+    wheel.squashFrom(5);
+    EXPECT_EQ(wheel.nextDue(1), 5u);
+    EXPECT_EQ(drain(wheel, 5), (std::vector<SeqNum>{1}));
+    EXPECT_EQ(drain(wheel, 7), (std::vector<SeqNum>{2}));
+    // Bucket 9 held only squashed events: it no longer counts.
+    EXPECT_EQ(wheel.nextDue(7), 0u);
+    EXPECT_TRUE(drain(wheel, 9).empty());
+
+    // A cut bucket takes appends again.
+    wheel.schedule(in[2].get(), 12, 9);
+    wheel.schedule(in[3].get(), 12, 9);
+    EXPECT_EQ(drain(wheel, 12), (std::vector<SeqNum>{3, 4}));
+}
+
+TEST(CompletionWheel, SquashWhileDrainingCutsTheSameCycle)
+{
+    // A branch (seq 2) completes with younger events due in the same
+    // cycle and at later cycles; its squash cuts them all, including
+    // those still listed in the bucket being drained.
+    CompletionWheel wheel(139);
+    auto in = issuedInsts(6);
+    for (unsigned k = 0; k < 5; ++k)
+        wheel.schedule(in[k].get(), 30, 28);
+    wheel.schedule(in[5].get(), 31, 28);
+    EXPECT_EQ(wheel.pop(30)->seq, 1u);
+    EXPECT_EQ(wheel.pop(30)->seq, 2u);
+    wheel.squashFrom(3);
+    EXPECT_EQ(wheel.pop(30), nullptr);
+    EXPECT_EQ(wheel.nextDue(30), 0u);
+}
+
+TEST(CompletionWheel, NextDueFindsTheEarliestAcrossTheWrap)
+{
+    CompletionWheel wheel(139);
+    auto in = issuedInsts(4);
+    const Cycle now = 1000;   // bucket 1000 & 255 = 232
+    wheel.schedule(in[0].get(), now + 100, now);   // wraps to bucket 76
+    EXPECT_EQ(wheel.nextDue(now), now + 100);
+    wheel.schedule(in[1].get(), now + 30, now);    // bucket 6
+    EXPECT_EQ(wheel.nextDue(now), now + 30);
+    wheel.schedule(in[2].get(), now + 20, now);    // bucket 252
+    EXPECT_EQ(wheel.nextDue(now), now + 20);
+    wheel.schedule(in[3].get(), now + 1, now);
+    EXPECT_EQ(wheel.nextDue(now), now + 1);
+    EXPECT_EQ(drain(wheel, now + 1), (std::vector<SeqNum>{4}));
+    EXPECT_EQ(wheel.nextDue(now + 1), now + 20);
+    wheel.squashFrom(3);
+    EXPECT_EQ(wheel.nextDue(now + 1), now + 30);
+    wheel.squashFrom(2);
+    EXPECT_EQ(wheel.nextDue(now + 1), now + 100);
+    // The last event sits one bucket behind `now`'s.
+    EXPECT_EQ(wheel.nextDue(now + 100 - 255), now + 100);
+    wheel.squashFrom(1);
+    EXPECT_EQ(wheel.nextDue(now + 1), 0u);
+}
+
+TEST(CompletionWheelDeathTest, SchedulingAtNowPanics)
+{
+    CompletionWheel wheel(139);
+    auto in = issuedInsts(1);
+    EXPECT_DEATH(wheel.schedule(in[0].get(), 50, 50), ".*outside.*");
+}
+
+TEST(CompletionWheelDeathTest, SchedulingAtTheHorizonPanics)
+{
+    CompletionWheel wheel(139);
+    auto in = issuedInsts(2);
+    wheel.schedule(in[0].get(), 50 + 138, 50);
+    EXPECT_DEATH(wheel.schedule(in[1].get(), 50 + 139, 50),
+                 ".*outside.*");
 }
 
 TEST(FuPool, PerCycleBandwidth)

@@ -292,10 +292,13 @@ TEST(StoreQueueIncrementalTest, CheckLoadMatchesLinearReference)
  * same stats as one ticked every cycle.
  */
 void
-expectSkipEquivalence(const std::string &scheme, unsigned config)
+expectSkipEquivalence(const std::string &scheme, unsigned config,
+                      unsigned mem_latency)
 {
     CoreParams p = makeMachineConfig(config);
     applyScheme(p, scheme);
+    if (mem_latency)
+        p.mem.memLatency = mem_latency;
 
     // gcc mispredicts often and, by 20 k instructions, has replayed
     // under every scheme, so all squash sources run.
@@ -370,6 +373,7 @@ struct SkipCase
 {
     const char *scheme;
     unsigned config;
+    unsigned memLatency = 0;   ///< 0: the config's own
 };
 
 class IdleSkipEquivalenceTest : public ::testing::TestWithParam<SkipCase>
@@ -378,12 +382,15 @@ class IdleSkipEquivalenceTest : public ::testing::TestWithParam<SkipCase>
 
 TEST_P(IdleSkipEquivalenceTest, MatchesTickedRun)
 {
-    expectSkipEquivalence(GetParam().scheme, GetParam().config);
+    expectSkipEquivalence(GetParam().scheme, GetParam().config,
+                          GetParam().memLatency);
 }
 
 // Every squash source (branch recovery, baseline violation replay,
 // DMDC commit replay, age-table squash-all-younger) must purge the
 // wakeup lists and ready sets; config 3 has 64-entry issue queues.
+// A 300-cycle memory sizes the completion wheel to 512 buckets, and
+// idle skips across long misses wrap it.
 INSTANTIATE_TEST_SUITE_P(
     Schemes, IdleSkipEquivalenceTest,
     ::testing::Values(SkipCase{"baseline", 2}, SkipCase{"yla", 2},
@@ -393,10 +400,13 @@ INSTANTIATE_TEST_SUITE_P(
                       SkipCase{"age-table", 2},
                       SkipCase{"bloom-yla", 2}, SkipCase{"baseline", 3},
                       SkipCase{"dmdc-global", 3},
-                      SkipCase{"age-table", 3}),
+                      SkipCase{"age-table", 3},
+                      SkipCase{"dmdc-global", 2, 300}),
     [](const ::testing::TestParamInfo<SkipCase> &info) {
         std::string name = std::string(info.param.scheme) + "_c" +
             std::to_string(info.param.config);
+        if (info.param.memLatency)
+            name += "_mem" + std::to_string(info.param.memLatency);
         for (char &c : name) {
             if (c == '-')
                 c = '_';

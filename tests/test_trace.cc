@@ -179,10 +179,12 @@ TEST(SyntheticWorkload, ControlFlowIsConsistent)
         const MicroOp &next = w->op(i + 1);
         EXPECT_EQ(next.pc, op.nextPc)
             << "discontinuity at index " << i;
-        if (!op.isBranch())
+        if (!op.isBranch()) {
             EXPECT_EQ(op.nextPc, op.pc + 4);
-        if (op.isBranch() && op.taken)
+        }
+        if (op.isBranch() && op.taken) {
             EXPECT_EQ(op.nextPc, op.targetPc);
+        }
     }
 }
 
@@ -198,8 +200,9 @@ TEST(SyntheticWorkload, MemoryOpsAreAlignedAndSized)
         EXPECT_EQ(op.effAddr % op.memSize, 0u)
             << "unaligned access at index " << i;
         EXPECT_NE(op.effAddr, invalidAddr);
-        if (op.isStore())
+        if (op.isStore()) {
             EXPECT_NE(op.src3, noReg);
+        }
     }
 }
 
