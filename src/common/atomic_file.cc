@@ -97,14 +97,6 @@ durableSyncCount()
 }
 
 bool
-durableSyncFd(int fd)
-{
-    if (!durableSyncEnabled())
-        return true;
-    return syncFd(fd);
-}
-
-bool
 writeFileAtomic(const std::string &path, const std::string &content)
 {
     namespace fs = std::filesystem;

@@ -14,8 +14,7 @@
  * kernel may reorder the rename's metadata ahead of the temp file's
  * data blocks, so a crash can leave the *new* name pointing at
  * garbage. writeFileAtomic() therefore fsyncs the temp file before
- * the rename and the parent directory after it, and appendLogLine()
- * (append_log.hh) fsyncs the log fd after each record. Tests that
+ * the rename and the parent directory after it. Tests that
  * hammer these paths thousands of times can opt out with
  * setDurableSync(false) (or DMDC_NO_FSYNC=1); production callers
  * never should.
@@ -41,20 +40,11 @@ void setDurableSync(bool enabled);
 bool durableSyncEnabled();
 
 /**
- * Number of fsync()/fdatasync() calls this layer has issued (temp
- * files, parent directories, append logs). Monotonic, process-wide;
- * tests diff it across an operation to assert the durability path
- * actually ran.
+ * Number of fsync() calls this layer has issued (temp files, parent
+ * directories). Monotonic, process-wide; tests diff it across an
+ * operation to assert the durability path actually ran.
  */
 std::uint64_t durableSyncCount();
-
-/**
- * fsync @p fd through the durability layer: counts toward
- * durableSyncCount(), retries EINTR, and is a successful no-op when
- * durable sync is disabled. For callers holding a raw fd (the
- * append-log); writeFileAtomic() handles its own files.
- */
-bool durableSyncFd(int fd);
 
 /**
  * Write @p content to a temp file next to @p path and rename it into

@@ -6,19 +6,17 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <vector>
 
 #include <fcntl.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include "common/append_log.hh"
 #include "common/atomic_file.hh"
 #include "common/crc32.hh"
-#include "common/file_lock.hh"
 #include "common/logging.hh"
 #include "common/random.hh"
 #include "sim/fault_injector.hh"
@@ -30,63 +28,6 @@ namespace fs = std::filesystem;
 
 namespace
 {
-
-/** Canonical CRC input of one index record: what the checksum must
- *  cover so a torn or spliced line cannot masquerade as valid. */
-std::string
-recordCrcInput(const char *op, const std::string &file,
-               std::uint64_t bytes)
-{
-    std::ostringstream os;
-    os << op << '|' << file << '|' << bytes;
-    return os.str();
-}
-
-/**
- * Parse one index log line. Records are machine-written by this file
- * with a fixed field order, so a shape-strict scan is both sufficient
- * and a useful tamper detector (anything reordered or hand-edited
- * fails and is skipped).
- */
-bool
-parseRecord(const std::string &line, std::string &op,
-            std::string &file, std::uint64_t &bytes)
-{
-    unsigned version = 0;
-    char opBuf[8] = {0};
-    char fileBuf[64] = {0};
-    unsigned long long rawBytes = 0;
-    char crcBuf[16] = {0};
-    const int got = std::sscanf(
-        line.c_str(),
-        "{\"v\":%u,\"op\":\"%7[^\"]\",\"file\":\"%63[^\"]\","
-        "\"bytes\":%llu,\"crc\":\"%8[^\"]\"}",
-        &version, opBuf, fileBuf, &rawBytes, crcBuf);
-    if (got != 5 || version != kCacheIndexVersion)
-        return false;
-    op = opBuf;
-    file = fileBuf;
-    bytes = rawBytes;
-    const std::string covered = recordCrcInput(op.c_str(), file, bytes);
-    const std::uint32_t expected = static_cast<std::uint32_t>(
-        std::strtoul(crcBuf, nullptr, 16));
-    return crc32(covered.data(), covered.size()) == expected;
-}
-
-std::string
-formatRecord(const char *op, const std::string &file,
-             std::uint64_t bytes)
-{
-    const std::string covered = recordCrcInput(op, file, bytes);
-    char line[192];
-    std::snprintf(line, sizeof(line),
-                  "{\"v\":%u,\"op\":\"%s\",\"file\":\"%s\","
-                  "\"bytes\":%llu,\"crc\":\"%08x\"}\n",
-                  kCacheIndexVersion, op, file.c_str(),
-                  static_cast<unsigned long long>(bytes),
-                  crc32(covered.data(), covered.size()));
-    return line;
-}
 
 std::string
 keyFileName(const std::string &key, const char *extension)
@@ -134,23 +75,50 @@ slurp(const std::string &path)
     return buf.str();
 }
 
+/** One regular file found by oldestFirst(). */
+struct DirFile
+{
+    fs::path path;
+    std::uint64_t bytes;
+    std::int64_t mtimeNs;
+};
+
+/**
+ * The regular files of @p dir (only `*.json` when @p jsonOnly), with
+ * size and mtime from one stat each, oldest first; ties break by name
+ * so every process agrees on the order.
+ */
+std::vector<DirFile>
+oldestFirst(const fs::path &dir, bool jsonOnly)
+{
+    std::vector<DirFile> found;
+    std::error_code ec;
+    for (const auto &de : fs::directory_iterator(
+             dir, fs::directory_options::skip_permission_denied, ec)) {
+        if (jsonOnly && de.path().extension() != ".json")
+            continue;
+        struct ::stat st{};
+        if (::stat(de.path().c_str(), &st) != 0 || !S_ISREG(st.st_mode))
+            continue; // removed since the listing, or not a file
+        const std::int64_t mtimeNs =
+            static_cast<std::int64_t>(st.st_mtim.tv_sec) * 1000000000 +
+            st.st_mtim.tv_nsec;
+        found.push_back(
+            {de.path(), static_cast<std::uint64_t>(st.st_size), mtimeNs});
+    }
+    std::sort(found.begin(), found.end(),
+              [](const DirFile &a, const DirFile &b) {
+                  return a.mtimeNs != b.mtimeNs ? a.mtimeNs < b.mtimeNs
+                                                : a.path < b.path;
+              });
+    return found;
+}
+
 } // namespace
 
 CacheStore::CacheStore(CacheStoreConfig config)
     : config_(std::move(config))
 {
-}
-
-std::string
-CacheStore::indexLogPath() const
-{
-    return config_.dir + "/index.log";
-}
-
-std::string
-CacheStore::indexLockPath() const
-{
-    return config_.dir + "/index.lock";
 }
 
 std::string
@@ -238,259 +206,26 @@ CacheStore::releaseClaim(const std::string &key)
         ::unlink(path.c_str());
 }
 
-void
-CacheStore::ensureLoaded()
-{
-    if (loaded_)
-        return;
-    loaded_ = true;
-    std::error_code ec;
-    if (!fs::exists(config_.dir, ec))
-        return; // stay lazy: nothing exists until the first store
-    catchUp();
-    if (!entries_.empty())
-        return;
-    // The index knows nothing but the directory may hold entries (a
-    // pre-index cache, or a deleted/ruined log). This is the one
-    // place a directory scan is allowed outside an explicit rebuild.
-    for (const auto &de : fs::directory_iterator(
-             config_.dir, fs::directory_options::skip_permission_denied,
-             ec)) {
-        if (de.is_regular_file(ec) &&
-            de.path().extension() == ".json") {
-            rebuildIndex();
-            return;
-        }
-    }
-}
-
-void
-CacheStore::applyRecord(const std::string &op, const std::string &file,
-                        std::uint64_t bytes)
-{
-    ++seq_;
-    if (op == "del") {
-        auto it = entries_.find(file);
-        if (it == entries_.end())
-            return;
-        liveBytes_ -= std::min(liveBytes_, it->second.bytes);
-        entries_.erase(it);
-        return;
-    }
-    // "put" and "touch" both (re)assert presence; replays are
-    // idempotent because the byte delta is computed off current state.
-    Entry &e = entries_[file];
-    if (bytes) {
-        liveBytes_ += bytes;
-        liveBytes_ -= std::min(liveBytes_, e.bytes);
-        e.bytes = bytes;
-    }
-    e.lastSeq = seq_;
-}
-
-void
-CacheStore::catchUp(bool haveExclusiveLock)
-{
-    FileLock lock;
-    if (!haveExclusiveLock) {
-        // Shared: appends may interleave with the read (whole records
-        // thanks to O_APPEND), but a compaction cannot swap the file
-        // out from between our stat and our read.
-        lock = FileLock(indexLockPath(), FileLock::Mode::Shared);
-    }
-    struct ::stat st{};
-    if (::stat(indexLogPath().c_str(), &st) != 0) {
-        if (indexIno_) {
-            // The log vanished under us; forget what it taught us.
-            entries_.clear();
-            liveBytes_ = 0;
-            indexIno_ = 0;
-            indexReadPos_ = 0;
-        }
-        return;
-    }
-    const auto ino = static_cast<std::uint64_t>(st.st_ino);
-    const auto size = static_cast<std::uint64_t>(st.st_size);
-    if (ino != indexIno_ || size < indexReadPos_) {
-        // A different file (compaction/rebuild by another process) or
-        // a truncation: replay from the top. seq_ keeps rising so
-        // recency stays monotonic across the reload.
-        entries_.clear();
-        liveBytes_ = 0;
-        indexReadPos_ = 0;
-        indexIno_ = ino;
-    }
-    if (size == indexReadPos_)
-        return;
-    std::ifstream is(indexLogPath(), std::ios::binary);
-    if (!is)
-        return;
-    is.seekg(static_cast<std::streamoff>(indexReadPos_));
-    std::string buffer(size - indexReadPos_, '\0');
-    is.read(buffer.data(), static_cast<std::streamsize>(buffer.size()));
-    buffer.resize(static_cast<std::size_t>(is.gcount()));
-
-    // Consume whole lines; a record that fails its CRC (torn write
-    // joined with a later append, bit rot) is skipped, never fatal —
-    // entry files are the source of truth for content, the index only
-    // for accounting. A trailing partial line stays unconsumed so a
-    // later catch-up rereads it once complete.
-    std::size_t pos = 0;
-    std::size_t consumed = 0;
-    while (true) {
-        const std::size_t nl = buffer.find('\n', pos);
-        if (nl == std::string::npos)
-            break;
-        std::string op, file;
-        std::uint64_t bytes = 0;
-        if (parseRecord(buffer.substr(pos, nl - pos), op, file, bytes))
-            applyRecord(op, file, bytes);
-        pos = nl + 1;
-        consumed = pos;
-    }
-    indexReadPos_ += consumed;
-}
-
-void
-CacheStore::appendRecord(const char *op, const std::string &file,
-                         std::uint64_t bytes)
-{
-    // Shared-lock single-write append (common/append_log.hh): whole
-    // records interleave, and a compaction can never rename the log
-    // away between our open and our write.
-    if (!appendLogLine(indexLogPath(), indexLockPath(),
-                       formatRecord(op, file, bytes))) {
-        warn("cache: cannot append to index '%s'",
-             indexLogPath().c_str());
-    }
-    ++appendedSinceCompact_;
-    // Apply locally too; if catch-up later rereads our own record the
-    // replay is idempotent.
-    applyRecord(op, file, bytes);
-}
-
-void
-CacheStore::rebuildIndex()
-{
-    // Exclusive and blocking: rebuilds happen at open time and must
-    // not race a compactor. Whoever wins may have built the index
-    // for us while we waited.
-    FileLock lock(indexLockPath(), FileLock::Mode::Exclusive);
-    struct ::stat st{};
-    if (::stat(indexLogPath().c_str(), &st) == 0 && st.st_size > 0) {
-        catchUp(/*haveExclusiveLock=*/true);
-        if (!entries_.empty())
-            return;
-    }
-
-    struct Found
-    {
-        std::string file;
-        std::uint64_t bytes;
-        fs::file_time_type mtime;
-    };
-    std::vector<Found> found;
-    std::error_code ec;
-    for (const auto &de : fs::directory_iterator(
-             config_.dir, fs::directory_options::skip_permission_denied,
-             ec)) {
-        if (!de.is_regular_file(ec) ||
-            de.path().extension() != ".json")
-            continue;
-        found.push_back({de.path().filename().string(),
-                         de.file_size(ec), de.last_write_time(ec)});
-    }
-    // Oldest first so replay order doubles as LRU order.
-    std::sort(found.begin(), found.end(),
-              [](const Found &a, const Found &b) {
-                  return a.mtime < b.mtime;
-              });
-
-    std::string text;
-    entries_.clear();
-    liveBytes_ = 0;
-    for (const Found &f : found) {
-        text += formatRecord("put", f.file, f.bytes);
-        applyRecord("put", f.file, f.bytes);
-    }
-    if (!writeFileAtomic(indexLogPath(), text)) {
-        warn("cache: cannot rebuild index '%s'",
-             indexLogPath().c_str());
-        return;
-    }
-    if (::stat(indexLogPath().c_str(), &st) == 0) {
-        indexIno_ = static_cast<std::uint64_t>(st.st_ino);
-        indexReadPos_ = static_cast<std::uint64_t>(st.st_size);
-    }
-    appendedSinceCompact_ = 0;
-    ++stats_.indexRebuilds;
-}
-
-bool
-CacheStore::compactLocked()
-{
-    FileLock lock(indexLockPath(), FileLock::Mode::Exclusive,
-                  /*block=*/false);
-    if (!lock.held())
-        return false; // another process is compacting; theirs counts
-    catchUp(/*haveExclusiveLock=*/true);
-
-    std::vector<std::pair<std::string, Entry>> live(entries_.begin(),
-                                                    entries_.end());
-    std::sort(live.begin(), live.end(),
-              [](const auto &a, const auto &b) {
-                  return a.second.lastSeq < b.second.lastSeq;
-              });
-    std::string text;
-    for (const auto &[file, e] : live)
-        text += formatRecord("put", file, e.bytes);
-    if (!writeFileAtomic(indexLogPath(), text)) {
-        warn("cache: cannot compact index '%s'",
-             indexLogPath().c_str());
-        return false;
-    }
-    struct ::stat st{};
-    if (::stat(indexLogPath().c_str(), &st) == 0) {
-        indexIno_ = static_cast<std::uint64_t>(st.st_ino);
-        indexReadPos_ = static_cast<std::uint64_t>(st.st_size);
-    }
-    appendedSinceCompact_ = 0;
-    ++stats_.compactions;
-    return true;
-}
-
-void
-CacheStore::maybeCompact()
-{
-    // Compact when the log carries far more records than live
-    // entries: the floor keeps small caches from churning, the ratio
-    // bounds replay work for late-joining processes.
-    if (appendedSinceCompact_ < 256 ||
-        appendedSinceCompact_ < 4 * entries_.size())
-        return;
-    compactLocked();
-}
-
 std::size_t
 CacheStore::evictLocked()
 {
-    if (!config_.maxBytes || liveBytes_ <= config_.maxBytes)
+    if (!config_.maxBytes)
         return 0;
-    std::vector<std::pair<std::string, Entry>> order(entries_.begin(),
-                                                     entries_.end());
-    std::sort(order.begin(), order.end(),
-              [](const auto &a, const auto &b) {
-                  return a.second.lastSeq < b.second.lastSeq;
-              });
+    const std::vector<DirFile> files = oldestFirst(config_.dir, true);
+    std::uint64_t live = 0;
+    for (const DirFile &f : files)
+        live += f.bytes;
     std::size_t evicted = 0;
     std::error_code ec;
-    for (const auto &[file, e] : order) {
-        if (liveBytes_ <= config_.maxBytes)
+    for (const DirFile &f : files) {
+        if (live <= config_.maxBytes)
             break;
-        fs::remove(fs::path(config_.dir) / file, ec);
-        appendRecord("del", file, e.bytes);
-        ++evicted;
-        ++stats_.evicted;
+        // Gone either way: removed here, or by another process.
+        live -= f.bytes;
+        if (fs::remove(f.path, ec)) {
+            ++evicted;
+            ++stats_.evicted;
+        }
     }
     return evicted;
 }
@@ -499,7 +234,6 @@ CacheStore::Load
 CacheStore::load(const std::string &key, std::string &payload)
 {
     std::lock_guard<std::mutex> guard(mutex_);
-    ensureLoaded();
     const std::string path = entryPath(key);
     std::ifstream is(path, std::ios::binary);
     if (!is) {
@@ -550,12 +284,10 @@ CacheStore::load(const std::string &key, std::string &payload)
     payload = std::move(body);
     ++stats_.hits;
     if (config_.maxBytes) {
-        // Touch for LRU, both in the index (recency) and on the file
-        // (so a from-scratch rebuild preserves the ordering).
+        // The mtime is the entry's LRU age.
         std::error_code ec;
         fs::last_write_time(path, fs::file_time_type::clock::now(),
                             ec);
-        appendRecord("touch", entryFileName(key), text.size());
     }
     return Load::Hit;
 }
@@ -564,7 +296,6 @@ void
 CacheStore::store(const std::string &key, const std::string &payloadIn)
 {
     std::lock_guard<std::mutex> guard(mutex_);
-    ensureLoaded();
     std::error_code ec;
     fs::create_directories(config_.dir, ec);
     if (ec) {
@@ -595,17 +326,17 @@ CacheStore::store(const std::string &key, const std::string &payloadIn)
         return;
     }
     ++stats_.stored;
-    appendRecord("put", entryFileName(key),
-                 std::strlen(header) + payload.size());
+    // The mtime is the LRU age. Stamp it from the fine-grained clock:
+    // file systems with per-tick write timestamps would otherwise give
+    // entries stored back to back the same age.
+    fs::last_write_time(path, fs::file_time_type::clock::now(), ec);
     evictLocked();
-    maybeCompact();
 }
 
 void
 CacheStore::quarantineKey(const std::string &key, const char *reason)
 {
     std::lock_guard<std::mutex> guard(mutex_);
-    ensureLoaded();
     quarantinePath(entryPath(key), reason);
 }
 
@@ -625,10 +356,6 @@ CacheStore::quarantinePath(const std::string &path, const char *reason)
     warn("cache entry '%s' %s; quarantined and recomputing",
          path.c_str(), reason);
     ++stats_.quarantined;
-    const std::string file = src.filename().string();
-    auto it = entries_.find(file);
-    if (it != entries_.end())
-        appendRecord("del", file, it->second.bytes);
     enforceQuarantineCap();
 }
 
@@ -637,44 +364,26 @@ CacheStore::enforceQuarantineCap()
 {
     if (!config_.quarantineMaxEntries && !config_.quarantineMaxBytes)
         return;
-    std::error_code ec;
-    const fs::path dir = fs::path(config_.dir) / "quarantine";
-    struct Found
-    {
-        fs::path path;
-        std::uint64_t size;
-        fs::file_time_type mtime;
-    };
-    std::vector<Found> found;
+    const std::vector<DirFile> found =
+        oldestFirst(fs::path(config_.dir) / "quarantine", false);
     std::uint64_t total = 0;
-    for (const auto &de : fs::directory_iterator(
-             dir, fs::directory_options::skip_permission_denied, ec)) {
-        if (!de.is_regular_file(ec))
-            continue;
-        Found f{de.path(), de.file_size(ec), de.last_write_time(ec)};
-        total += f.size;
-        found.push_back(std::move(f));
-    }
+    for (const DirFile &f : found)
+        total += f.bytes;
     auto over = [&](std::size_t count, std::uint64_t bytes) {
         return (config_.quarantineMaxEntries &&
                 count > config_.quarantineMaxEntries) ||
                (config_.quarantineMaxBytes &&
                 bytes > config_.quarantineMaxBytes);
     };
-    if (!over(found.size(), total))
-        return;
     // Oldest first: recent quarantines are the ones someone is likely
     // to want for a post-mortem.
-    std::sort(found.begin(), found.end(),
-              [](const Found &a, const Found &b) {
-                  return a.mtime < b.mtime;
-              });
+    std::error_code ec;
     std::size_t count = found.size();
-    for (const Found &f : found) {
+    for (const DirFile &f : found) {
         if (!over(count, total))
             break;
         if (fs::remove(f.path, ec)) {
-            total -= f.size;
+            total -= f.bytes;
             --count;
             ++stats_.quarantineEvicted;
         }
@@ -685,37 +394,21 @@ std::size_t
 CacheStore::evictToCap()
 {
     std::lock_guard<std::mutex> guard(mutex_);
-    ensureLoaded();
-    if (!config_.maxBytes)
-        return 0;
-    catchUp();
     return evictLocked();
 }
 
-bool
-CacheStore::compact()
-{
-    std::lock_guard<std::mutex> guard(mutex_);
-    ensureLoaded();
-    return compactLocked();
-}
-
-std::uint64_t
-CacheStore::liveBytes()
-{
-    std::lock_guard<std::mutex> guard(mutex_);
-    ensureLoaded();
-    catchUp();
-    return liveBytes_;
-}
-
 std::size_t
-CacheStore::liveEntries()
+CacheStore::liveEntries() const
 {
-    std::lock_guard<std::mutex> guard(mutex_);
-    ensureLoaded();
-    catchUp();
-    return entries_.size();
+    std::size_t n = 0;
+    std::error_code ec;
+    for (const auto &de : fs::directory_iterator(
+             config_.dir, fs::directory_options::skip_permission_denied,
+             ec)) {
+        if (de.path().extension() == ".json")
+            ++n;
+    }
+    return n;
 }
 
 } // namespace dmdc

@@ -2,34 +2,21 @@
  * @file
  * The `.dmdc_cache/` storage engine.
  *
- * Before this layer the on-disk run cache was a flat directory that
- * every lookup trusted blindly and every eviction pass re-scanned in
- * full. CacheStore keeps the crash-safe per-entry layout (one
- * CRC-framed JSON file per key, published with an atomic rename,
- * quarantined when damaged) and adds a real index on top:
+ * One CRC-framed JSON file per key (`<hash>.json`), published with an
+ * atomic rename and quarantined when damaged. There is no index: the
+ * directory is the only state, so any number of processes can share
+ * it without coordinating.
  *
- *  - an append-only log (`index.log`) of self-validating records
- *    ({"v":1,"op":"put|touch|del","file":...,"bytes":...,"crc":...})
- *    written under a shared flock so concurrent processes interleave
- *    whole records, never bytes;
- *  - in-memory running totals (live entries, live bytes, LRU order by
- *    record sequence) replayed from the log once at open — `--cache-
- *    max-mb` eviction is an O(live) walk of the in-memory state with
- *    zero directory iteration; the directory is scanned only when the
- *    index is missing or damaged (rebuild);
- *  - lock-file-coordinated compaction: when the log accumulates many
- *    dead records, the holder of the exclusive lock rewrites it as one
- *    `put` per live entry and renames it into place. Readers detect
- *    the swap by inode change and replay the fresh log; appenders are
- *    excluded by the lock for the (sub-millisecond) rewrite, so no
- *    record is ever lost to a renamed-away file.
- *
- * Content reads never trust the index: load() always opens the entry
- * file and verifies its CRC frame, so a process can share the
- * directory with writers it has never synchronized with (the index
- * self-heals by appending the records it was missing). That is what
- * makes one warm cache safely shareable by shard workers and bench
- * binaries at the same time.
+ *  - load() always opens the entry file and verifies its CRC frame;
+ *    nothing it returns rests on another process's bookkeeping;
+ *  - without a byte cap, stores and loads never list the directory;
+ *  - under `--cache-max-mb`, a hit refreshes the entry file's mtime,
+ *    which is its LRU age (ties break by file name). store() and
+ *    evictToCap() list the `*.json` files once, with size and mtime,
+ *    and remove the oldest until the rest fit. Temp files, claims and
+ *    quarantine/ are never counted or evicted. Two processes
+ *    evicting at once can only over-evict, which costs a
+ *    re-simulation, never a wrong result.
  *
  * Cross-process dedup: an advisory claim file per key
  * (`<hash>.claim`, holding "<pid> <host>") tells concurrent campaigns
@@ -51,9 +38,10 @@
  *  - a claim from another host is ignored (Unclaimed): --shard is the
  *    multi-host path, and shards never contend for a key.
  *
- * Claims are never `*.json`, so index rebuilds and quarantine never
- * see them. A lost race costs at most one duplicate simulation, never
- * a wrong result: entries are still published atomically.
+ * Claims are never `*.json`, so eviction, liveEntries() and
+ * quarantine never see them. A lost race costs at most one duplicate
+ * simulation, never a wrong result: entries are still published
+ * atomically.
  */
 
 #ifndef DMDC_SIM_CACHE_STORE_HH
@@ -62,8 +50,6 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
-#include <unordered_map>
-#include <vector>
 
 namespace dmdc
 {
@@ -75,19 +61,15 @@ namespace dmdc
  */
 constexpr unsigned kCacheFormatVersion = 3;
 
-/** Index log record schema version (independent of the entry format:
- *  an index rebuild is cheap, a cache flush is not). */
-constexpr unsigned kCacheIndexVersion = 1;
-
 /** Knobs of one CacheStore (a strict subset of CampaignConfig). */
 struct CacheStoreConfig
 {
-    /** Directory holding entries, claims, index.log, and quarantine/.
+    /** Directory holding entries, claims and quarantine/.
      *  Nothing is created until the first claim, store or quarantine. */
     std::string dir = ".dmdc_cache";
 
     /** Live-entry byte cap; LRU entries are evicted past it.
-     *  0 = unlimited (and hits skip the recency bookkeeping). */
+     *  0 = unlimited (and hits skip the mtime refresh). */
     std::uint64_t maxBytes = 0;
 
     /** Caps on quarantine/ (oldest files age out first; 0 = none). */
@@ -104,8 +86,6 @@ struct CacheStoreStats
     std::size_t quarantined = 0; ///< damaged entries set aside
     std::size_t evicted = 0;     ///< entries removed by the byte cap
     std::size_t quarantineEvicted = 0; ///< quarantine files aged out
-    std::size_t indexRebuilds = 0;     ///< full directory scans
-    std::size_t compactions = 0;       ///< index log rewrites
 };
 
 /**
@@ -135,9 +115,8 @@ class CacheStore
     Load load(const std::string &key, std::string &payload);
 
     /**
-     * Publish @p payload under @p key: CRC-framed, written atomically,
-     * recorded in the index. Evicts LRU entries when the byte cap is
-     * exceeded and compacts the index log when it has grown stale.
+     * Publish @p payload under @p key: CRC-framed, written atomically.
+     * Evicts LRU entries when the byte cap is exceeded.
      */
     void store(const std::string &key, const std::string &payload);
 
@@ -146,16 +125,11 @@ class CacheStore
     void quarantineKey(const std::string &key, const char *reason);
 
     /**
-     * Evict least-recently-used entries until live bytes fit the cap.
-     * Pure in-memory walk over the index (after catching up on other
-     * processes' appends); never iterates the directory. Returns the
-     * number of entries removed.
+     * Evict least-recently-used entries until live bytes fit the cap
+     * (one directory listing; nothing to do without a cap). Returns
+     * the number of entries removed.
      */
     std::size_t evictToCap();
-
-    /** Force an index compaction (normally automatic). False when
-     *  another process holds the compaction lock. */
-    bool compact();
 
     /** Outcome of a claim() attempt. */
     enum class Claim
@@ -171,9 +145,8 @@ class CacheStore
     /** Remove this process's claim on @p key, if it still holds it. */
     void releaseClaim(const std::string &key);
 
-    /** Running totals from the index (catching up first). */
-    std::uint64_t liveBytes();
-    std::size_t liveEntries();
+    /** Number of `*.json` entry names in the directory (no stat). */
+    std::size_t liveEntries() const;
 
     const CacheStoreStats &stats() const { return stats_; }
     const CacheStoreConfig &config() const { return config_; }
@@ -185,40 +158,15 @@ class CacheStore
     std::string claimPath(const std::string &key) const;
 
   private:
-    struct Entry
-    {
-        std::uint64_t bytes = 0;
-        std::uint64_t lastSeq = 0; ///< recency: larger = more recent
-    };
-
     // All private helpers assume mutex_ is held.
-    void ensureLoaded();
-    void replayIndex();
-    void applyRecord(const std::string &op, const std::string &file,
-                     std::uint64_t bytes);
-    void appendRecord(const char *op, const std::string &file,
-                      std::uint64_t bytes);
-    void catchUp(bool haveExclusiveLock = false);
-    void rebuildIndex();
-    bool compactLocked();
-    void maybeCompact();
     std::size_t evictLocked();
     void quarantinePath(const std::string &path, const char *reason);
     void enforceQuarantineCap();
-    std::string indexLogPath() const;
-    std::string indexLockPath() const;
 
     CacheStoreConfig config_;
     CacheStoreStats stats_;
 
-    std::mutex mutex_;
-    bool loaded_ = false;
-    std::unordered_map<std::string, Entry> entries_; ///< by file name
-    std::uint64_t liveBytes_ = 0;
-    std::uint64_t seq_ = 0;          ///< records applied so far
-    std::uint64_t appendedSinceCompact_ = 0;
-    std::uint64_t indexReadPos_ = 0; ///< bytes of index.log consumed
-    std::uint64_t indexIno_ = 0;     ///< inode of the replayed log
+    std::mutex mutex_; ///< guards stats_ and serializes eviction
 };
 
 } // namespace dmdc

@@ -224,9 +224,9 @@ class CampaignRunner
     CampaignStats lastStats_;
     std::uint64_t totalSimulated_ = 0;
 
-    /** Owns the on-disk layout: CRC framing, quarantine, the index
-     *  log, LRU eviction. The runner keeps the SimResult <-> JSON
-     *  translation and key validation. */
+    /** Owns the on-disk layout: CRC framing, quarantine, claims, LRU
+     *  eviction. The runner keeps the SimResult <-> JSON translation
+     *  and key validation. */
     std::unique_ptr<CacheStore> diskStore_;
 
     std::mutex memMutex_;

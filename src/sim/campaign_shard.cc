@@ -110,9 +110,9 @@ runIdentity(const SimOptions &opt)
     std::ostringstream os;
     os << opt.benchmark << '|' << opt.scheme << '|' << opt.configLevel
        << '|' << opt.warmupInsts << '|' << opt.runInsts << '|'
-       << opt.invalidationsPer1kCycles << '|' << opt.coherence << '|'
-       << opt.safeLoads << '|' << opt.sqFilter << '|' << opt.numYlaQw
-       << '|' << opt.tableEntriesOverride << '|' << opt.queueEntries
+       << doubleToken(opt.invalidationsPer1kCycles) << '|'
+       << opt.coherence << '|' << opt.safeLoads << '|' << opt.sqFilter
+       << '|' << opt.numYlaQw << '|' << opt.tableEntriesOverride << '|' << opt.queueEntries
        << '|' << (opt.observers.empty() && !opt.tweak ? 0 : 1);
     return os.str();
 }

@@ -1,14 +1,14 @@
 /**
  * @file
- * Tests of the cache storage engine (sim/cache_store.hh): index-log
- * accounting (running byte totals, no per-operation directory scans),
- * LRU eviction, index rebuild and compaction, and — the part that
- * cannot be faked in-process — two real processes sharing one store:
- * simultaneous same-key writers and a reader racing a compaction must
- * lose no entries and quarantine nothing that isn't corrupt. The
- * per-key claim rules (exclusive, dead or own pid taken over, other
- * hosts ignored, released by every run, invisible to the index) close
- * the file.
+ * Tests of the cache storage engine (sim/cache_store.hh): the CRC
+ * frame and quarantine, mtime-ordered LRU eviction under a byte cap,
+ * leftover index files of older caches being ignored, and — the part
+ * that cannot be faked in-process — two real processes sharing one
+ * store: simultaneous same-key writers, and a reader racing another
+ * process's eviction, must see no torn entry and quarantine nothing
+ * that isn't corrupt. The per-key claim rules (exclusive, dead or own
+ * pid taken over, other hosts ignored, released by every run, never
+ * counted as entries) close the file.
  */
 
 #include <gtest/gtest.h>
@@ -88,33 +88,15 @@ TEST_F(CacheStoreTest, StoreLoadRoundTrip)
     EXPECT_EQ(store.liveEntries(), 1u);
 }
 
-TEST_F(CacheStoreTest, RunningByteTotalMatchesDirectory)
-{
-    CacheStore store(storeConfig(dir_));
-    for (int i = 0; i < 5; ++i)
-        store.store("key-" + std::to_string(i),
-                    std::string(100 + i, 'x'));
-
-    std::uintmax_t on_disk = 0;
-    for (const auto &e : fs::directory_iterator(dir_)) {
-        if (e.path().extension() == ".json")
-            on_disk += fs::file_size(e.path());
-    }
-    EXPECT_EQ(store.liveBytes(), on_disk);
-    EXPECT_EQ(store.liveEntries(), 5u);
-}
-
-TEST_F(CacheStoreTest, EvictionUsesIndexNotDirectoryScans)
+TEST_F(CacheStoreTest, StoreEvictsPastTheCap)
 {
     CacheStore store(storeConfig(dir_, /*maxBytes=*/1));
     for (int i = 0; i < 4; ++i)
         store.store("key-" + std::to_string(i),
                     std::string(64, 'p'));
 
-    // A 1-byte cap can hold nothing: every store evicts eagerly and
-    // the running totals must agree with the (empty) directory.
+    // A 1-byte cap can hold nothing: every store evicts eagerly.
     EXPECT_EQ(countEntries(dir_), 0u);
-    EXPECT_EQ(store.liveBytes(), 0u);
     EXPECT_GE(store.stats().evicted, 3u);
 }
 
@@ -139,48 +121,10 @@ TEST_F(CacheStoreTest, LruEvictsOldestFirst)
     EXPECT_EQ(capped.load("mid", out), CacheStore::Load::Miss);
 }
 
-TEST_F(CacheStoreTest, IndexRebuiltAfterDeletion)
-{
-    {
-        CacheStore store(storeConfig(dir_));
-        store.store("key-a", "payload-a");
-        store.store("key-b", "payload-b");
-    }
-    fs::remove(fs::path(dir_) / "index.log");
-
-    CacheStore fresh(storeConfig(dir_));
-    std::string out;
-    EXPECT_EQ(fresh.load("key-a", out), CacheStore::Load::Hit);
-    EXPECT_EQ(out, "payload-a");
-    EXPECT_EQ(fresh.liveEntries(), 2u);
-    EXPECT_EQ(fresh.stats().indexRebuilds, 1u);
-}
-
-TEST_F(CacheStoreTest, CompactionPreservesEntries)
-{
-    CacheStore store(storeConfig(dir_));
-    for (int i = 0; i < 10; ++i)
-        store.store("key-" + std::to_string(i),
-                    "payload-" + std::to_string(i));
-    const auto before = fs::file_size(fs::path(dir_) / "index.log");
-    ASSERT_TRUE(store.compact());
-    EXPECT_LE(fs::file_size(fs::path(dir_) / "index.log"), before);
-
-    CacheStore fresh(storeConfig(dir_));
-    EXPECT_EQ(fresh.liveEntries(), 10u);
-    std::string out;
-    for (int i = 0; i < 10; ++i) {
-        EXPECT_EQ(fresh.load("key-" + std::to_string(i), out),
-                  CacheStore::Load::Hit);
-        EXPECT_EQ(out, "payload-" + std::to_string(i));
-    }
-}
-
 TEST_F(CacheStoreTest, SiblingInstanceSeesStores)
 {
     // Two in-process instances model two processes politely taking
-    // turns: writes through one must become visible to the other via
-    // the index log, with no directory rescans.
+    // turns: writes through one must become visible to the other.
     CacheStore a(storeConfig(dir_));
     CacheStore b(storeConfig(dir_));
     a.store("key-a", "payload-a");
@@ -301,35 +245,38 @@ TEST_F(CacheStoreTest, TwoProcessSameKeyWriters)
     EXPECT_EQ(fresh.stats().quarantined, 0u);
 }
 
-TEST_F(CacheStoreTest, ReaderSurvivesConcurrentCompaction)
+TEST_F(CacheStoreTest, ReaderSurvivesConcurrentEviction)
 {
-    // Child compacts the index in a loop while the parent keeps
-    // storing and loading: every key must stay readable throughout
-    // (never Corrupt, and at the end, no entry lost).
+    // Child evicts under a half-size cap in a loop while the parent
+    // keeps storing and loading without one: a load may miss, but
+    // never sees a torn entry, and nothing is quarantined.
     const std::string dir = dir_;
     constexpr int kKeys = 16;
     auto keyOf = [](int i) { return "key-" + std::to_string(i); };
     auto payloadOf = [](int i) {
-        return "payload-" + std::to_string(i);
+        return "payload-" + std::string(64, 'a' + i);
     };
+    std::uint64_t full = 0;
     {
         CacheStore store(storeConfig(dir));
         for (int i = 0; i < kKeys; ++i)
             store.store(keyOf(i), payloadOf(i));
+        for (const auto &e : fs::directory_iterator(dir))
+            full += fs::file_size(e.path());
     }
 
     const int child_status = runForked([&] {
-        CacheStore store(storeConfig(dir));
+        CacheStore store(storeConfig(dir, full / 2));
         std::string out;
         for (int iter = 0; iter < 40; ++iter) {
-            store.compact();
+            store.evictToCap();
             for (int i = 0; i < kKeys; ++i) {
                 if (store.load(keyOf(i), out) ==
                     CacheStore::Load::Corrupt)
                     _exit(2);
             }
         }
-        _exit(0);
+        _exit(store.stats().quarantined == 0 ? 0 : 3);
     });
 
     CacheStore store(storeConfig(dir));
@@ -337,21 +284,54 @@ TEST_F(CacheStoreTest, ReaderSurvivesConcurrentCompaction)
     for (int iter = 0; iter < 40; ++iter) {
         store.store(keyOf(iter % kKeys), payloadOf(iter % kKeys));
         for (int i = 0; i < kKeys; ++i) {
-            EXPECT_NE(store.load(keyOf(i), out),
-                      CacheStore::Load::Corrupt);
+            const CacheStore::Load r = store.load(keyOf(i), out);
+            EXPECT_NE(r, CacheStore::Load::Corrupt);
+            if (r == CacheStore::Load::Hit) {
+                EXPECT_EQ(out, payloadOf(i));
+            }
         }
     }
     EXPECT_EQ(child_status, 0);
+    EXPECT_EQ(store.stats().quarantined, 0u);
+    EXPECT_FALSE(fs::exists(fs::path(dir) / "quarantine"));
+}
 
-    CacheStore fresh(storeConfig(dir));
-    EXPECT_EQ(fresh.liveEntries(),
-              static_cast<std::size_t>(kKeys));
-    for (int i = 0; i < kKeys; ++i) {
-        EXPECT_EQ(fresh.load(keyOf(i), out), CacheStore::Load::Hit)
-            << "entry " << i << " lost";
-        EXPECT_EQ(out, payloadOf(i));
+TEST_F(CacheStoreTest, LeftoverIndexFilesAreIgnored)
+{
+    // Caches written before the index was removed still hold
+    // index.log and index.lock: entries keep hitting, and neither file
+    // is counted, charged against the cap or evicted.
+    std::uint64_t entryBytes = 0;
+    {
+        CacheStore store(storeConfig(dir_));
+        store.store("key-a", "payload-a");
+        store.store("key-b", "payload-b");
+        for (const auto &e : fs::directory_iterator(dir_))
+            entryBytes += fs::file_size(e.path());
     }
-    EXPECT_EQ(fresh.stats().quarantined, 0u);
+    {
+        std::ofstream log(fs::path(dir_) / "index.log");
+        for (int i = 0; i < 64; ++i)
+            log << "{\"v\":1,\"op\":\"put\",\"file\":"
+                   "\"0123456789abcdef.json\",\"bytes\":4096,"
+                   "\"crc\":\"00000000\"}\n";
+        std::ofstream(fs::path(dir_) / "index.lock");
+    }
+
+    CacheStore capped(storeConfig(dir_, entryBytes));
+    EXPECT_EQ(capped.liveEntries(), 2u);
+    EXPECT_EQ(capped.evictToCap(), 0u);
+    std::string out;
+    EXPECT_EQ(capped.load("key-a", out), CacheStore::Load::Hit);
+    EXPECT_EQ(out, "payload-a");
+    EXPECT_EQ(capped.load("key-b", out), CacheStore::Load::Hit);
+
+    CacheStore tiny(storeConfig(dir_, /*maxBytes=*/1));
+    EXPECT_EQ(tiny.evictToCap(), 2u);
+    EXPECT_EQ(tiny.liveEntries(), 0u);
+    EXPECT_TRUE(fs::exists(fs::path(dir_) / "index.log"));
+    EXPECT_TRUE(fs::exists(fs::path(dir_) / "index.lock"));
+    EXPECT_EQ(tiny.stats().quarantined + capped.stats().quarantined, 0u);
 }
 
 // ---- per-key claims ---------------------------------------------------
@@ -571,7 +551,7 @@ TEST_F(CacheStoreTest, DeferredRunSkipsOnInterrupt)
     EXPECT_EQ(countClaims(dir_), 0u);
 }
 
-TEST_F(CacheStoreTest, ClaimsStayOutOfTheIndex)
+TEST_F(CacheStoreTest, ClaimsAreNotEntries)
 {
     {
         CacheStore store(storeConfig(dir_));
@@ -580,11 +560,9 @@ TEST_F(CacheStoreTest, ClaimsStayOutOfTheIndex)
         EXPECT_EQ(store.liveEntries(), 1u);
         // Left held, as by a process killed mid-simulation.
     }
-    fs::remove(fs::path(dir_) / "index.log");
 
     CacheStore fresh(storeConfig(dir_));
     EXPECT_EQ(fresh.liveEntries(), 1u);
-    EXPECT_EQ(fresh.stats().indexRebuilds, 1u);
     EXPECT_EQ(fresh.stats().quarantined, 0u);
     EXPECT_TRUE(fs::exists(fresh.claimPath("key-a")));
     EXPECT_FALSE(fs::exists(fs::path(dir_) / "quarantine"));

@@ -228,6 +228,18 @@ TEST(ShardAssignment, EqualIdentitiesColocate)
     }
 }
 
+TEST(RunIdentity, KeepsEveryDigitOfTheInvalidationRate)
+{
+    // Rates that agree to 6 significant digits are still different
+    // runs (cacheKey() tells them apart too).
+    SimOptions a = quickOptions("gzip", "dmdc-global");
+    SimOptions b = a;
+    a.invalidationsPer1kCycles = 0.1234567;
+    b.invalidationsPer1kCycles = 0.1234568;
+    EXPECT_NE(runIdentity(a), runIdentity(b));
+    EXPECT_NE(campaignFingerprint({a}), campaignFingerprint({b}));
+}
+
 TEST(ShardAssignment, SingleShardOwnsEverything)
 {
     const std::vector<SimOptions> runs = smallCampaign();

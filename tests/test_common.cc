@@ -17,7 +17,6 @@
 
 #include <unistd.h>
 
-#include "common/append_log.hh"
 #include "common/atomic_file.hh"
 #include "common/bitutils.hh"
 #include "common/json.hh"
@@ -386,7 +385,7 @@ TEST(Json, RejectsNearMissNonFiniteTokens)
     EXPECT_EQ(v.kind, JsonValue::Kind::Null);
 }
 
-// ---- durability layer (atomic_file / append_log) ---------------------
+// ---- durability layer (atomic_file) ----------------------------------
 
 /** Restores the durable-sync knob however the test exits. */
 class DurabilityTest : public ::testing::Test
@@ -425,27 +424,12 @@ TEST_F(DurabilityTest, AtomicWriteFsyncsFileAndDirectory)
     std::filesystem::remove(path);
 }
 
-TEST_F(DurabilityTest, AppendLogFsyncsTheRecord)
-{
-    const std::string log = tmpPath("log");
-    const std::string lock = log + ".lock";
-    setDurableSync(true);
-    const std::uint64_t before = durableSyncCount();
-    ASSERT_TRUE(appendLogLine(log, lock, "record-1\n"));
-    EXPECT_GE(durableSyncCount(), before + 1);
-    std::filesystem::remove(log);
-    std::filesystem::remove(lock);
-}
-
 TEST_F(DurabilityTest, OptOutSkipsEveryFsync)
 {
     const std::string path = tmpPath("optout");
-    const std::string log = tmpPath("optout_log");
-    const std::string lock = log + ".lock";
     setDurableSync(false);
     const std::uint64_t before = durableSyncCount();
     ASSERT_TRUE(writeFileAtomic(path, "fast"));
-    ASSERT_TRUE(appendLogLine(log, lock, "fast-record\n"));
     // Writes still land and renames still publish atomically; only
     // the fsyncs are skipped.
     EXPECT_EQ(durableSyncCount(), before);
@@ -454,8 +438,6 @@ TEST_F(DurabilityTest, OptOutSkipsEveryFsync)
     std::getline(is, content);
     EXPECT_EQ(content, "fast");
     std::filesystem::remove(path);
-    std::filesystem::remove(log);
-    std::filesystem::remove(lock);
 }
 
 } // namespace
