@@ -89,13 +89,12 @@ Range
 slowdownRange(const std::vector<SimResult> &baseline,
               const std::vector<SimResult> &test, bool fp_group)
 {
-    const ResultLookup lookup(test);
     std::vector<double> v;
     v.reserve(baseline.size());
     for (const SimResult &b : baseline) {
         if (!b.valid || b.fp != fp_group)
             continue;
-        const SimResult *t = lookup.find(b.benchmark);
+        const SimResult *t = findValidResult(test, b.benchmark);
         if (!t)
             continue; // degraded pair: drop from the aggregate
         // Compare cycles per instruction; runs commit the same

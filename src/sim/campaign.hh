@@ -22,7 +22,7 @@ namespace dmdc
  * Run @p base once per benchmark in @p benchmarks (the template's
  * .benchmark field is overwritten). Progress is reported via inform().
  * Runs execute on CampaignRunner::global() — parallel across
- * benchmarks and memoized — with results in suite order, element-wise
+ * benchmarks and cached on disk — with results in suite order, element-wise
  * identical to a serial loop over runSimulation().
  *
  * Failure tolerance: a failed / timed-out / out-of-shard run yields
@@ -73,13 +73,12 @@ Range
 savingRange(const std::vector<SimResult> &baseline,
             const std::vector<SimResult> &test, bool fp_group, Fn &&fn)
 {
-    const ResultLookup lookup(test);
     std::vector<double> v;
     v.reserve(baseline.size());
     for (const SimResult &b : baseline) {
         if (!b.valid || b.fp != fp_group)
             continue;
-        const SimResult *t = lookup.find(b.benchmark);
+        const SimResult *t = findValidResult(test, b.benchmark);
         if (!t)
             continue; // degraded pair: drop from the aggregate
         const double base_val = fn(b);

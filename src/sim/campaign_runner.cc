@@ -1,9 +1,9 @@
 /**
  * @file
  * Parallel campaign engine implementation: fingerprinting, the
- * CRC-protected in-process/on-disk run cache, the fault-isolated
- * fan-out loop, and the bench journal (which doubles as the campaign
- * failure manifest).
+ * CRC-protected on-disk run cache, the fault-isolated fan-out loop,
+ * and the bench journal (which doubles as the campaign failure
+ * manifest).
  */
 
 #include "sim/campaign_runner.hh"
@@ -16,8 +16,10 @@
 #include <cstring>
 #include <ctime>
 #include <memory>
+#include <mutex>
 #include <sstream>
 #include <thread>
+#include <unordered_map>
 
 #include <csignal>
 #include <unistd.h>
@@ -52,7 +54,6 @@ struct RunnerTrace
 {
     TraceCategory &cat = traceCategory("runner");
     std::uint16_t campaign = traceNameId("campaign");
-    std::uint16_t memHit = traceNameId("cache-mem-hit");
     std::uint16_t diskHit = traceNameId("cache-disk-hit");
     std::uint16_t quarantine = traceNameId("cache-quarantine");
     std::uint16_t retry = traceNameId("retry");
@@ -266,7 +267,7 @@ flushCampaignJournal()
     // leave either the previous complete journal or the new one on
     // disk — never a torn file.
     std::ostringstream os;
-    os << "{\"version\":" << kCacheFormatVersion
+    os << "{\"version\":" << kJournalFormatVersion
        << ",\"commit\":\"" << buildCommit() << '"';
     if (!j.deterministic)
         os << ",\"generated_utc\":\"" << utcTimestamp() << '"';
@@ -400,25 +401,18 @@ cacheKey(const SimOptions &opt)
 {
     if (!cacheableOptions(opt))
         panic("cacheKey() on options with observers/tweak attached");
-    std::ostringstream os;
-    os << "dmdc-cache-v" << kCacheFormatVersion
-       << "|src=" << sourceFingerprint()
-       << "|bench=" << opt.benchmark
-       << "|config=" << opt.configLevel
-       << "|scheme=" << opt.scheme
-       << "|warmup=" << opt.warmupInsts
-       << "|insts=" << opt.runInsts
-       << "|inv=" << doubleToken(opt.invalidationsPer1kCycles)
-       << "|coherence=" << opt.coherence
-       << "|safe_loads=" << opt.safeLoads
-       << "|sq_filter=" << opt.sqFilter
-       << "|yla_qw=" << opt.numYlaQw
-       << "|table=" << opt.tableEntriesOverride
-       << "|queue=" << opt.queueEntries;
-    return os.str();
+    return "dmdc-cache-v" + std::to_string(kCacheFormatVersion) +
+           "|src=" + sourceFingerprint() + '|' + runIdentity(opt);
 }
 
 // ---- CampaignRunner --------------------------------------------------
+
+unsigned
+defaultWorkerCount()
+{
+    const unsigned hw = std::thread::hardware_concurrency();
+    return hw ? hw : 1;
+}
 
 CampaignRunner::CampaignRunner(CampaignConfig config)
     : config_(std::move(config))
@@ -529,6 +523,7 @@ CampaignRunner::runChecked(const std::vector<SimOptions> &runs_in,
     {
         std::size_t index;
         std::string key;        ///< empty for uncacheable runs
+        LptItem lpt;            ///< sort key of the run queue
     };
     std::vector<Pending> pending;
     pending.reserve(runs.size());
@@ -539,12 +534,8 @@ CampaignRunner::runChecked(const std::vector<SimOptions> &runs_in,
 
     // Run i was loaded from its verified disk entry: settle it as a
     // cache hit.
-    auto settle_disk_hit = [&](std::size_t i, const std::string &key) {
+    auto settle_disk_hit = [&](std::size_t i) {
         traceInstant(rt.cat, rt.diskHit);
-        {
-            std::lock_guard<std::mutex> lock(memMutex_);
-            memCache_.emplace(key, cr.results[i]);
-        }
         cr.outcomes[i].cached = true;
         cr.outcomes[i].attempts = 0;
         appendJournal(cr.results[i], cr.outcomes[i]);
@@ -568,24 +559,11 @@ CampaignRunner::runChecked(const std::vector<SimOptions> &runs_in,
         }
         if (!cacheableOptions(opt)) {
             ++stats.uncacheable;
-            pending.push_back({i, ""});
+            pending.push_back({i, "", lptItem(opt)});
             continue;
         }
         const std::string key = cacheKey(opt);
         if (config_.useCache) {
-            {
-                std::lock_guard<std::mutex> lock(memMutex_);
-                auto it = memCache_.find(key);
-                if (it != memCache_.end()) {
-                    cr.results[i] = it->second;
-                    ++stats.memoryHits;
-                    traceInstant(rt.cat, rt.memHit);
-                    cr.outcomes[i].cached = true;
-                    cr.outcomes[i].attempts = 0;
-                    appendJournal(cr.results[i], cr.outcomes[i]);
-                    continue;
-                }
-            }
             const CacheLoad load = loadFromDisk(key, cr.results[i]);
             if (load == CacheLoad::Corrupt) {
                 ++stats.quarantined;
@@ -593,7 +571,7 @@ CampaignRunner::runChecked(const std::vector<SimOptions> &runs_in,
             }
             if (load == CacheLoad::Hit) {
                 ++stats.diskHits;
-                settle_disk_hit(i, key);
+                settle_disk_hit(i);
                 continue;
             }
         }
@@ -602,7 +580,7 @@ CampaignRunner::runChecked(const std::vector<SimOptions> &runs_in,
             followers.emplace_back(i, it->second);
             continue;
         }
-        pending.push_back({i, key});
+        pending.push_back({i, key, lptItem(opt)});
     }
 
     // ---- fan out, isolating each run ---------------------------------
@@ -691,14 +669,8 @@ CampaignRunner::runChecked(const std::vector<SimOptions> &runs_in,
                 oc.wallMs = elapsedMs(run_t0);
                 if (oc.ok()) {
                     const SimResult &r = cr.results[p.index];
-                    if (!p.key.empty() && config_.useCache) {
-                        {
-                            std::lock_guard<std::mutex> lock(
-                                memMutex_);
-                            memCache_.emplace(p.key, r);
-                        }
+                    if (!p.key.empty() && config_.useCache)
                         storeToDisk(p.key, r);
-                    }
                     appendJournal(r, oc);
                     if (verbose) {
                         inform("  %-10s %-12s config%u  ipc=%.2f"
@@ -772,7 +744,7 @@ CampaignRunner::runChecked(const std::vector<SimOptions> &runs_in,
                 }
                 if (load == CacheLoad::Hit) {
                     ++peer_hits;
-                    settle_disk_hit(p.index, p.key);
+                    settle_disk_hit(p.index);
                     diskStore_->releaseClaim(p.key);
                     return true;
                 }
@@ -781,25 +753,22 @@ CampaignRunner::runChecked(const std::vector<SimOptions> &runs_in,
             return true;
         };
 
-        // The scheduler decides placement (see run_scheduler.hh):
-        // runs land on per-worker queues keyed by journal identity,
-        // and each worker drains its queue — stealing from the others
-        // — until no unclaimed run remains. Runs deferred behind
-        // another process's claim are then polled with bounded
-        // backoff until they settle.
-        std::vector<ScheduledRun> items;
-        items.reserve(pending.size());
-        for (std::size_t s = 0; s < pending.size(); ++s) {
-            const SimOptions &opt = runs[pending[s].index];
-            items.push_back(
-                {s,
-                 journalIdentity(opt.benchmark, opt.scheme,
-                                 opt.configLevel),
-                 static_cast<double>(opt.warmupInsts) +
-                     static_cast<double>(opt.runInsts)});
+        // One shared queue. With several workers it is in LPT order
+        // (lptBefore(), the order shard placement uses): the biggest
+        // runs start first, so the last runs to finish are short ones.
+        // One worker keeps the list order, which costs it nothing and
+        // makes fail-fast skip exactly the runs after the first
+        // failure. Each worker takes the next unclaimed run until the
+        // queue is empty, then polls the runs it deferred behind
+        // another process's claim, with bounded backoff, until they
+        // settle.
+        if (jobs > 1) {
+            std::stable_sort(pending.begin(), pending.end(),
+                             [](const Pending &a, const Pending &b) {
+                                 return lptBefore(a.lpt, b.lpt);
+                             });
         }
-        RunScheduler scheduler;
-        scheduler.seed(std::move(items), jobs);
+        std::atomic<std::size_t> cursor{0};
         std::vector<std::thread> workers;
         workers.reserve(jobs);
         for (unsigned w = 0; w < jobs; ++w) {
@@ -807,9 +776,9 @@ CampaignRunner::runChecked(const std::vector<SimOptions> &runs_in,
                 traceSetThreadName("worker-" + std::to_string(w));
                 std::vector<std::pair<const Pending *, Clock::time_point>>
                     deferred;
-                ScheduledRun item;
-                while (scheduler.next(w, item)) {
-                    const Pending &p = pending[item.index];
+                for (std::size_t n; (n = cursor.fetch_add(1)) <
+                                    pending.size();) {
+                    const Pending &p = pending[n];
                     const auto now = Clock::now();
                     if (!try_run(p, now))
                         deferred.emplace_back(&p, now);
@@ -888,11 +857,9 @@ CampaignRunner::runChecked(const std::vector<SimOptions> &runs_in,
                    stats.runs - stats.outOfShard, stats.runs);
         }
         inform("campaign: %zu runs in %.2fs (%.1f sims/s; "
-               "%zu simulated, %zu mem hits, %zu disk hits, "
-               "%zu uncacheable)",
+               "%zu simulated, %zu disk hits, %zu uncacheable)",
                stats.runs, stats.wallMs / 1000.0, stats.simsPerSec(),
-               stats.simulated, stats.memoryHits, stats.diskHits,
-               stats.uncacheable);
+               stats.simulated, stats.diskHits, stats.uncacheable);
         if (stats.failed || stats.timedOut || stats.skipped ||
             stats.retried || stats.quarantined || stats.evicted ||
             stats.quarantineEvicted) {

@@ -1,23 +1,23 @@
 /**
  * @file
- * Parallel campaign engine with a memoizing run cache and per-run
+ * Parallel campaign engine with an on-disk run cache and per-run
  * fault isolation.
  *
  * A campaign is an ordered list of independent (benchmark, config,
  * scheme) simulation runs. CampaignRunner fans the list out across
- * worker threads (placed by a RunScheduler) while preserving the
- * serial result ordering and
- * bit-identical SimResults (each Simulator owns all of its state, so
- * runs are deterministic functions of their SimOptions).
+ * worker threads, which take runs from one shared queue, while
+ * preserving the serial result ordering and bit-identical SimResults
+ * (each Simulator owns all of its state, so runs are deterministic
+ * functions of their SimOptions).
  *
  * Runs whose SimOptions are canonically fingerprintable (no attached
- * observers, no tweak callback) are additionally memoized in an
- * in-process map and an on-disk JSON cache (.dmdc_cache/), so the
- * Baseline campaigns that nearly every bench binary re-simulates are
- * near-free after the first binary computes them. Campaigns running
- * concurrently on one cache directory simulate each key once: a run
- * another live process has claimed waits for that process's entry
- * (per-key claims, cache_store.hh).
+ * observers, no tweak callback) are additionally cached on disk as
+ * CRC-checked JSON (.dmdc_cache/), so the Baseline campaigns that
+ * nearly every bench binary re-simulates are near-free after the
+ * first binary computes them; a repeat within one process is a disk
+ * hit too. Campaigns running concurrently on one cache directory
+ * simulate each key once: a run another live process has claimed
+ * waits for that process's entry (per-key claims, cache_store.hh).
  *
  * Fault tolerance: each run executes inside an isolation boundary
  * that converts exceptions (structured RunErrors, watchdog timeouts,
@@ -35,26 +35,27 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/cache_store.hh"
 #include "sim/campaign_shard.hh"
 #include "sim/run_error.hh"
-#include "sim/run_scheduler.hh"
 #include "sim/simulator.hh"
 
 namespace dmdc
 {
+
+/** Worker threads when none are requested: hardware_concurrency(),
+ *  clamped to at least 1. */
+unsigned defaultWorkerCount();
 
 /** Knobs of a CampaignRunner (see also bench --jobs / --no-cache). */
 struct CampaignConfig
 {
     /** Worker threads; 0 selects defaultWorkerCount(). */
     unsigned jobs = 0;
-    /** Enable the in-process + on-disk run cache. */
+    /** Enable the on-disk run cache. */
     bool useCache = true;
     /** On-disk cache directory (created on demand). */
     std::string cacheDir = ".dmdc_cache";
@@ -110,7 +111,6 @@ struct CampaignStats
 {
     std::size_t runs = 0;        ///< total runs requested
     std::size_t simulated = 0;   ///< actually executed simulations
-    std::size_t memoryHits = 0;  ///< served from the in-process map
     std::size_t diskHits = 0;    ///< served from .dmdc_cache/ JSON
     std::size_t uncacheable = 0; ///< observers/tweak runs (always run)
     std::size_t failed = 0;      ///< terminal non-timeout failures
@@ -169,9 +169,8 @@ struct CampaignResult
 };
 
 /**
- * Runs campaigns. Instances are independent (each has its own
- * in-process memo map); the process-wide instance behind runSuite()
- * is reachable via global().
+ * Runs campaigns. Instances are independent; the process-wide
+ * instance behind runSuite() is reachable via global().
  */
 class CampaignRunner
 {
@@ -182,7 +181,7 @@ class CampaignRunner
      * Execute every run in @p runs and report results plus per-run
      * RunOutcomes in the same order. Identical to running
      * runSimulation() serially per element, but parallel and
-     * memoized; the caller decides what a failed run means. (The
+     * cached; the caller decides what a failed run means. (The
      * former run() entry point, which fatal()ed on any failure, is
      * gone — every harness renders degraded cells from the
      * RunOutcomes instead of dying.)
@@ -210,7 +209,7 @@ class CampaignRunner
      */
     static void configureGlobal(const CampaignConfig &config);
 
-    /** The on-disk half of the run cache (see cache_store.hh). */
+    /** The run cache (see cache_store.hh). */
     CacheStore &diskStore() { return *diskStore_; }
 
   private:
@@ -228,9 +227,6 @@ class CampaignRunner
      *  eviction. The runner keeps the SimResult <-> JSON translation
      *  and key validation. */
     std::unique_ptr<CacheStore> diskStore_;
-
-    std::mutex memMutex_;
-    std::unordered_map<std::string, SimResult> memCache_;
 };
 
 /**
@@ -241,9 +237,10 @@ class CampaignRunner
 bool cacheableOptions(const SimOptions &opt);
 
 /**
- * Canonical fingerprint of every behavior-affecting SimOptions field
- * (plus a cache format version). Two runs with equal keys produce
- * bit-identical SimResults. Precondition: cacheableOptions(opt).
+ * Canonical fingerprint of every behavior-affecting SimOptions field:
+ * "dmdc-cache-v<version>|src=<policySourceFingerprint()>|" followed by
+ * runIdentity(opt). Two runs with equal keys produce bit-identical
+ * SimResults. Precondition: cacheableOptions(opt).
  */
 std::string cacheKey(const SimOptions &opt);
 

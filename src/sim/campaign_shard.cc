@@ -13,7 +13,6 @@
 
 #include "common/json.hh"
 #include "common/random.hh"
-#include "sim/run_scheduler.hh"
 
 namespace dmdc
 {
@@ -108,12 +107,20 @@ std::string
 runIdentity(const SimOptions &opt)
 {
     std::ostringstream os;
-    os << opt.benchmark << '|' << opt.scheme << '|' << opt.configLevel
-       << '|' << opt.warmupInsts << '|' << opt.runInsts << '|'
-       << doubleToken(opt.invalidationsPer1kCycles) << '|'
-       << opt.coherence << '|' << opt.safeLoads << '|' << opt.sqFilter
-       << '|' << opt.numYlaQw << '|' << opt.tableEntriesOverride << '|' << opt.queueEntries
-       << '|' << (opt.observers.empty() && !opt.tweak ? 0 : 1);
+    os << "bench=" << opt.benchmark
+       << "|config=" << opt.configLevel
+       << "|scheme=" << opt.scheme
+       << "|warmup=" << opt.warmupInsts
+       << "|insts=" << opt.runInsts
+       << "|inv=" << doubleToken(opt.invalidationsPer1kCycles)
+       << "|coherence=" << opt.coherence
+       << "|safe_loads=" << opt.safeLoads
+       << "|sq_filter=" << opt.sqFilter
+       << "|yla_qw=" << opt.numYlaQw
+       << "|table=" << opt.tableEntriesOverride
+       << "|queue=" << opt.queueEntries;
+    if (!opt.observers.empty() || opt.tweak)
+        os << "|custom=1";
     return os.str();
 }
 
@@ -133,6 +140,81 @@ campaignFingerprint(const std::vector<SimOptions> &runs)
 
 // ---- partition -------------------------------------------------------
 
+LptItem
+lptItem(const SimOptions &opt)
+{
+    LptItem item;
+    item.cost = static_cast<double>(opt.warmupInsts) +
+                static_cast<double>(opt.runInsts);
+    item.identity =
+        journalIdentity(opt.benchmark, opt.scheme, opt.configLevel);
+    item.hash = hashBytes(item.identity.data(), item.identity.size());
+    return item;
+}
+
+bool
+lptBefore(const LptItem &a, const LptItem &b)
+{
+    return std::tie(b.cost, a.hash, a.identity) <
+           std::tie(a.cost, b.hash, b.identity);
+}
+
+namespace
+{
+
+/** Runs sharing one journal identity; item.cost sums their budgets. */
+struct RunGroup
+{
+    LptItem item;
+    std::vector<std::size_t> members; ///< indices into the run list
+};
+
+/** Group @p runs by journal identity, in order of first appearance. */
+std::vector<RunGroup>
+groupRunsByIdentity(const std::vector<SimOptions> &runs)
+{
+    std::vector<RunGroup> groups;
+    std::unordered_map<std::string, std::size_t> byKey;
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+        LptItem run = lptItem(runs[i]);
+        auto [it, fresh] = byKey.try_emplace(run.identity, groups.size());
+        if (fresh)
+            groups.push_back({std::move(run), {}});
+        else
+            groups[it->second].item.cost += run.cost;
+        groups[it->second].members.push_back(i);
+    }
+    return groups;
+}
+
+/** LPT greedy: groups in lptBefore() order, each placed on the
+ *  least-loaded of @p bins. Returns one bin per group. */
+std::vector<unsigned>
+lptAssignGroups(const std::vector<RunGroup> &groups, unsigned bins)
+{
+    std::vector<std::size_t> order(groups.size());
+    for (std::size_t i = 0; i < order.size(); ++i)
+        order[i] = i;
+    std::sort(order.begin(), order.end(),
+              [&](std::size_t a, std::size_t b) {
+                  return lptBefore(groups[a].item, groups[b].item);
+              });
+    std::vector<double> load(bins, 0.0);
+    std::vector<unsigned> assignment(groups.size(), 0);
+    for (std::size_t idx : order) {
+        std::size_t target = 0;
+        for (std::size_t s = 1; s < load.size(); ++s) {
+            if (load[s] < load[target])
+                target = s;
+        }
+        load[target] += groups[idx].item.cost;
+        assignment[idx] = static_cast<unsigned>(target);
+    }
+    return assignment;
+}
+
+} // namespace
+
 std::vector<unsigned>
 shardAssignment(const std::vector<SimOptions> &runs, unsigned shardCount)
 {
@@ -143,9 +225,7 @@ shardAssignment(const std::vector<SimOptions> &runs, unsigned shardCount)
     // Group by journal identity so repeated (benchmark, scheme,
     // config) triples — legal within one campaign — can never be split
     // across shards, which would break the merger's disjointness
-    // invariant. The grouping + LPT greedy live in run_scheduler.cc
-    // now, shared with the thread-level schedulers; the assignment is
-    // still byte-for-byte the one earlier releases computed.
+    // invariant.
     const std::vector<RunGroup> groups = groupRunsByIdentity(runs);
     const std::vector<unsigned> bins =
         lptAssignGroups(groups, shardCount);

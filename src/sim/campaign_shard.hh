@@ -64,9 +64,11 @@ std::string shardSpecName(const ShardSpec &spec);
 
 /**
  * Stable identity of one run: every behavior-affecting SimOptions
- * field (attached observers / tweaks are flagged, not hashed). Names
- * run spans and keys the fault injector; unlike the cache key it does
- * not include the policy-registry source fingerprint.
+ * field, spelled "bench=…|config=…|scheme=…|…|queue=…", with
+ * "|custom=1" appended when observers or a tweak are attached. Names
+ * run spans, keys the fault injector, and is the tail of cacheKey(),
+ * which prefixes the cache format version and the policy-registry
+ * source fingerprint.
  */
 std::string runIdentity(const SimOptions &opt);
 
@@ -94,12 +96,33 @@ std::vector<unsigned> shardAssignment(const std::vector<SimOptions> &runs,
                                       unsigned shardCount);
 
 /**
- * Journal identity of one run ("benchmark|scheme|config"): the
- * co-location key shared by the shard partitioner and the run
- * scheduler.
+ * Journal identity of one run ("benchmark|scheme|config"): the shard
+ * partitioner's co-location key, and the fingerprint of the
+ * simulator's per-run fault sites.
  */
 std::string journalIdentity(const std::string &benchmark,
                             const std::string &scheme, unsigned config);
+
+/** What longest-processing-time-first (LPT) ordering knows of a run
+ *  or a group of runs. */
+struct LptItem
+{
+    double cost = 0.0;      ///< instruction budget (warmup + measured)
+    std::uint64_t hash = 0; ///< hashBytes(identity): first tie-breaker
+    std::string identity;   ///< journal identity: last tie-breaker
+};
+
+/** The LptItem of one run. Simulation cost is linear in the
+ *  instruction budget, the best machine-independent estimate there is
+ *  before running. */
+LptItem lptItem(const SimOptions &opt);
+
+/**
+ * LPT order: costlier first, then by (hash, identity), so the order
+ * is a pure function of the items. shardAssignment() places groups in
+ * this order, and CampaignRunner queues its runs in it.
+ */
+bool lptBefore(const LptItem &a, const LptItem &b);
 
 // ---- journal model (shared by the runner's writer and the merger) ----
 

@@ -12,8 +12,6 @@
 #include <type_traits>
 #include <variant>
 
-#include "common/logging.hh"
-
 namespace dmdc
 {
 
@@ -194,53 +192,15 @@ makeRange(const std::vector<double> &values)
     return r;
 }
 
-const SimResult &
-findResult(const std::vector<SimResult> &results,
-           const std::string &benchmark)
+const SimResult *
+findValidResult(const std::vector<SimResult> &results,
+                const std::string &benchmark)
 {
     for (const SimResult &r : results) {
         if (r.valid && r.benchmark == benchmark)
-            return r;
+            return &r;
     }
-    fatal("no result recorded for benchmark '%s'", benchmark.c_str());
-}
-
-ResultLookup::ResultLookup(const std::vector<SimResult> &results)
-    : results_(results)
-{
-    if (results.size() <= kIndexThreshold)
-        return;
-    index_.reserve(results.size());
-    for (const SimResult &r : results) {
-        if (r.valid)
-            index_.emplace(r.benchmark, &r);
-    }
-}
-
-const SimResult *
-ResultLookup::find(const std::string &benchmark) const
-{
-    if (index_.empty()) {
-        for (const SimResult &r : results_) {
-            if (r.valid && r.benchmark == benchmark)
-                return &r;
-        }
-        // Linear scan covers the small-campaign case where no index
-        // was built; absent and invalid look the same to the caller.
-        return nullptr;
-    }
-    auto it = index_.find(benchmark);
-    return it == index_.end() ? nullptr : it->second;
-}
-
-const SimResult &
-ResultLookup::at(const std::string &benchmark) const
-{
-    const SimResult *r = find(benchmark);
-    if (!r)
-        fatal("no result recorded for benchmark '%s'",
-              benchmark.c_str());
-    return *r;
+    return nullptr;
 }
 
 } // namespace dmdc

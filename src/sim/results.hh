@@ -10,7 +10,6 @@
 
 #include <iosfwd>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/json.hh"
@@ -33,7 +32,7 @@ struct SimResult
      * False for a degraded slot: the run failed, timed out, was
      * skipped, or belongs to another shard. Identity fields above are
      * filled in; every metric below is meaningless. Aggregations
-     * (rangeOver, ResultLookup) skip invalid slots so a harness
+     * (rangeOver, findValidResult) skip invalid slots so a harness
      * renders "n/a" cells instead of poisoning group means.
      */
     bool valid = true;
@@ -147,37 +146,12 @@ rangeOver(const std::vector<SimResult> &results, bool fp_group, Fn &&fn)
     return makeRange(v);
 }
 
-/** Find the result for @p benchmark; fatal() if absent or invalid. */
-const SimResult &findResult(const std::vector<SimResult> &results,
-                            const std::string &benchmark);
-
 /**
- * Repeated-lookup view over a result vector. Small campaigns keep the
- * linear scan (cheaper than building a map); past
- * kIndexThreshold results a name index is built once, turning the
- * per-benchmark comparison loops from O(n^2) into O(n).
- * The referenced vector must outlive the lookup and not be resized.
+ * The result for @p benchmark, or nullptr when it is absent or its
+ * slot is invalid (failed / out-of-shard run).
  */
-class ResultLookup
-{
-  public:
-    static constexpr std::size_t kIndexThreshold = 16;
-
-    explicit ResultLookup(const std::vector<SimResult> &results);
-
-    /** The result for @p benchmark; fatal() if absent or invalid. */
-    const SimResult &at(const std::string &benchmark) const;
-
-    /**
-     * Degradation-tolerant lookup: nullptr when @p benchmark is
-     * absent or its slot is invalid (failed / out-of-shard run).
-     */
-    const SimResult *find(const std::string &benchmark) const;
-
-  private:
-    const std::vector<SimResult> &results_;
-    std::unordered_map<std::string, const SimResult *> index_;
-};
+const SimResult *findValidResult(const std::vector<SimResult> &results,
+                                 const std::string &benchmark);
 
 } // namespace dmdc
 

@@ -8,11 +8,11 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <sstream>
 
 #include "common/bitutils.hh"
 #include "common/logging.hh"
 #include "lsq/policy/registry.hh"
+#include "sim/campaign_shard.hh"
 #include "sim/fault_injector.hh"
 #include "sim/invalidation.hh"
 #include "sim/run_error.hh"
@@ -248,11 +248,10 @@ Simulator::Simulator(const SimOptions &options) : options_(options)
 
     // Deterministic chaos: silently weaken the policy's checking so
     // CI can prove the oracle catches real miscompares. Same
-    // fingerprint shape as the run-hang site.
-    std::ostringstream corrupt_fp;
-    corrupt_fp << options_.benchmark << '|' << params_.lsq.policy
-               << '|' << options_.configLevel;
-    if (FaultInjector::global().injectLsqCorrupt(corrupt_fp.str()))
+    // fingerprint as the run-hang site.
+    if (FaultInjector::global().injectLsqCorrupt(journalIdentity(
+            options_.benchmark, params_.lsq.policy,
+            options_.configLevel)))
         pipe_->lsq().corruptChecking();
 }
 
@@ -287,14 +286,11 @@ Simulator::run()
 
     // Deterministic chaos: a run-hang fault wedges this run — cycles
     // elapse, commits don't — which must surface via the watchdog.
-    std::ostringstream fp_os;
-    fp_os << options_.benchmark << '|' << params_.lsq.policy << '|'
-          << options_.configLevel;
-
     RunLoopOptions lo;
     lo.stallCycleLimit = options_.stallCycleLimit;
     lo.timeoutMs = options_.timeoutMs;
-    lo.hang = FaultInjector::global().injectRunHang(fp_os.str());
+    lo.hang = FaultInjector::global().injectRunHang(journalIdentity(
+        options_.benchmark, params_.lsq.policy, options_.configLevel));
     // An inactive injector draws no random numbers, so leaving it out
     // lets idle cycles skip in bulk without perturbing anything.
     if (agent) {

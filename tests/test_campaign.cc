@@ -71,13 +71,18 @@ TEST(Campaign, SavingRangeComputesRelativeDifference)
     EXPECT_DOUBLE_EQ(r.mean, 75.0);
 }
 
-TEST(Campaign, FindResultFatalOnMissing)
+TEST(Campaign, FindValidResultSkipsMissingAndInvalid)
 {
-    std::vector<SimResult> results(1);
-    results[0].benchmark = "gzip";
-    EXPECT_EQ(&findResult(results, "gzip"), &results[0]);
-    EXPECT_EXIT((void)findResult(results, "nope"),
-                ::testing::ExitedWithCode(1), ".*");
+    std::vector<SimResult> results(3);
+    results[0].benchmark = "swim";
+    results[0].valid = false;
+    results[1].benchmark = "gzip";
+    results[2].benchmark = "swim";
+    EXPECT_EQ(findValidResult(results, "gzip"), &results[1]);
+    EXPECT_EQ(findValidResult(results, "swim"), &results[2]);
+    EXPECT_EQ(findValidResult(results, "nope"), nullptr);
+    results[1].valid = false;
+    EXPECT_EQ(findValidResult(results, "gzip"), nullptr);
 }
 
 TEST(Campaign, FormattingHelpers)

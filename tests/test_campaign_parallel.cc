@@ -1,20 +1,24 @@
 /**
  * @file
  * Tests of the parallel campaign engine: determinism of parallel
- * execution versus serial, memoized run-cache behavior (in-process
- * and on-disk), and the cache-bypass rules for observer/tweak runs.
+ * execution versus serial, the shared run queue's exactly-once
+ * dispatch, on-disk run-cache behavior, and the cache-bypass rules
+ * for observer/tweak runs.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <filesystem>
+#include <functional>
 #include <vector>
 
 #include "lsq/lsq_unit.hh"
 #include "sim/campaign.hh"
 #include "sim/campaign_runner.hh"
-#include "sim/run_scheduler.hh"
+#include "sim/campaign_shard.hh"
+#include "trace/spec_suite.hh"
 
 namespace dmdc
 {
@@ -162,16 +166,16 @@ TEST_F(CampaignParallel, CacheHitsSkipSimulationAndMatch)
     EXPECT_EQ(runner.lastStats().simulated, runs.size());
     EXPECT_EQ(runner.totalSimulated(), runs.size());
 
-    // Second pass: served from the in-process map, zero simulations.
+    // Second pass, same runner: served from disk, zero simulations.
     const auto warm = runner.runChecked(runs).results;
     EXPECT_EQ(runner.lastStats().simulated, 0u);
-    EXPECT_EQ(runner.lastStats().memoryHits, runs.size());
+    EXPECT_EQ(runner.lastStats().diskHits, runs.size());
     EXPECT_EQ(runner.totalSimulated(), runs.size());
     for (std::size_t i = 0; i < runs.size(); ++i)
         expectIdentical(cold[i], warm[i]);
 
-    // Fresh runner, same cache dir: served from disk (JSON
-    // round-trip), still zero simulations and bit-identical.
+    // Fresh runner, same cache dir: served from disk too, still zero
+    // simulations and bit-identical.
     CampaignRunner fresh(config(0, true));
     const auto disk = fresh.runChecked(runs).results;
     EXPECT_EQ(fresh.lastStats().simulated, 0u);
@@ -240,26 +244,76 @@ TEST_F(CampaignParallel, ObserverRunsBypassCache)
     EXPECT_EQ(obs.storesObserved(), 2 * stores_first);
 }
 
+TEST_F(CampaignParallel, SharedQueueRunsEachRunExactlyOnce)
+{
+    // Distinct uncacheable runs with mixed budgets, so the LPT queue
+    // order differs from the list order. Each tweak counts its own
+    // run's simulations.
+    const std::vector<std::string> &names = specAllNames();
+    constexpr std::size_t kRuns = 24;
+    ASSERT_GE(names.size(), kRuns);
+    std::vector<std::atomic<int>> simulations(kRuns);
+    std::vector<SimOptions> runs;
+    for (std::size_t i = 0; i < kRuns; ++i) {
+        SimOptions opt;
+        opt.benchmark = names[i];
+        opt.warmupInsts = 1000;
+        opt.runInsts = 2000 + 1000 * (i % 5);
+        std::atomic<int> &count = simulations[i];
+        opt.tweak = [&count](CoreParams &) { ++count; };
+        runs.push_back(opt);
+    }
+
+    CampaignRunner runner(config(/*jobs=*/4, /*use_cache=*/true));
+    const CampaignResult cr = runner.runChecked(runs);
+    EXPECT_TRUE(cr.allOk());
+    EXPECT_EQ(runner.lastStats().simulated, kRuns);
+    EXPECT_EQ(runner.lastStats().uncacheable, kRuns);
+    for (std::size_t i = 0; i < kRuns; ++i) {
+        EXPECT_EQ(simulations[i].load(), 1) << "run " << i;
+        EXPECT_EQ(cr.results[i].benchmark, runs[i].benchmark);
+    }
+}
+
 TEST_F(CampaignParallel, CacheKeyCoversKnobs)
 {
     SimOptions a;
-    SimOptions b = a;
-    EXPECT_EQ(cacheKey(a), cacheKey(b));
+    a.benchmark = "gzip";
+    // The key is the run identity behind a version and source prefix;
+    // its bytes are what existing cache entries are filed under.
+    EXPECT_EQ(runIdentity(a),
+              "bench=gzip|config=2|scheme=baseline|warmup=100000"
+              "|insts=1000000|inv=0|coherence=0|safe_loads=1"
+              "|sq_filter=0|yla_qw=8|table=0|queue=16");
+    EXPECT_EQ(cacheKey(a), "dmdc-cache-v" +
+                               std::to_string(kCacheFormatVersion) +
+                               "|src=" + policySourceFingerprint() +
+                               "|" + runIdentity(a));
 
-    b.numYlaQw = 4;
-    EXPECT_NE(cacheKey(a), cacheKey(b));
-    b = a;
-    b.scheme = "dmdc-local";
-    EXPECT_NE(cacheKey(a), cacheKey(b));
-    b = a;
-    b.runInsts += 1;
-    EXPECT_NE(cacheKey(a), cacheKey(b));
-    b = a;
-    b.invalidationsPer1kCycles = 0.5;
-    EXPECT_NE(cacheKey(a), cacheKey(b));
-    b = a;
-    b.safeLoads = !b.safeLoads;
-    EXPECT_NE(cacheKey(a), cacheKey(b));
+    const std::vector<std::function<void(SimOptions &)>> changes = {
+        [](SimOptions &o) { o.benchmark = "swim"; },
+        [](SimOptions &o) { o.configLevel = 3; },
+        [](SimOptions &o) { o.scheme = "dmdc-local"; },
+        [](SimOptions &o) { o.warmupInsts += 1; },
+        [](SimOptions &o) { o.runInsts += 1; },
+        [](SimOptions &o) { o.invalidationsPer1kCycles = 0.5; },
+        [](SimOptions &o) { o.coherence = !o.coherence; },
+        [](SimOptions &o) { o.safeLoads = !o.safeLoads; },
+        [](SimOptions &o) { o.sqFilter = !o.sqFilter; },
+        [](SimOptions &o) { o.numYlaQw = 4; },
+        [](SimOptions &o) { o.tableEntriesOverride = 64; },
+        [](SimOptions &o) { o.queueEntries = 4; },
+    };
+    for (std::size_t i = 0; i < changes.size(); ++i) {
+        SimOptions b = a;
+        changes[i](b);
+        EXPECT_NE(cacheKey(a), cacheKey(b)) << "field " << i;
+        EXPECT_NE(runIdentity(a), runIdentity(b)) << "field " << i;
+    }
+
+    SimOptions tweaked = a;
+    tweaked.tweak = [](CoreParams &) {};
+    EXPECT_EQ(runIdentity(tweaked), runIdentity(a) + "|custom=1");
 }
 
 TEST_F(CampaignParallel, RunSuiteOrderingMatchesNames)

@@ -228,6 +228,32 @@ TEST(ShardAssignment, EqualIdentitiesColocate)
     }
 }
 
+TEST(ShardAssignment, MixedBudgetAssignmentIsPinned)
+{
+    // Shard processes built from different commits must agree on the
+    // partition: mixed budgets plus one repeated identity, pinned.
+    std::vector<SimOptions> runs;
+    const char *benches[] = {"gzip", "swim", "mcf", "art", "vpr", "gcc"};
+    for (unsigned i = 0; i < 6; ++i) {
+        for (unsigned j = 0; j < 2; ++j) {
+            SimOptions opt = quickOptions(
+                benches[i], j == 0 ? "baseline" : "dmdc-global");
+            opt.runInsts = 10000 + 5000 * ((i * 2 + j) % 4);
+            runs.push_back(opt);
+        }
+    }
+    SimOptions repeat = runs[0];
+    repeat.safeLoads = false;
+    repeat.runInsts = 40000;
+    runs.push_back(repeat);
+    EXPECT_EQ(shardAssignment(runs, 2),
+              (std::vector<unsigned>{0, 1, 1, 1, 0, 0, 1, 0, 0, 1, 0, 1,
+                                     0}));
+    EXPECT_EQ(shardAssignment(runs, 3),
+              (std::vector<unsigned>{0, 2, 2, 1, 0, 1, 2, 1, 0, 1, 0, 2,
+                                     0}));
+}
+
 TEST(RunIdentity, KeepsEveryDigitOfTheInvalidationRate)
 {
     // Rates that agree to 6 significant digits are still different
