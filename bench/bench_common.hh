@@ -4,8 +4,9 @@
  * command-line handling on the shared CliParser layer (--quick for
  * smoke runs, --insts=N, --bench=a,b,c to restrict the suite, plus
  * the full campaign-engine flag bundle: --jobs/--no-cache/--json/
- * --timeout/--max-retries/--shard — identical to tools/dmdc_sim). Malformed values produce a usage message and exit
- * kExitUsage instead of an uncaught std::invalid_argument.
+ * --timeout/--max-retries/--trace/... — identical to tools/dmdc_sim).
+ * Malformed values produce a usage message and exit kExitUsage
+ * instead of an uncaught std::invalid_argument.
  */
 
 #ifndef DMDC_BENCH_BENCH_COMMON_HH

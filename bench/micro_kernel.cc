@@ -9,7 +9,7 @@
  * 512-entry ROB), synthetic workload generation
  * (correct-path and wrong-path ops), and the trace-sink call sites
  * (disabled vs. recording). These document the
- * kernel-performance architecture (DESIGN.md Sec. 15) and guard the
+ * kernel-performance architecture (DESIGN.md Sec. 14) and guard the
  * fast paths against accidental complexity regressions.
  */
 
@@ -342,7 +342,7 @@ BENCHMARK(BM_WrongPathOp);
 /**
  * Tracing is compiled into the kernel hot paths unconditionally, so
  * the disabled call site IS the tracing-off overhead budget (DESIGN.md
- * Sec. 18: <= 1% of sim-kHz). It must stay one relaxed atomic load.
+ * Sec. 17: <= 1% of sim-kHz). It must stay one relaxed atomic load.
  */
 void
 BM_TraceInstantDisabled(benchmark::State &state)

@@ -2,9 +2,8 @@
  * @file
  * Build provenance: the configure-time git commit hash.
  *
- * Journals record the commit that produced them, and journal_merge
- * refuses to merge shard journals from different builds. Centralized
- * here so exactly one translation unit carries the DMDC_GIT_COMMIT
+ * Journals record the commit that produced them. Centralized here so
+ * exactly one translation unit carries the DMDC_GIT_COMMIT
  * compile definition and every consumer (the journal writer,
  * --version) reports the same string.
  */

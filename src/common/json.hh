@@ -7,9 +7,9 @@
  * read through parseJson(). Two properties matter more than
  * generality:
  *
- *  - numbers keep their raw source token, so a parsed journal can be
- *    re-serialized byte-identically (the shard merger promises
- *    bit-exact journals);
+ *  - numbers keep their raw source token, so a parsed document can be
+ *    re-serialized byte-identically (trace_merge copies every event's
+ *    numbers exactly);
  *  - parsing is strict (no trailing content, no unknown escapes), so
  *    a torn or hand-mangled document fails loudly instead of yielding
  *    a half-read record.

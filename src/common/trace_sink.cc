@@ -647,22 +647,4 @@ traceRecordsPublished()
         std::memory_order_relaxed);
 }
 
-std::string
-traceShardPath(const std::string &path, unsigned index, unsigned count)
-{
-    if (count <= 1)
-        return path;
-    // Insert the tag before the filename extension; append it when
-    // the file has none.
-    const std::string tag = ".shard" + std::to_string(index) + "of" +
-                            std::to_string(count);
-    const std::size_t slash = path.find_last_of('/');
-    const std::size_t dot = path.find_last_of('.');
-    if (dot == std::string::npos ||
-        (slash != std::string::npos && dot < slash)) {
-        return path + tag;
-    }
-    return path.substr(0, dot) + tag + path.substr(dot);
-}
-
 } // namespace dmdc

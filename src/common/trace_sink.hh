@@ -26,10 +26,9 @@
  * survive thread exit, so the at-exit exporter still sees records
  * from campaign workers that have already been joined.
  *
- * Multi-process campaigns: each process writes its own trace file
- * (shard workers derive "trace.shard0of2.json" from the base path
- * with traceShardPath()) and tools/trace_merge combines them —
- * process ids keep the streams apart inside one merged timeline.
+ * Multi-process campaigns: give each process its own --trace-out
+ * path; tools/trace_merge combines the files — process ids keep the
+ * streams apart inside one merged timeline.
  */
 
 #ifndef DMDC_COMMON_TRACE_SINK_HH
@@ -203,15 +202,6 @@ void traceReset();
 
 /** Number of records published since process start (test hook). */
 std::uint64_t traceRecordsPublished();
-
-/**
- * Derive the per-process trace path for shard @p index of @p count:
- * "trace.json" -> "trace.shard0of2.json", "tracefile" ->
- * "tracefile.shard0of2" (unchanged when count <= 1), so the processes
- * of a sharded campaign never collide on one output file.
- */
-std::string traceShardPath(const std::string &path, unsigned index,
-                           unsigned count);
 
 } // namespace dmdc
 

@@ -35,8 +35,11 @@
  *    carries this process's own pid (a process never waits on itself;
  *    the leftover of an earlier process with the same pid), or when it
  *    is unreadable. Stale claims are taken over by rename + unlink;
- *  - a claim from another host is ignored (Unclaimed): --shard is the
- *    multi-host path, and shards never contend for a key.
+ *  - a claim from another host is ignored (Unclaimed): its pid
+ *    cannot be checked from here. So claims give no cross-host
+ *    dedup: hosts sharing one directory over a network filesystem
+ *    all write correct, identical entries, but may each simulate the
+ *    same key.
  *
  * Claims are never `*.json`, so eviction, liveEntries() and
  * quarantine never see them. A lost race costs at most one duplicate

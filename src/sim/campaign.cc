@@ -19,7 +19,7 @@ namespace dmdc
 namespace
 {
 
-/** Degraded in-shard runs across the process lifetime. */
+/** Degraded runs across the process lifetime. */
 std::atomic<std::size_t> g_degraded{0};
 
 /** spec_suite group of @p name; tolerant of unknown names (a run may
@@ -45,8 +45,7 @@ runCampaignChecked(const std::vector<SimOptions> &runs, bool verbose)
         const RunOutcome &oc = cr.outcomes[i];
         if (oc.ok())
             continue;
-        if (oc.inShard())
-            g_degraded.fetch_add(1, std::memory_order_relaxed);
+        g_degraded.fetch_add(1, std::memory_order_relaxed);
         // Give the degraded slot its identity so tables can still
         // label the row; valid=false keeps it out of aggregates.
         SimResult &r = cr.results[i];

@@ -25,7 +25,7 @@ namespace dmdc
  * benchmarks and cached on disk — with results in suite order, element-wise
  * identical to a serial loop over runSimulation().
  *
- * Failure tolerance: a failed / timed-out / out-of-shard run yields
+ * Failure tolerance: a failed / timed-out / skipped run yields
  * an *invalid* result slot (SimResult::valid == false, identity
  * fields filled in) instead of killing the process; the aggregation
  * helpers skip invalid slots and the harness exits with
@@ -45,7 +45,7 @@ CampaignResult runCampaignChecked(const std::vector<SimOptions> &runs,
                                   bool verbose = false);
 
 /**
- * In-shard runs that degraded (failed / timed out / skipped) across
+ * Runs that degraded (failed / timed out / skipped) across
  * every runSuite() / runCampaignChecked() call so far.
  */
 std::size_t harnessDegradedRuns();

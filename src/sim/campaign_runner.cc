@@ -17,8 +17,10 @@
 #include <ctime>
 #include <memory>
 #include <mutex>
+#include <ostream>
 #include <sstream>
 #include <thread>
+#include <tuple>
 #include <unordered_map>
 
 #include <csignal>
@@ -115,7 +117,6 @@ struct JournalRecord
     std::string category; ///< empty when ok
     std::string error;    ///< empty when ok
     unsigned attempts;
-    unsigned shard;
 
     // Oracle verdict of a checked run ("off" otherwise). Emitted only
     // in the non-deterministic journal: --check=off journals must stay
@@ -133,15 +134,6 @@ struct Journal
     std::string path;
     bool deterministic = false;
     std::vector<JournalRecord> records;
-
-    // Shard header state, accumulated across runChecked() calls: a
-    // harness may run several campaigns into one journal, so the
-    // campaign fingerprint chains and the run totals add up.
-    bool sharded = false;
-    unsigned shardIndex = 0;
-    unsigned shardCount = 1;
-    std::uint64_t runsTotal = 0;
-    std::uint64_t campaignHash = 0;
 };
 
 Journal &
@@ -165,7 +157,7 @@ appendJournal(const SimResult &r, const RunOutcome &oc)
         ? static_cast<double>(r.cycles) / oc.wallMs : 0.0;
     j.records.push_back({r.benchmark, r.scheme, r.configLevel, r.ipc,
                          r.cycles, oc.wallMs, sim_khz, oc.cached,
-                         oc.status, "", "", oc.attempts, oc.shard,
+                         oc.status, "", "", oc.attempts,
                          r.checkMode, r.oracleLoadsChecked,
                          r.oracleStaleCommits, r.oracleForbidden});
 }
@@ -180,7 +172,7 @@ appendJournalFailure(const SimOptions &opt, const RunOutcome &oc)
     j.records.push_back({opt.benchmark, opt.scheme, opt.configLevel,
                          0.0, 0, oc.wallMs, 0.0, false, oc.status,
                          runErrorCategoryName(oc.category), oc.error,
-                         oc.attempts, oc.shard,
+                         oc.attempts,
                          checkModeName(opt.check), 0, 0, 0});
 }
 
@@ -203,28 +195,60 @@ journalEntryOf(const JournalRecord &rec)
     return e;
 }
 
-/**
- * Stamp the journal as one shard's slice of a campaign. Called once
- * per runChecked() campaign in sharded mode; fingerprints chain so a
- * multi-campaign harness still yields one comparable campaign id.
- */
-void
-journalNoteShardSlice(const std::string &fingerprint,
-                      std::size_t campaignRuns, const ShardSpec &spec)
+/** The journals' lossy string escaper: quotes and backslashes are
+ *  escaped, control characters become spaces (journal bytes are
+ *  contractual, so this never changes). */
+std::string
+escapeJournalString(const std::string &s)
 {
-    Journal &j = journal();
-    std::lock_guard<std::mutex> lock(j.mutex);
-    if (j.path.empty())
-        return;
-    j.sharded = true;
-    j.shardIndex = spec.index;
-    j.shardCount = spec.count;
-    j.runsTotal += campaignRuns;
-    j.campaignHash = hashBytes(fingerprint.data(), fingerprint.size(),
-                               j.campaignHash);
+    std::string out;
+    out.reserve(s.size());
+    for (char c : s) {
+        if (c == '"' || c == '\\') {
+            out.push_back('\\');
+            out.push_back(c);
+        } else if (static_cast<unsigned char>(c) < 0x20) {
+            out.push_back(' ');
+        } else {
+            out.push_back(c);
+        }
+    }
+    return out;
 }
 
 } // namespace
+
+bool
+journalEntryLess(const JournalEntry &a, const JournalEntry &b)
+{
+    // The value tokens break ties between runs that share a journal
+    // identity but differ in hidden knobs (e.g. an invalidation-rate
+    // sweep): without them their order would follow completion order.
+    // They compare as strings, not numbers: the order is part of the
+    // journal bytes.
+    return std::tie(a.benchmark, a.scheme, a.config, a.status, a.error,
+                    a.cyclesToken, a.ipcToken) <
+           std::tie(b.benchmark, b.scheme, b.config, b.status, b.error,
+                    b.cyclesToken, b.ipcToken);
+}
+
+void
+writeJournalEntry(std::ostream &os, const JournalEntry &e,
+                  const std::string &extra)
+{
+    os << "\n  {\"benchmark\":\"" << e.benchmark
+       << "\",\"scheme\":\"" << e.scheme
+       << "\",\"config\":" << e.config
+       << ",\"status\":\"" << runStatusName(e.status) << '"';
+    if (e.status == RunStatus::Ok) {
+        os << ",\"ipc\":" << e.ipcToken
+           << ",\"cycles\":" << e.cyclesToken;
+    } else {
+        os << ",\"category\":\"" << escapeJournalString(e.category)
+           << "\",\"error\":\"" << escapeJournalString(e.error) << '"';
+    }
+    os << extra << '}';
+}
 
 void
 setCampaignJournal(const std::string &path, bool deterministic)
@@ -235,14 +259,8 @@ setCampaignJournal(const std::string &path, bool deterministic)
         // Retargeting starts a fresh journal; the records of the
         // previous target belong to its file (already flushed or
         // about to be dropped), not to the new one.
-        if (path != j.path) {
+        if (path != j.path)
             j.records.clear();
-            j.sharded = false;
-            j.shardIndex = 0;
-            j.shardCount = 1;
-            j.runsTotal = 0;
-            j.campaignHash = 0;
-        }
         j.path = path;
         j.deterministic = deterministic;
     }
@@ -271,25 +289,11 @@ flushCampaignJournal()
        << ",\"commit\":\"" << buildCommit() << '"';
     if (!j.deterministic)
         os << ",\"generated_utc\":\"" << utcTimestamp() << '"';
-    if (j.sharded) {
-        // Shard journals carry what the merger needs to validate that
-        // a journal set belongs together: the (chained) campaign
-        // fingerprint, this slice's coordinates, and the full
-        // campaign's run count.
-        char fp[20];
-        std::snprintf(fp, sizeof(fp), "%016llx",
-                      static_cast<unsigned long long>(j.campaignHash));
-        os << ",\"campaign\":\"" << fp
-           << "\",\"shard_index\":" << j.shardIndex
-           << ",\"shard_count\":" << j.shardCount
-           << ",\"runs_total\":" << j.runsTotal;
-    }
     os << ",\"results\":[";
     const char *sep = "";
     if (j.deterministic) {
-        // Workers append in completion order; canonicalize through
-        // the shared serializer so shard journals merge into a file
-        // byte-identical to a single-process one (campaign_shard.hh).
+        // Workers append in completion order; sort canonically so
+        // any run of the same campaign writes the same bytes.
         std::vector<JournalEntry> entries;
         entries.reserve(j.records.size());
         for (const JournalRecord &rec : j.records)
@@ -316,8 +320,6 @@ flushCampaignJournal()
                          ",\"oracle_forbidden\":" +
                          std::to_string(rec.oracleForbidden);
             }
-            if (j.sharded)
-                extra += ",\"shard\":" + std::to_string(rec.shard);
             os << sep;
             sep = ",";
             writeJournalEntry(os, journalEntryOf(rec), extra);
@@ -397,12 +399,66 @@ policySourceFingerprint()
 }
 
 std::string
+journalIdentity(const std::string &benchmark, const std::string &scheme,
+                unsigned config)
+{
+    std::string id = benchmark;
+    id += '|';
+    id += scheme;
+    id += '|';
+    id += std::to_string(config);
+    return id;
+}
+
+std::string
+runIdentity(const SimOptions &opt)
+{
+    std::ostringstream os;
+    os << "bench=" << opt.benchmark
+       << "|config=" << opt.configLevel
+       << "|scheme=" << opt.scheme
+       << "|warmup=" << opt.warmupInsts
+       << "|insts=" << opt.runInsts
+       << "|inv=" << doubleToken(opt.invalidationsPer1kCycles)
+       << "|coherence=" << opt.coherence
+       << "|safe_loads=" << opt.safeLoads
+       << "|sq_filter=" << opt.sqFilter
+       << "|yla_qw=" << opt.numYlaQw
+       << "|table=" << opt.tableEntriesOverride
+       << "|queue=" << opt.queueEntries;
+    if (!opt.observers.empty() || opt.tweak)
+        os << "|custom=1";
+    return os.str();
+}
+
+std::string
 cacheKey(const SimOptions &opt)
 {
     if (!cacheableOptions(opt))
         panic("cacheKey() on options with observers/tweak attached");
     return "dmdc-cache-v" + std::to_string(kCacheFormatVersion) +
            "|src=" + sourceFingerprint() + '|' + runIdentity(opt);
+}
+
+// ---- run queue order -------------------------------------------------
+
+LptItem
+lptItem(const SimOptions &opt)
+{
+    LptItem item;
+    item.cost = static_cast<double>(opt.warmupInsts) +
+                static_cast<double>(opt.runInsts);
+    item.identity =
+        journalIdentity(opt.benchmark, opt.scheme, opt.configLevel);
+    item.hash = hashBytes(item.identity.data(), item.identity.size());
+    return item;
+}
+
+bool
+lptBefore(const LptItem &a, const LptItem &b)
+{
+    return std::tie(b.cost, a.hash, a.identity) <
+           std::tie(a.cost, b.hash, b.identity);
 }
 
 // ---- CampaignRunner --------------------------------------------------
@@ -506,18 +562,6 @@ CampaignRunner::runChecked(const std::vector<SimOptions> &runs_in,
     cr.results.resize(runs.size());
     cr.outcomes.resize(runs.size());
 
-    // ---- shard partition ---------------------------------------------
-    // Every shard process computes the same assignment from the same
-    // run list; this process executes only its slice. Other slices
-    // complete instantly as OutOfShard and are never journaled here.
-    const ShardSpec shard = config_.shard;
-    std::vector<unsigned> owner;
-    if (shard.active()) {
-        owner = shardAssignment(runs, shard.count);
-        journalNoteShardSlice(campaignFingerprint(runs), runs.size(),
-                              shard);
-    }
-
     // ---- classify: cache hits, leaders, followers --------------------
     struct Pending
     {
@@ -543,20 +587,6 @@ CampaignRunner::runChecked(const std::vector<SimOptions> &runs_in,
 
     for (std::size_t i = 0; i < runs.size(); ++i) {
         const SimOptions &opt = runs[i];
-        if (shard.active()) {
-            cr.outcomes[i].shard = owner[i];
-            if (owner[i] != shard.index) {
-                RunOutcome &oc = cr.outcomes[i];
-                oc.status = RunStatus::OutOfShard;
-                oc.category = RunErrorCategory::Config;
-                oc.error = "assigned to shard " +
-                           std::to_string(owner[i]) + " of " +
-                           std::to_string(shard.count);
-                oc.attempts = 0;
-                ++stats.outOfShard;
-                continue;
-            }
-        }
         if (!cacheableOptions(opt)) {
             ++stats.uncacheable;
             pending.push_back({i, "", lptItem(opt)});
@@ -596,7 +626,6 @@ CampaignRunner::runChecked(const std::vector<SimOptions> &runs_in,
              &rt](const Pending &p, bool claimed) {
                 const auto run_t0 = Clock::now();
                 RunOutcome oc;
-                oc.shard = config_.shard.index;
                 std::string id;
                 const bool interrupted = campaignInterruptRequested();
                 if (abort_flag.load(std::memory_order_relaxed) ||
@@ -754,8 +783,7 @@ CampaignRunner::runChecked(const std::vector<SimOptions> &runs_in,
         };
 
         // One shared queue. With several workers it is in LPT order
-        // (lptBefore(), the order shard placement uses): the biggest
-        // runs start first, so the last runs to finish are short ones.
+        // (lptBefore()): the biggest runs start first, so the last runs to finish are short ones.
         // One worker keeps the list order, which costs it nothing and
         // makes fail-fast skip exactly the runs after the first
         // failure. Each worker takes the next unclaimed run until the
@@ -809,7 +837,6 @@ CampaignRunner::runChecked(const std::vector<SimOptions> &runs_in,
     for (const auto &[dst, src] : followers) {
         const RunOutcome &leader = cr.outcomes[src];
         RunOutcome oc;
-        oc.shard = config_.shard.index;
         if (leader.ok()) {
             cr.results[dst] = cr.results[src];
             oc.cached = true;
@@ -831,7 +858,6 @@ CampaignRunner::runChecked(const std::vector<SimOptions> &runs_in,
           case RunStatus::Failed:   ++stats.failed;   break;
           case RunStatus::TimedOut: ++stats.timedOut; break;
           case RunStatus::Skipped:  ++stats.skipped;  break;
-          case RunStatus::OutOfShard: break; // counted in classify
           default: break;
         }
         if (oc.attempts > 1)
@@ -850,12 +876,6 @@ CampaignRunner::runChecked(const std::vector<SimOptions> &runs_in,
     lastStats_ = stats;
 
     if (verbose || runs.size() > 1) {
-        if (shard.active()) {
-            inform("campaign shard %u/%u: %zu of %zu runs in this "
-                   "slice",
-                   shard.index, shard.count,
-                   stats.runs - stats.outOfShard, stats.runs);
-        }
         inform("campaign: %zu runs in %.2fs (%.1f sims/s; "
                "%zu simulated, %zu disk hits, %zu uncacheable)",
                stats.runs, stats.wallMs / 1000.0, stats.simsPerSec(),
@@ -881,7 +901,7 @@ CampaignRunner::runOne(const SimOptions &options, bool verbose)
     CampaignResult cr =
         runChecked(std::vector<SimOptions>{options}, verbose);
     const RunOutcome &oc = cr.outcomes.front();
-    if (!oc.ok() && oc.inShard()) {
+    if (!oc.ok()) {
         flushCampaignJournal();
         fatal("run %s/%s config%u %s (%s: %s)",
               options.benchmark.c_str(), options.scheme.c_str(),

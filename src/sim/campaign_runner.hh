@@ -34,12 +34,12 @@
 #define DMDC_SIM_CAMPAIGN_RUNNER_HH
 
 #include <cstdint>
+#include <iosfwd>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "sim/cache_store.hh"
-#include "sim/campaign_shard.hh"
 #include "sim/run_error.hh"
 #include "sim/simulator.hh"
 
@@ -77,15 +77,6 @@ struct CampaignConfig
     std::uint64_t cacheMaxBytes = 0;
 
     /**
-     * Which slice of each campaign this process executes
-     * (--shard=i/N). The work list is partitioned deterministically
-     * (see shardAssignment()); runs owned by other shards complete
-     * immediately with RunStatus::OutOfShard and are not journaled.
-     * Default 0/1 = the whole campaign.
-     */
-    ShardSpec shard;
-
-    /**
      * Caps on .dmdc_cache/quarantine/: corrupt cache entries are set
      * aside there for post-mortems, but chaos campaigns would grow it
      * without bound. Oldest entries are evicted first once either cap
@@ -116,7 +107,6 @@ struct CampaignStats
     std::size_t failed = 0;      ///< terminal non-timeout failures
     std::size_t timedOut = 0;    ///< watchdog-terminated runs
     std::size_t skipped = 0;     ///< not executed (fail-fast)
-    std::size_t outOfShard = 0;  ///< owned by another shard process
     std::size_t retried = 0;     ///< runs that needed > 1 attempt
     std::size_t quarantined = 0; ///< corrupt cache entries set aside
     std::size_t evicted = 0;     ///< cache entries removed by the cap
@@ -140,30 +130,20 @@ struct CampaignResult
     /** Parallel to results. */
     std::vector<RunOutcome> outcomes;
 
-    /**
-     * Every run this process is responsible for succeeded.
-     * OutOfShard runs belong to a sibling shard process and don't
-     * count against this campaign.
-     */
+    /** Every run succeeded. */
     bool
     allOk() const
     {
-        for (const RunOutcome &o : outcomes) {
-            if (!o.ok() && o.inShard())
-                return false;
-        }
-        return true;
+        return degradedRuns() == 0;
     }
 
-    /** In-shard runs that failed, timed out, or were skipped. */
+    /** Runs that failed, timed out, or were skipped. */
     std::size_t
     degradedRuns() const
     {
         std::size_t n = 0;
-        for (const RunOutcome &o : outcomes) {
-            if (!o.ok() && o.inShard())
-                ++n;
-        }
+        for (const RunOutcome &o : outcomes)
+            n += !o.ok();
         return n;
     }
 };
@@ -237,6 +217,22 @@ class CampaignRunner
 bool cacheableOptions(const SimOptions &opt);
 
 /**
+ * Stable identity of one run: every behavior-affecting SimOptions
+ * field, spelled "bench=…|config=…|scheme=…|…|queue=…", with
+ * "|custom=1" appended when observers or a tweak are attached. Names
+ * run spans, keys the fault injector, and is the tail of cacheKey().
+ */
+std::string runIdentity(const SimOptions &opt);
+
+/**
+ * Journal identity of one run ("benchmark|scheme|config"): the
+ * fingerprint of the simulator's per-run fault sites and the last
+ * tie-breaker of the run queue's order.
+ */
+std::string journalIdentity(const std::string &benchmark,
+                            const std::string &scheme, unsigned config);
+
+/**
  * Canonical fingerprint of every behavior-affecting SimOptions field:
  * "dmdc-cache-v<version>|src=<policySourceFingerprint()>|" followed by
  * runIdentity(opt). Two runs with equal keys produce bit-identical
@@ -251,7 +247,62 @@ std::string cacheKey(const SimOptions &opt);
  */
 const std::string &policySourceFingerprint();
 
+// ---- run queue order -------------------------------------------------
+
+/** What longest-processing-time-first (LPT) ordering knows of a run. */
+struct LptItem
+{
+    double cost = 0.0;      ///< instruction budget (warmup + measured)
+    std::uint64_t hash = 0; ///< hashBytes(identity): first tie-breaker
+    std::string identity;   ///< journal identity: last tie-breaker
+};
+
+/** The LptItem of one run. Simulation cost is linear in the
+ *  instruction budget, the best machine-independent estimate there is
+ *  before running. */
+LptItem lptItem(const SimOptions &opt);
+
+/**
+ * LPT order: costlier first, then by (hash, identity), so the order
+ * is a pure function of the items. A multi-worker CampaignRunner
+ * queues its runs in this order.
+ */
+bool lptBefore(const LptItem &a, const LptItem &b);
+
 // ---- machine-readable campaign journal (bench --json) ----
+
+/** Journal file format version (header "version" field). */
+constexpr unsigned kJournalFormatVersion = 3;
+
+/**
+ * One "results" record of a journal, with numeric fields kept as the
+ * JSON tokens the journal writes.
+ */
+struct JournalEntry
+{
+    std::string benchmark;
+    std::string scheme;
+    unsigned config = 2;
+    RunStatus status = RunStatus::Ok;
+    std::string ipcToken = "0";    ///< raw JSON number (ok records)
+    std::string cyclesToken = "0"; ///< raw JSON number (ok records)
+    std::string category;          ///< failure records only
+    std::string error;             ///< failure records only, unescaped
+};
+
+/** Canonical order of a deterministic journal's records. */
+bool journalEntryLess(const JournalEntry &a, const JournalEntry &b);
+
+/**
+ * Serialize one journal record ("\n  {...}"): identity, status, then
+ * ipc/cycles or category/error. Deterministic journals write exactly
+ * that; the non-deterministic journal passes its run-metadata fields,
+ * already serialized as ",\"key\":value..." text, in @p extra, which
+ * lands just before the closing brace. String fields go through the
+ * journals' lossy escaper (control characters become spaces).
+ */
+void writeJournalEntry(std::ostream &os, const JournalEntry &e,
+                       const std::string &extra = {});
 
 /**
  * Record every subsequent campaign run into an in-process journal

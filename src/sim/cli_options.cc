@@ -321,8 +321,6 @@ CampaignCliOptions::addTo(CliParser &parser)
                  "retries for transient run failures");
     parser.flag("fail-fast", &config.failFast,
                 "stop launching runs after the first failure");
-    parser.value("shard", &shardText,
-                 "run slice i of N of the campaign (i/N)");
     parser.value("json", &jsonPath, "write the campaign journal here");
     parser.flag("json-deterministic", &jsonDeterministic,
                 "strip nondeterministic journal fields + sort");
@@ -346,9 +344,6 @@ bool
 CampaignCliOptions::finalize(std::string &err)
 {
     config.useCache = !noCache;
-    if (!shardText.empty() &&
-        !parseShardSpec(shardText, config.shard, err))
-        return false;
     if (cacheMaxMb > (UINT64_MAX >> 20)) {
         err = "--cache-max-mb=" + std::to_string(cacheMaxMb) +
               " overflows a byte count (max " +
@@ -389,10 +384,7 @@ CampaignCliOptions::apply() const
     if (!jsonPath.empty())
         setCampaignJournal(jsonPath, jsonDeterministic);
     if (trace.enabled()) {
-        TraceOptions resolved = trace;
-        resolved.outPath = traceShardPath(
-            resolved.outPath, config.shard.index, config.shard.count);
-        traceConfigure(resolved);
+        traceConfigure(trace);
         traceSetThreadName("main");
     }
 }

@@ -10,7 +10,7 @@
  * options, then parse — with strict number validation (malformed or
  * out-of-range values produce a clean usage message and exit code
  * kExitUsage). CampaignCliOptions bundles the campaign-engine flags
- * (--jobs/--no-cache/--json/--timeout/--max-retries/--shard/...) so
+ * (--jobs/--no-cache/--json/--timeout/--max-retries/--trace/...) so
  * they spell and behave identically everywhere.
  */
 
@@ -24,7 +24,6 @@
 
 #include "common/trace_sink.hh"
 #include "sim/campaign_runner.hh"
-#include "sim/campaign_shard.hh"
 
 namespace dmdc
 {
@@ -143,7 +142,6 @@ struct CampaignCliOptions
     std::string jsonPath;         ///< --json journal target
     bool jsonDeterministic = false;
     std::uint64_t cacheMaxMb = 0; ///< --cache-max-mb (0 = unlimited)
-    std::string shardText;        ///< raw --shard=i/N value
     bool noCache = false;         ///< --no-cache
     TraceOptions trace;           ///< --trace / --trace-out / --trace-buffer
     std::string traceOutText;     ///< raw --trace-out value
@@ -154,17 +152,14 @@ struct CampaignCliOptions
     void addTo(CliParser &parser);
 
     /**
-     * Cross-validate and derive: parse --shard, require --trace with
-     * --trace-out, translate the cache cap (rejecting one that
-     * overflows bytes). False + @p err on conflict.
+     * Cross-validate and derive: require --trace with --trace-out,
+     * parse --check/--agent, translate the cache cap (rejecting one
+     * that overflows bytes). False + @p err on conflict.
      */
     bool finalize(std::string &err);
 
-    /**
-     * Configure the process-wide runner, journal, and trace sink from
-     * this. Shard workers derive a per-shard trace path so
-     * cooperating processes never collide on one file.
-     */
+    /** Configure the process-wide runner, journal, and trace sink
+     *  from this. */
     void apply() const;
 };
 

@@ -29,9 +29,9 @@ struct SimResult
     std::string scheme = "baseline";
 
     /**
-     * False for a degraded slot: the run failed, timed out, was
-     * skipped, or belongs to another shard. Identity fields above are
-     * filled in; every metric below is meaningless. Aggregations
+     * False for a degraded slot: the run failed, timed out, or was
+     * skipped. Identity fields above are filled in; every metric
+     * below is meaningless. Aggregations
      * (rangeOver, findValidResult) skip invalid slots so a harness
      * renders "n/a" cells instead of poisoning group means.
      */
@@ -148,7 +148,7 @@ rangeOver(const std::vector<SimResult> &results, bool fp_group, Fn &&fn)
 
 /**
  * The result for @p benchmark, or nullptr when it is absent or its
- * slot is invalid (failed / out-of-shard run).
+ * slot is invalid (failed, timed-out or skipped run).
  */
 const SimResult *findValidResult(const std::vector<SimResult> &results,
                                  const std::string &benchmark);

@@ -75,9 +75,6 @@ enum class RunStatus
     Failed,   ///< threw; result slot is default-constructed
     TimedOut, ///< watchdog fired; result slot is default-constructed
     Skipped,  ///< not executed (fail-fast abort or failed leader)
-    /** Assigned to a different shard process (--shard=i/N); not
-     *  executed here and never journaled here. */
-    OutOfShard,
 };
 
 /** Stable lower-case name, as recorded in journals. */
@@ -89,24 +86,8 @@ runStatusName(RunStatus s)
       case RunStatus::Failed:   return "failed";
       case RunStatus::TimedOut: return "timed-out";
       case RunStatus::Skipped:  return "skipped";
-      case RunStatus::OutOfShard: return "out-of-shard";
     }
     return "?";
-}
-
-/** Parse a runStatusName() spelling; false when unrecognized. */
-inline bool
-parseRunStatus(const std::string &text, RunStatus &out)
-{
-    for (RunStatus s : {RunStatus::Ok, RunStatus::Failed,
-                        RunStatus::TimedOut, RunStatus::Skipped,
-                        RunStatus::OutOfShard}) {
-        if (text == runStatusName(s)) {
-            out = s;
-            return true;
-        }
-    }
-    return false;
 }
 
 /** Per-run execution record the campaign engine fills in. */
@@ -122,13 +103,8 @@ struct RunOutcome
     /** Served from the memo/disk cache (or copied from a leader). */
     bool cached = false;
     double wallMs = 0.0;
-    /** Shard this run was assigned to (always 0 unless sharded). */
-    unsigned shard = 0;
 
     bool ok() const { return status == RunStatus::Ok; }
-
-    /** This process's responsibility: false only for OutOfShard. */
-    bool inShard() const { return status != RunStatus::OutOfShard; }
 };
 
 } // namespace dmdc

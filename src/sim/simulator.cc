@@ -12,7 +12,7 @@
 #include "common/bitutils.hh"
 #include "common/logging.hh"
 #include "lsq/policy/registry.hh"
-#include "sim/campaign_shard.hh"
+#include "sim/campaign_runner.hh"
 #include "sim/fault_injector.hh"
 #include "sim/invalidation.hh"
 #include "sim/run_error.hh"

@@ -1,19 +1,24 @@
 /**
  * @file
  * Tests of the campaign layer: suite running, comparison helpers,
- * formatting utilities the benches rely on, and the run cache's
- * SimResult JSON form.
+ * formatting utilities the benches rely on, the run cache's SimResult
+ * JSON form, the shared campaign flags, run identities, the run
+ * queue's order and the journal's record order.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <numeric>
 #include <sstream>
 
 #include "common/json.hh"
 #include "sim/campaign.hh"
 #include "sim/campaign_runner.hh"
+#include "sim/cli_options.hh"
 #include "trace/spec_suite.hh"
 
 namespace dmdc
@@ -191,6 +196,135 @@ TEST(ResultJson, NonFiniteDoublesRoundTrip)
     ASSERT_TRUE(readSimResultJson(doc, back));
     EXPECT_TRUE(std::isnan(back.ipc));
     EXPECT_EQ(back.energy.yla, r.energy.yla);
+}
+
+// ---- shared campaign flags --------------------------------------------
+
+/** Parse @p args as a campaign binary would; finalize() verdict. */
+bool
+parseCampaignCli(std::vector<std::string> args, CampaignCliOptions &out,
+                 std::string &err)
+{
+    args.insert(args.begin(), "prog");
+    std::vector<char *> argv;
+    for (std::string &a : args)
+        argv.push_back(a.data());
+    CliParser parser("prog");
+    out.addTo(parser);
+    return parser.parse(static_cast<int>(argv.size()), argv.data(),
+                        err) &&
+           out.finalize(err);
+}
+
+TEST(CampaignCli, CacheCapConvertsMebibytes)
+{
+    CampaignCliOptions cli;
+    std::string err;
+    ASSERT_TRUE(parseCampaignCli({"--cache-max-mb=3"}, cli, err)) << err;
+    EXPECT_EQ(cli.config.cacheMaxBytes, 3ull << 20);
+
+    CampaignCliOptions largest;
+    ASSERT_TRUE(parseCampaignCli({"--cache-max-mb=17592186044415"},
+                                 largest, err))
+        << err;
+    EXPECT_EQ(largest.config.cacheMaxBytes,
+              UINT64_MAX - ((1ull << 20) - 1));
+}
+
+TEST(CampaignCli, RejectsCacheCapThatOverflowsBytes)
+{
+    // 2^44 MiB would wrap to 0 (unlimited), 2^44 + 1 to a 1 MiB cap.
+    for (const char *mb : {"17592186044416", "17592186044417",
+                           "18446744073709551615"}) {
+        CampaignCliOptions cli;
+        std::string err;
+        EXPECT_FALSE(parseCampaignCli(
+            {std::string("--cache-max-mb=") + mb}, cli, err))
+            << mb;
+        EXPECT_NE(err.find("--cache-max-mb"), std::string::npos) << err;
+    }
+}
+
+TEST(CampaignCli, SchedulerFlagIsGone)
+{
+    for (const char *gone : {"--scheduler=work-stealing", "--shard=0/2"}) {
+        CampaignCliOptions cli;
+        std::string err;
+        EXPECT_FALSE(parseCampaignCli({gone}, cli, err)) << gone;
+        EXPECT_FALSE(err.empty()) << gone;
+    }
+}
+
+// ---- run identity, queue order, journal order --------------------------
+
+SimOptions
+quickOptions(const std::string &bench, const std::string &scheme)
+{
+    SimOptions opt;
+    opt.benchmark = bench;
+    opt.scheme = scheme;
+    opt.warmupInsts = 2000;
+    opt.runInsts = 20000;
+    return opt;
+}
+
+TEST(RunIdentity, KeepsEveryDigitOfTheInvalidationRate)
+{
+    // Rates that agree to 6 significant digits are still different
+    // runs (cacheKey() tells them apart too).
+    SimOptions a = quickOptions("gzip", "dmdc-global");
+    SimOptions b = a;
+    a.invalidationsPer1kCycles = 0.1234567;
+    b.invalidationsPer1kCycles = 0.1234568;
+    EXPECT_NE(runIdentity(a), runIdentity(b));
+}
+
+TEST(RunQueue, MixedBudgetOrderIsPinned)
+{
+    // The order a multi-worker runner queues its runs in: costlier
+    // first, ties broken by identity hash, then identity. Mixed
+    // budgets plus one repeated journal identity, pinned.
+    std::vector<SimOptions> runs;
+    const char *benches[] = {"gzip", "swim", "mcf", "art", "vpr", "gcc"};
+    for (unsigned i = 0; i < 6; ++i) {
+        for (unsigned j = 0; j < 2; ++j) {
+            SimOptions opt = quickOptions(
+                benches[i], j == 0 ? "baseline" : "dmdc-global");
+            opt.runInsts = 10000 + 5000 * ((i * 2 + j) % 4);
+            runs.push_back(opt);
+        }
+    }
+    SimOptions repeat = runs[0];
+    repeat.safeLoads = false;
+    repeat.runInsts = 40000;
+    runs.push_back(repeat);
+
+    std::vector<std::size_t> order(runs.size());
+    std::iota(order.begin(), order.end(), 0);
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                         return lptBefore(lptItem(runs[a]),
+                                          lptItem(runs[b]));
+                     });
+    EXPECT_EQ(order, (std::vector<std::size_t>{12, 3, 11, 7, 2, 6, 10, 9,
+                                               5, 1, 4, 0, 8}));
+}
+
+TEST(JournalOrder, SharedIdentityRecordsHaveATotalOrder)
+{
+    // Two runs of one (benchmark, scheme, config) triple that differ in
+    // a hidden knob (an invalidation-rate sweep, say) must not land in
+    // completion order.
+    JournalEntry a;
+    a.benchmark = "swim";
+    a.scheme = "dmdc-global";
+    a.cyclesToken = "82189";
+    a.ipcToken = "0.7300246991689886";
+    JournalEntry b = a;
+    b.cyclesToken = "82265";
+    b.ipcToken = "0.72935027046739198";
+    EXPECT_TRUE(journalEntryLess(a, b));
+    EXPECT_FALSE(journalEntryLess(b, a));
 }
 
 } // namespace

@@ -17,7 +17,6 @@
 #include "lsq/lsq_unit.hh"
 #include "sim/campaign.hh"
 #include "sim/campaign_runner.hh"
-#include "sim/campaign_shard.hh"
 #include "trace/spec_suite.hh"
 
 namespace dmdc

@@ -15,8 +15,8 @@
 #include <functional>
 #include <sstream>
 
+#include "common/json.hh"
 #include "sim/campaign_runner.hh"
-#include "sim/campaign_shard.hh"
 #include "sim/fault_injector.hh"
 #include "sim/run_error.hh"
 #include "sim/simulator.hh"
@@ -679,14 +679,18 @@ TEST_F(FaultTolerance, RerunAfterFailuresMatchesUninterruptedRunBitForBit)
 
     // The interrupted journal is the failure manifest: one record per
     // run, each casualty named with its status.
-    ShardJournal interrupted;
+    JsonValue interrupted;
     std::string err;
-    ASSERT_TRUE(parseShardJournal(slurp(int_path), interrupted, err))
-        << err;
-    ASSERT_EQ(interrupted.entries.size(), runs.size());
+    ASSERT_TRUE(parseJson(slurp(int_path), interrupted, err)) << err;
+    const JsonValue *records = interrupted.find("results");
+    ASSERT_NE(records, nullptr);
+    ASSERT_EQ(records->items.size(), runs.size());
     std::size_t failed_records = 0;
-    for (const JournalEntry &e : interrupted.entries)
-        failed_records += e.status == RunStatus::Failed;
+    for (const JsonValue &r : records->items) {
+        const JsonValue *status = r.find("status");
+        ASSERT_NE(status, nullptr);
+        failed_records += status->text == runStatusName(RunStatus::Failed);
+    }
     EXPECT_EQ(failed_records, runs.size() - ok_runs);
 
     // Rerun: completed runs come from the cache, the rest execute.

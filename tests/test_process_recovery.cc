@@ -6,7 +6,7 @@
  * in the run cache, and in both cases rerunning the same command
  * converges to a journal byte-identical to the serial
  * --json-deterministic run. Recovery needs nothing but the run cache.
- * Two campaigns started together on one cache simulate each run once
+ * Campaigns started together on one cache simulate each run once
  * between them (the run cache's per-key claims).
  *
  * The integration tests receive the dmdc_sim location from CMake via
@@ -130,13 +130,16 @@ class ProcessRecovery : public ::testing::Test
         return args;
     }
 
-    /** Run @p a and @p b at the same time; 0 when both exit 0. */
+    /** Run every argv in @p cmds at the same time; 0 when all exit
+     *  0. */
     static int
-    concurrently(const std::vector<std::string> &a,
-                 const std::vector<std::string> &b)
+    concurrently(const std::vector<std::vector<std::string>> &cmds)
     {
-        return shell(commandLine(a) + " & pid=$!; " + commandLine(b) +
-                     "; rb=$?; wait $pid; ra=$?; exit $((ra | rb))");
+        std::string script = "pids=; ";
+        for (const std::vector<std::string> &args : cmds)
+            script += commandLine(args) + " & pids=\"$pids $!\"; ";
+        return shell(script + "rc=0; for p in $pids; do wait $p || "
+                              "rc=1; done; exit $rc");
     }
 
     static std::string
@@ -277,20 +280,26 @@ TEST_F(ProcessRecovery, ConcurrentCampaignsSimulateEachRunOnce)
     const std::string serial = serialJournal();
     ASSERT_FALSE(serial.empty());
 
-    // Deterministic journals: both byte-identical to the serial run.
-    ASSERT_EQ(concurrently(argv("shared_det", "det_a.json"),
-                           argv("shared_det", "det_b.json")),
-              0);
-    EXPECT_EQ(slurp(scratch_ / "det_a.json"), serial);
-    EXPECT_EQ(slurp(scratch_ / "det_b.json"), serial);
+    const char *const procs[] = {"a.json", "b.json", "c.json"};
+
+    // Deterministic journals: each byte-identical to the serial run.
+    std::vector<std::vector<std::string>> det;
+    for (const char *journal : procs)
+        det.push_back(argv("shared_det", std::string("det_") + journal));
+    ASSERT_EQ(concurrently(det), 0);
+    for (const char *journal : procs)
+        EXPECT_EQ(slurp(scratch_ / (std::string("det_") + journal)),
+                  serial)
+            << journal;
 
     // Full journals on a fresh cache: every run is simulated by exactly
-    // one of the two processes, and served from disk to the other.
-    ASSERT_EQ(concurrently(argv("shared", "a.json", false),
-                           argv("shared", "b.json", false)),
-              0);
+    // one of the three processes, and served from disk to the others.
+    std::vector<std::vector<std::string>> full;
+    for (const char *journal : procs)
+        full.push_back(argv("shared", journal, false));
+    ASSERT_EQ(concurrently(full), 0);
     std::map<std::string, int> fresh;
-    for (const char *journal : {"a.json", "b.json"}) {
+    for (const char *journal : procs) {
         JsonValue doc;
         std::string err;
         ASSERT_TRUE(parseJson(slurp(scratch_ / journal), doc, err))

@@ -85,21 +85,6 @@ argValue(const JsonValue &event)
 
 } // namespace
 
-TEST(TraceSink, PathHelpers)
-{
-    EXPECT_EQ(traceShardPath("trace.json", 0, 2),
-              "trace.shard0of2.json");
-    EXPECT_EQ(traceShardPath("trace.json", 1, 2),
-              "trace.shard1of2.json");
-    EXPECT_EQ(traceShardPath("out/trace.json", 1, 4),
-              "out/trace.shard1of4.json");
-    EXPECT_EQ(traceShardPath("tracefile", 1, 4), "tracefile.shard1of4");
-    EXPECT_EQ(traceShardPath("a.b/tracefile", 1, 4),
-              "a.b/tracefile.shard1of4");
-    EXPECT_EQ(traceShardPath("trace.json", 0, 1), "trace.json");
-    EXPECT_EQ(traceShardPath("trace.json", 0, 0), "trace.json");
-}
-
 TEST(TraceSink, DisabledCategoryRecordsNothing)
 {
     traceReset();

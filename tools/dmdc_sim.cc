@@ -29,8 +29,8 @@
  *     --max-retries=<n>     retries for transient failures (default 2)
  *     --fail-fast           stop scheduling runs after a failure and
  *                           exit non-zero if anything failed
- *     --shard=<i>/<N>       run only shard i (0-based) of an N-way
- *                           deterministic partition of the campaign
+ *     --trace=<channels>    capture a Chrome trace (comma list or
+ *                           'all'); --trace-out=<path> names the file
  *     --json=<path>         write the campaign journal / failure
  *                           manifest to <path>
  *     --json-deterministic  strip timestamps/wall-clock/attempts from
@@ -58,10 +58,10 @@
  * or a crash is rerunning the same command against the same cache:
  * completed runs are cache hits, and the journal comes out identical.
  *
- * Sharded campaigns: launch N processes with the same run set, a
- * shared --cache-dir, per-process --json=shardK.json and --shard=K/N;
- * then `journal_merge shard*.json --out=merged.json` reassembles a
- * journal byte-identical to a single-process --json-deterministic run.
+ * Concurrent campaigns: N processes running the same command on one
+ * --cache-dir simulate each run once between them (per-key claims,
+ * see sim/cache_store.hh), and each writes the journal a serial run
+ * would; give each its own --json (and --trace-out) path.
  *
  * Repeat invocations with identical options are served from the run
  * cache (near-instant); --stats always re-simulates because the full
@@ -187,11 +187,8 @@ runCampaign(const std::vector<SimOptions> &runs,
     std::printf("%-12s %-14s %3s  %-12s %8s %8s\n", "benchmark",
                 "scheme", "cfg", "status", "ipc", "attempts");
     std::size_t ok = 0;
-    std::size_t in_shard = 0;
     for (std::size_t i = 0; i < runs.size(); ++i) {
         const RunOutcome &oc = cr.outcomes[i];
-        if (oc.inShard())
-            ++in_shard;
         if (oc.ok()) {
             ++ok;
             std::printf("%-12s %-14s %3u  %-12s %8.3f %8u%s\n",
@@ -200,11 +197,6 @@ runCampaign(const std::vector<SimOptions> &runs,
                         cr.results[i].configLevel,
                         runStatusName(oc.status), cr.results[i].ipc,
                         oc.attempts, oc.cached ? "  (cached)" : "");
-        } else if (!oc.inShard()) {
-            std::printf("%-12s %-14s %3u  %-12s %8s %8s  shard %u\n",
-                        runs[i].benchmark.c_str(),
-                        runs[i].scheme.c_str(), runs[i].configLevel,
-                        runStatusName(oc.status), "-", "-", oc.shard);
         } else {
             std::printf("%-12s %-14s %3u  %-12s %8s %8u  %s: %s\n",
                         runs[i].benchmark.c_str(),
@@ -214,14 +206,7 @@ runCampaign(const std::vector<SimOptions> &runs,
                         oc.error.c_str());
         }
     }
-    if (cfg.shard.active()) {
-        std::printf("\nshard %u/%u: %zu of %zu in-shard runs ok "
-                    "(%zu total)\n",
-                    cfg.shard.index, cfg.shard.count, ok, in_shard,
-                    runs.size());
-    } else {
-        std::printf("\n%zu of %zu runs ok\n", ok, runs.size());
-    }
+    std::printf("\n%zu of %zu runs ok\n", ok, runs.size());
     flushCampaignJournal();
 
     // A signal-interrupted campaign has flushed its journal; the
@@ -238,11 +223,10 @@ runCampaign(const std::vector<SimOptions> &runs,
 
     // A degraded campaign still exits 0 — the journal is the failure
     // manifest — but a campaign with nothing to show, or any failure
-    // under --fail-fast, is an error. An empty shard slice (more
-    // shards than run groups) is not an error.
-    if (in_shard > 0 && ok == 0)
+    // under --fail-fast, is an error.
+    if (ok == 0)
         return kExitFailure;
-    if (cfg.failFast && ok != in_shard)
+    if (cfg.failFast && ok != runs.size())
         return kExitFailure;
     return kExitOk;
 }
@@ -263,10 +247,9 @@ main(int argc, char **argv)
     CampaignCliOptions campaign;
 
     CliParser cli(argv[0],
-                  "Single simulations and sharded fault-tolerant "
-                  "campaigns. Comma lists in --bench/--scheme/--config "
-                  "select campaign mode (the cross product); "
-                  "--shard=i/N runs one slice of it.");
+                  "Single simulations and fault-tolerant campaigns. "
+                  "Comma lists in --bench/--scheme/--config select "
+                  "campaign mode (the cross product).");
     cli.action("list",
                [] {
                    for (const auto &n : specAllNames())
@@ -348,7 +331,7 @@ main(int argc, char **argv)
         }
     }
 
-    if (runs.size() > 1 || campaign_cfg.shard.active()) {
+    if (runs.size() > 1) {
         if (dump_stats || dump_energy) {
             std::fprintf(stderr, "dmdc_sim: --stats/--energy need a "
                                  "single run, not a campaign\n");

@@ -7,13 +7,13 @@
  *     --out=<path>   write the merged trace to <path> (default stdout)
  *     --selftest     run the built-in validation suite and exit
  *
- * A multi-process campaign (dmdc_sim or a bench run as --shard=i/N
- * processes) writes one trace file per process; this tool concatenates their
- * traceEvents arrays into one document Perfetto can load whole. Each
- * input is strictly validated — a JSON object with a traceEvents
- * array whose entries carry "ph", "ts", "pid", "tid", and "name" —
- * so a torn or truncated trace fails loudly instead of silently
- * dropping a process. Events keep their raw number tokens and source
+ * A multi-process campaign (several dmdc_sim or bench processes, each
+ * with its own --trace-out) writes one trace file per process; this
+ * tool concatenates their traceEvents arrays into one document
+ * Perfetto can load whole. Each input is strictly validated — a JSON
+ * object with a traceEvents array whose entries carry "ph", "ts",
+ * "pid", "tid", and "name" — so a torn or truncated trace fails
+ * loudly instead of silently dropping a process. Events keep their raw number tokens and source
  * order, so merging is byte-stable and per-process timestamps are
  * preserved exactly.
  *

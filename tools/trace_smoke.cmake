@@ -1,68 +1,62 @@
 # Tracing smoke test (driven by ctest, see CMakeLists.txt).
 #
-# Runs one small campaign as two concurrent dmdc_sim shard processes
-# with --trace=all. Each process writes its own shard-tagged Chrome
-# trace file; trace_merge must combine them into a document that
-# re-validates and carries kernel and runner events from both
-# processes, and journal_merge of the traced shard journals must stay
-# byte-identical to an untraced serial run.
+# Runs one small campaign as two concurrent dmdc_sim processes with
+# --trace=all, each with its own --trace-out and --json. Both run with
+# --no-cache, so each simulates every run and records kernel and
+# runner events (on a shared cache one process could serve the other
+# everything). trace_merge must combine the two trace files into a
+# document that re-validates and carries kernel and runner events from
+# both processes, and each traced journal must stay byte-identical to
+# an untraced serial run.
 
 file(REMOVE_RECURSE "${WORK_DIR}")
 file(MAKE_DIRECTORY "${WORK_DIR}")
 
 set(campaign
     --bench=gzip,swim --scheme=baseline,yla --insts=20000 --warmup=2000
-    --json-deterministic)
+    --no-cache --json-deterministic)
 
 execute_process(
-    COMMAND ${DMDC_SIM} ${campaign} --cache-dir=${WORK_DIR}/serial_cache
-            --json=${WORK_DIR}/serial.json
+    COMMAND ${DMDC_SIM} ${campaign} --json=${WORK_DIR}/serial.json
     RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
     message(FATAL_ERROR "serial campaign failed (exit ${rc})")
 endif()
 
-# Both shards in one execute_process call run concurrently. Each
+# Both processes in one execute_process call run concurrently. Each
 # redirects its own output, so the pipe CMake places between them
 # carries nothing.
-set(shard_cmds)
-foreach(shard 0 1)
-    string(JOIN " " args ${DMDC_SIM} ${campaign} --shard=${shard}/2
-           --trace=all --trace-out=${WORK_DIR}/trace.json
-           --cache-dir=${WORK_DIR}/traced_cache --jobs=2
-           --json=${WORK_DIR}/shard${shard}.json)
-    list(APPEND shard_cmds COMMAND sh -c
-         "exec ${args} >${WORK_DIR}/shard${shard}.log 2>&1 </dev/null")
+set(traced_cmds)
+foreach(proc 0 1)
+    string(JOIN " " args ${DMDC_SIM} ${campaign} --jobs=2
+           --trace=all --trace-out=${WORK_DIR}/trace${proc}.json
+           --json=${WORK_DIR}/journal${proc}.json)
+    list(APPEND traced_cmds COMMAND sh -c
+         "exec ${args} >${WORK_DIR}/traced${proc}.log 2>&1 </dev/null")
 endforeach()
-execute_process(${shard_cmds} RESULTS_VARIABLE rcs)
+execute_process(${traced_cmds} RESULTS_VARIABLE rcs)
 if(NOT rcs STREQUAL "0;0")
     message(FATAL_ERROR
-        "traced shard processes failed (exits ${rcs}); see "
-        "${WORK_DIR}/shard*.log")
+        "traced processes failed (exits ${rcs}); see "
+        "${WORK_DIR}/traced*.log")
 endif()
 
-# Tracing must not perturb results: the merged traced journals must
-# equal the untraced serial journal byte-for-byte.
-execute_process(
-    COMMAND ${JOURNAL_MERGE} ${WORK_DIR}/shard0.json
-            ${WORK_DIR}/shard1.json --out=${WORK_DIR}/merged.json
-    RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "journal_merge failed (exit ${rc})")
-endif()
-execute_process(
-    COMMAND ${CMAKE_COMMAND} -E compare_files
-            ${WORK_DIR}/serial.json ${WORK_DIR}/merged.json
-    RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-    message(FATAL_ERROR
-        "traced merged journal differs from the serial journal")
-endif()
+# Tracing must not perturb results: each traced journal must equal the
+# untraced serial journal byte-for-byte.
+foreach(proc 0 1)
+    execute_process(
+        COMMAND ${CMAKE_COMMAND} -E compare_files
+                ${WORK_DIR}/serial.json ${WORK_DIR}/journal${proc}.json
+        RESULT_VARIABLE rc)
+    if(NOT rc EQUAL 0)
+        message(FATAL_ERROR
+            "traced journal ${proc} differs from the serial journal")
+    endif()
+endforeach()
 
 execute_process(
     COMMAND ${TRACE_MERGE}
-            ${WORK_DIR}/trace.shard0of2.json
-            ${WORK_DIR}/trace.shard1of2.json
+            ${WORK_DIR}/trace0.json ${WORK_DIR}/trace1.json
             --out=${WORK_DIR}/trace.merged.json
     RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
@@ -99,5 +93,5 @@ foreach(cat kernel runner)
 endforeach()
 
 message(STATUS "trace smoke: merged trace carries kernel and runner "
-               "events from both shards and the traced journal is "
+               "events from both processes and the traced journals are "
                "byte-identical")
