@@ -29,7 +29,7 @@ main(int argc, char **argv)
                 "INT false/M", "FP false/M", "hash-conflict share");
     for (unsigned entries : {256u, 512u, 1024u, 2048u, 4096u, 8192u}) {
         base.tableEntriesOverride = entries;
-        const auto res = runSuite(base, args.benchmarks, args.verbose);
+        const auto res = runSuite(base, args.benchmarks);
         const Range fi = rangeOver(res, false, [](const SimResult &r) {
             return r.perMInst(r.falseReplays());
         });

@@ -30,7 +30,6 @@ struct BenchArgs
     std::uint64_t warmupInsts = 30000;
     std::uint64_t runInsts = 200000;
     std::vector<std::string> benchmarks;   ///< suite subset (or all)
-    bool verbose = false;
     CampaignCliOptions campaign;           ///< shared engine flags
 
     /**
@@ -64,7 +63,6 @@ struct BenchArgs
                   "warm-up instructions per run");
         cli.list("bench", &args.benchmarks,
                  "comma-separated benchmark subset");
-        cli.flag("verbose", &args.verbose, "per-run progress lines");
         args.campaign.addTo(cli);
         cli.parseOrExit(argc, argv);
 

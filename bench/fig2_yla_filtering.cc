@@ -67,7 +67,7 @@ main(int argc, char **argv)
         runs.push_back(std::move(opt));
     }
 
-    const CampaignResult cr = runCampaignChecked(runs, args.verbose);
+    const CampaignResult cr = runCampaignChecked(runs);
 
     for (std::size_t b = 0; b < args.benchmarks.size(); ++b) {
         if (!cr.outcomes[b].ok())

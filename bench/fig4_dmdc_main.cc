@@ -28,11 +28,9 @@ main(int argc, char **argv)
         base.configLevel = level;
 
         base.scheme = "baseline";
-        const auto baseline =
-            runSuite(base, args.benchmarks, args.verbose);
+        const auto baseline = runSuite(base, args.benchmarks);
         base.scheme = "dmdc-global";
-        const auto dmdc_res =
-            runSuite(base, args.benchmarks, args.verbose);
+        const auto dmdc_res = runSuite(base, args.benchmarks);
 
         std::printf("\n--- config %u ---\n", level);
         std::printf("  %-6s %28s %24s %28s\n", "group",

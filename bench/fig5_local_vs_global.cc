@@ -24,14 +24,11 @@ main(int argc, char **argv)
         base.configLevel = level;
 
         base.scheme = "baseline";
-        const auto baseline =
-            runSuite(base, args.benchmarks, args.verbose);
+        const auto baseline = runSuite(base, args.benchmarks);
         base.scheme = "dmdc-global";
-        const auto global_res =
-            runSuite(base, args.benchmarks, args.verbose);
+        const auto global_res = runSuite(base, args.benchmarks);
         base.scheme = "dmdc-local";
-        const auto local_res =
-            runSuite(base, args.benchmarks, args.verbose);
+        const auto local_res = runSuite(base, args.benchmarks);
 
         std::printf("\n--- config %u: slowdown (%%) ---\n", level);
         std::printf("  %-6s %26s %26s\n", "group", "global DMDC",

@@ -29,11 +29,11 @@ main(int argc, char **argv)
     base.configLevel = 2;
 
     base.scheme = "baseline";
-    const auto baseline = runSuite(base, args.benchmarks, args.verbose);
+    const auto baseline = runSuite(base, args.benchmarks);
     base.scheme = "dmdc-global";
-    const auto dmdc_res = runSuite(base, args.benchmarks, args.verbose);
+    const auto dmdc_res = runSuite(base, args.benchmarks);
     base.scheme = "age-table";
-    const auto age_res = runSuite(base, args.benchmarks, args.verbose);
+    const auto age_res = runSuite(base, args.benchmarks);
 
     std::printf("\n  %-8s %-12s %16s %14s %22s\n", "group", "scheme",
                 "replays/M-inst", "slowdown (%)",

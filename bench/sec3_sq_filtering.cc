@@ -24,7 +24,7 @@ main(int argc, char **argv)
     SimOptions base = args.baseOptions();
     base.configLevel = 2;
     base.scheme = "baseline";
-    const auto results = runSuite(base, args.benchmarks, args.verbose);
+    const auto results = runSuite(base, args.benchmarks);
 
     std::printf("\n  %-6s %34s\n", "group",
                 "loads older than all stores (%)");
@@ -43,7 +43,7 @@ main(int argc, char **argv)
     // future work) and measure the SQ-search and energy effect.
     SimOptions filt = base;
     filt.sqFilter = true;
-    const auto filtered = runSuite(filt, args.benchmarks, args.verbose);
+    const auto filtered = runSuite(filt, args.benchmarks);
 
     std::printf("\nWith the filter enabled (extension):\n");
     std::printf("  %-6s %26s %22s %14s\n", "group",

@@ -25,9 +25,9 @@ main(int argc, char **argv)
     base.configLevel = 2;
 
     base.scheme = "baseline";
-    const auto baseline = runSuite(base, args.benchmarks, args.verbose);
+    const auto baseline = runSuite(base, args.benchmarks);
     base.scheme = "yla";
-    const auto yla = runSuite(base, args.benchmarks, args.verbose);
+    const auto yla = runSuite(base, args.benchmarks);
 
     std::printf("\n  %-6s %22s %24s %14s %18s\n", "group",
                 "LQ energy savings (%)", "total energy savings (%)",

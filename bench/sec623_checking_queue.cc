@@ -25,8 +25,7 @@ main(int argc, char **argv)
     base.configLevel = 2;
 
     base.scheme = "dmdc-global";
-    const auto table_res = runSuite(base, args.benchmarks,
-                                    args.verbose);
+    const auto table_res = runSuite(base, args.benchmarks);
 
     std::printf("\n  %-22s %14s %14s\n", "configuration",
                 "INT replays/M", "FP replays/M");
@@ -48,8 +47,7 @@ main(int argc, char **argv)
     base.scheme = "dmdc-queue";
     for (unsigned entries : {4u, 8u, 16u, 32u}) {
         base.queueEntries = entries;
-        const auto q_res = runSuite(base, args.benchmarks,
-                                    args.verbose);
+        const auto q_res = runSuite(base, args.benchmarks);
         char label[64];
         std::snprintf(label, sizeof(label), "assoc queue (%u)",
                       entries);

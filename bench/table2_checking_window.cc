@@ -26,7 +26,7 @@ main(int argc, char **argv)
     SimOptions base = args.baseOptions();
     base.configLevel = 2;
     base.scheme = "dmdc-global";
-    const auto results = runSuite(base, args.benchmarks, args.verbose);
+    const auto results = runSuite(base, args.benchmarks);
 
     printWindowTable(results);
 

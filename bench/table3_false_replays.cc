@@ -28,15 +28,13 @@ main(int argc, char **argv)
     SimOptions base = args.baseOptions();
     base.configLevel = 2;
     base.scheme = "dmdc-global";
-    const auto with_safe = runSuite(base, args.benchmarks,
-                                    args.verbose);
+    const auto with_safe = runSuite(base, args.benchmarks);
 
     printReplayBreakdown(with_safe);
 
     // Sec. 6.2.2: the value of safe-load detection.
     base.safeLoads = false;
-    const auto without_safe =
-        runSuite(base, args.benchmarks, args.verbose);
+    const auto without_safe = runSuite(base, args.benchmarks);
 
     std::printf("\nSafe-load detection ablation (false replays per "
                 "1M instructions):\n");

@@ -26,14 +26,12 @@ main(int argc, char **argv)
     base.configLevel = 2;
 
     base.scheme = "dmdc-local";
-    const auto local_res = runSuite(base, args.benchmarks,
-                                    args.verbose);
+    const auto local_res = runSuite(base, args.benchmarks);
     std::printf("\nLocal DMDC:");
     printWindowTable(local_res);
 
     base.scheme = "dmdc-global";
-    const auto global_res =
-        runSuite(base, args.benchmarks, args.verbose);
+    const auto global_res = runSuite(base, args.benchmarks);
     std::printf("\nGlobal DMDC (Table 2, for comparison):");
     printWindowTable(global_res);
 

@@ -31,7 +31,7 @@ main(int argc, char **argv)
 
     // Baseline (conventional LQ, no invalidations) for slowdown.
     base.scheme = "baseline";
-    const auto baseline = runSuite(base, args.benchmarks, args.verbose);
+    const auto baseline = runSuite(base, args.benchmarks);
 
     struct Row
     {
@@ -47,7 +47,7 @@ main(int argc, char **argv)
     std::map<double, std::vector<SimResult>> sweeps;
     for (double rate : rates) {
         base.invalidationsPer1kCycles = rate;
-        sweeps[rate] = runSuite(base, args.benchmarks, args.verbose);
+        sweeps[rate] = runSuite(base, args.benchmarks);
     }
 
     for (const bool fp : {false, true}) {

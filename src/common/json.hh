@@ -8,8 +8,7 @@
  * generality:
  *
  *  - numbers keep their raw source token, so a parsed document can be
- *    re-serialized byte-identically (trace_merge copies every event's
- *    numbers exactly);
+ *    re-serialized byte-identically;
  *  - parsing is strict (no trailing content, no unknown escapes), so
  *    a torn or hand-mangled document fails loudly instead of yielding
  *    a half-read record.

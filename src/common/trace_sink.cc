@@ -445,18 +445,6 @@ traceConfigure(const TraceOptions &options)
     TraceSink::instance().configure(options);
 }
 
-bool
-traceCaptureActive()
-{
-    return TraceSink::instance().captureActive();
-}
-
-TraceOptions
-traceCurrentOptions()
-{
-    return TraceSink::instance().currentOptions();
-}
-
 std::uint64_t
 traceNowNs()
 {

@@ -26,9 +26,11 @@
  * survive thread exit, so the at-exit exporter still sees records
  * from campaign workers that have already been joined.
  *
- * Multi-process campaigns: give each process its own --trace-out
- * path; tools/trace_merge combines the files — process ids keep the
- * streams apart inside one merged timeline.
+ * One file per process: every process stamps times from its own
+ * first-use epoch, so traces of concurrent processes are read side by
+ * side, not merged. The campaign CLI names the default file after the
+ * pid (trace.<pid>.json) so concurrent processes never overwrite each
+ * other.
  */
 
 #ifndef DMDC_COMMON_TRACE_SINK_HH
@@ -129,12 +131,6 @@ constexpr std::size_t kTraceMaxNames = 4096;
  * (generation bump) rather than resized.
  */
 void traceConfigure(const TraceOptions &options);
-
-/** Whether a configure() with non-empty channels is in effect. */
-bool traceCaptureActive();
-
-/** The currently configured options (defaults when unconfigured). */
-TraceOptions traceCurrentOptions();
 
 /** Monotonic ns since the process trace epoch (first-use anchored). */
 std::uint64_t traceNowNs();

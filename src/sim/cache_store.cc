@@ -84,19 +84,17 @@ struct DirFile
 };
 
 /**
- * The regular files of @p dir (only `*.json` when @p jsonOnly), with
- * size and mtime from one stat each, oldest first; ties break by name
- * so every process agrees on the order.
+ * The regular files of @p dir, with size and mtime from one stat
+ * each, oldest first; ties break by name so every process agrees on
+ * the order.
  */
 std::vector<DirFile>
-oldestFirst(const fs::path &dir, bool jsonOnly)
+oldestFirst(const fs::path &dir)
 {
     std::vector<DirFile> found;
     std::error_code ec;
     for (const auto &de : fs::directory_iterator(
              dir, fs::directory_options::skip_permission_denied, ec)) {
-        if (jsonOnly && de.path().extension() != ".json")
-            continue;
         struct ::stat st{};
         if (::stat(de.path().c_str(), &st) != 0 || !S_ISREG(st.st_mode))
             continue; // removed since the listing, or not a file
@@ -206,30 +204,6 @@ CacheStore::releaseClaim(const std::string &key)
         ::unlink(path.c_str());
 }
 
-std::size_t
-CacheStore::evictLocked()
-{
-    if (!config_.maxBytes)
-        return 0;
-    const std::vector<DirFile> files = oldestFirst(config_.dir, true);
-    std::uint64_t live = 0;
-    for (const DirFile &f : files)
-        live += f.bytes;
-    std::size_t evicted = 0;
-    std::error_code ec;
-    for (const DirFile &f : files) {
-        if (live <= config_.maxBytes)
-            break;
-        // Gone either way: removed here, or by another process.
-        live -= f.bytes;
-        if (fs::remove(f.path, ec)) {
-            ++evicted;
-            ++stats_.evicted;
-        }
-    }
-    return evicted;
-}
-
 CacheStore::Load
 CacheStore::load(const std::string &key, std::string &payload)
 {
@@ -283,12 +257,6 @@ CacheStore::load(const std::string &key, std::string &payload)
     }
     payload = std::move(body);
     ++stats_.hits;
-    if (config_.maxBytes) {
-        // The mtime is the entry's LRU age.
-        std::error_code ec;
-        fs::last_write_time(path, fs::file_time_type::clock::now(),
-                            ec);
-    }
     return Load::Hit;
 }
 
@@ -326,11 +294,6 @@ CacheStore::store(const std::string &key, const std::string &payloadIn)
         return;
     }
     ++stats_.stored;
-    // The mtime is the LRU age. Stamp it from the fine-grained clock:
-    // file systems with per-tick write timestamps would otherwise give
-    // entries stored back to back the same age.
-    fs::last_write_time(path, fs::file_time_type::clock::now(), ec);
-    evictLocked();
 }
 
 void
@@ -365,7 +328,7 @@ CacheStore::enforceQuarantineCap()
     if (!config_.quarantineMaxEntries && !config_.quarantineMaxBytes)
         return;
     const std::vector<DirFile> found =
-        oldestFirst(fs::path(config_.dir) / "quarantine", false);
+        oldestFirst(fs::path(config_.dir) / "quarantine");
     std::uint64_t total = 0;
     for (const DirFile &f : found)
         total += f.bytes;
@@ -388,13 +351,6 @@ CacheStore::enforceQuarantineCap()
             ++stats_.quarantineEvicted;
         }
     }
-}
-
-std::size_t
-CacheStore::evictToCap()
-{
-    std::lock_guard<std::mutex> guard(mutex_);
-    return evictLocked();
 }
 
 std::size_t

@@ -9,14 +9,9 @@
  *
  *  - load() always opens the entry file and verifies its CRC frame;
  *    nothing it returns rests on another process's bookkeeping;
- *  - without a byte cap, stores and loads never list the directory;
- *  - under `--cache-max-mb`, a hit refreshes the entry file's mtime,
- *    which is its LRU age (ties break by file name). store() and
- *    evictToCap() list the `*.json` files once, with size and mtime,
- *    and remove the oldest until the rest fit. Temp files, claims and
- *    quarantine/ are never counted or evicted. Two processes
- *    evicting at once can only over-evict, which costs a
- *    re-simulation, never a wrong result.
+ *  - store() and load() never list the directory, and nothing is
+ *    ever evicted: an entry is ~1.3 KB, so a whole reproduction is
+ *    ~1 MB per source revision. Delete the directory to reclaim it.
  *
  * Cross-process dedup: an advisory claim file per key
  * (`<hash>.claim`, holding "<pid> <host>") tells concurrent campaigns
@@ -41,10 +36,9 @@
  *    all write correct, identical entries, but may each simulate the
  *    same key.
  *
- * Claims are never `*.json`, so eviction, liveEntries() and
- * quarantine never see them. A lost race costs at most one duplicate
- * simulation, never a wrong result: entries are still published
- * atomically.
+ * Claims are never `*.json`, so liveEntries() and quarantine never
+ * see them. A lost race costs at most one duplicate simulation, never
+ * a wrong result: entries are still published atomically.
  */
 
 #ifndef DMDC_SIM_CACHE_STORE_HH
@@ -71,10 +65,6 @@ struct CacheStoreConfig
      *  Nothing is created until the first claim, store or quarantine. */
     std::string dir = ".dmdc_cache";
 
-    /** Live-entry byte cap; LRU entries are evicted past it.
-     *  0 = unlimited (and hits skip the mtime refresh). */
-    std::uint64_t maxBytes = 0;
-
     /** Caps on quarantine/ (oldest files age out first; 0 = none). */
     std::size_t quarantineMaxEntries = 32;
     std::uint64_t quarantineMaxBytes = 8ull * 1024 * 1024;
@@ -87,7 +77,6 @@ struct CacheStoreStats
     std::size_t misses = 0;      ///< absent entries
     std::size_t stored = 0;      ///< entries published
     std::size_t quarantined = 0; ///< damaged entries set aside
-    std::size_t evicted = 0;     ///< entries removed by the byte cap
     std::size_t quarantineEvicted = 0; ///< quarantine files aged out
 };
 
@@ -117,22 +106,13 @@ class CacheStore
      */
     Load load(const std::string &key, std::string &payload);
 
-    /**
-     * Publish @p payload under @p key: CRC-framed, written atomically.
-     * Evicts LRU entries when the byte cap is exceeded.
-     */
+    /** Publish @p payload under @p key: CRC-framed, written
+     *  atomically. */
     void store(const std::string &key, const std::string &payload);
 
     /** Quarantine the entry of @p key (payload-level corruption found
      *  by the caller after a frame-valid load). */
     void quarantineKey(const std::string &key, const char *reason);
-
-    /**
-     * Evict least-recently-used entries until live bytes fit the cap
-     * (one directory listing; nothing to do without a cap). Returns
-     * the number of entries removed.
-     */
-    std::size_t evictToCap();
 
     /** Outcome of a claim() attempt. */
     enum class Claim
@@ -162,14 +142,13 @@ class CacheStore
 
   private:
     // All private helpers assume mutex_ is held.
-    std::size_t evictLocked();
     void quarantinePath(const std::string &path, const char *reason);
     void enforceQuarantineCap();
 
     CacheStoreConfig config_;
     CacheStoreStats stats_;
 
-    std::mutex mutex_; ///< guards stats_ and serializes eviction
+    std::mutex mutex_; ///< guards stats_ and the quarantine
 };
 
 } // namespace dmdc

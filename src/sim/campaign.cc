@@ -37,10 +37,9 @@ isFpBenchmark(const std::string &name)
 } // namespace
 
 CampaignResult
-runCampaignChecked(const std::vector<SimOptions> &runs, bool verbose)
+runCampaignChecked(const std::vector<SimOptions> &runs)
 {
-    CampaignResult cr =
-        CampaignRunner::global().runChecked(runs, verbose);
+    CampaignResult cr = CampaignRunner::global().runChecked(runs);
     for (std::size_t i = 0; i < runs.size(); ++i) {
         const RunOutcome &oc = cr.outcomes[i];
         if (oc.ok())
@@ -71,8 +70,7 @@ harnessExitCode()
 }
 
 std::vector<SimResult>
-runSuite(const SimOptions &base, const std::vector<std::string> &names,
-         bool verbose)
+runSuite(const SimOptions &base, const std::vector<std::string> &names)
 {
     std::vector<SimOptions> runs;
     runs.reserve(names.size());
@@ -81,7 +79,7 @@ runSuite(const SimOptions &base, const std::vector<std::string> &names,
         opt.benchmark = name;
         runs.push_back(std::move(opt));
     }
-    return std::move(runCampaignChecked(runs, verbose).results);
+    return std::move(runCampaignChecked(runs).results);
 }
 
 Range

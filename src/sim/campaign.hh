@@ -20,7 +20,7 @@ namespace dmdc
 
 /**
  * Run @p base once per benchmark in @p benchmarks (the template's
- * .benchmark field is overwritten). Progress is reported via inform().
+ * .benchmark field is overwritten).
  * Runs execute on CampaignRunner::global() — parallel across
  * benchmarks and cached on disk — with results in suite order, element-wise
  * identical to a serial loop over runSimulation().
@@ -32,8 +32,7 @@ namespace dmdc
  * harnessExitCode() so degradation is visible to scripts.
  */
 std::vector<SimResult> runSuite(const SimOptions &base,
-                                const std::vector<std::string> &names,
-                                bool verbose = true);
+                                const std::vector<std::string> &names);
 
 /**
  * Run an explicit campaign on the global runner, marking degraded
@@ -41,8 +40,7 @@ std::vector<SimResult> runSuite(const SimOptions &base,
  * counter behind harnessExitCode(). The bench harnesses call this
  * instead of touching the runner directly.
  */
-CampaignResult runCampaignChecked(const std::vector<SimOptions> &runs,
-                                  bool verbose = false);
+CampaignResult runCampaignChecked(const std::vector<SimOptions> &runs);
 
 /**
  * Runs that degraded (failed / timed out / skipped) across

@@ -475,7 +475,6 @@ CampaignRunner::CampaignRunner(CampaignConfig config)
 {
     CacheStoreConfig sc;
     sc.dir = config_.cacheDir;
-    sc.maxBytes = config_.cacheMaxBytes;
     sc.quarantineMaxEntries = config_.quarantineMaxEntries;
     sc.quarantineMaxBytes = config_.quarantineMaxBytes;
     diskStore_ = std::make_unique<CacheStore>(sc);
@@ -528,8 +527,7 @@ CampaignRunner::storeToDisk(const std::string &key, const SimResult &r)
 }
 
 CampaignResult
-CampaignRunner::runChecked(const std::vector<SimOptions> &runs_in,
-                           bool verbose)
+CampaignRunner::runChecked(const std::vector<SimOptions> &runs_in)
 {
     // Materialize the campaign-wide --check/--agent override before
     // anything looks at the options: classification, fingerprints,
@@ -556,7 +554,6 @@ CampaignRunner::runChecked(const std::vector<SimOptions> &runs_in,
     stats.runs = runs.size();
     const std::size_t quarantine_evicted_before =
         diskStore_->stats().quarantineEvicted;
-    const std::size_t evicted_before = diskStore_->stats().evicted;
 
     CampaignResult cr;
     cr.results.resize(runs.size());
@@ -622,7 +619,7 @@ CampaignRunner::runChecked(const std::vector<SimOptions> &runs_in,
         jobs = std::min<std::size_t>(jobs, pending.size());
 
         auto execute_run =
-            [this, &runs, &cr, verbose, &abort_flag,
+            [this, &runs, &cr, &abort_flag,
              &rt](const Pending &p, bool claimed) {
                 const auto run_t0 = Clock::now();
                 RunOutcome oc;
@@ -701,13 +698,6 @@ CampaignRunner::runChecked(const std::vector<SimOptions> &runs_in,
                     if (!p.key.empty() && config_.useCache)
                         storeToDisk(p.key, r);
                     appendJournal(r, oc);
-                    if (verbose) {
-                        inform("  %-10s %-12s config%u  ipc=%.2f"
-                               "  (%.0f ms%s)",
-                               r.benchmark.c_str(), r.scheme.c_str(),
-                               r.configLevel, r.ipc, oc.wallMs,
-                               oc.attempts > 1 ? ", retried" : "");
-                    }
                 } else {
                     if (config_.failFast &&
                         oc.status != RunStatus::Skipped) {
@@ -852,7 +842,7 @@ CampaignRunner::runChecked(const std::vector<SimOptions> &runs_in,
         cr.outcomes[dst] = oc;
     }
 
-    // ---- accounting + cache hygiene ----------------------------------
+    // ---- accounting --------------------------------------------------
     for (const RunOutcome &oc : cr.outcomes) {
         switch (oc.status) {
           case RunStatus::Failed:   ++stats.failed;   break;
@@ -863,52 +853,30 @@ CampaignRunner::runChecked(const std::vector<SimOptions> &runs_in,
         if (oc.attempts > 1)
             ++stats.retried;
     }
-    if (config_.useCache) {
-        diskStore_->evictToCap();
-        stats.evicted = diskStore_->stats().evicted - evicted_before;
-    }
     stats.quarantineEvicted =
         diskStore_->stats().quarantineEvicted -
         quarantine_evicted_before;
 
     stats.wallMs = elapsedMs(t0);
-    totalSimulated_ += stats.simulated;
     lastStats_ = stats;
 
-    if (verbose || runs.size() > 1) {
+    if (runs.size() > 1) {
         inform("campaign: %zu runs in %.2fs (%.1f sims/s; "
                "%zu simulated, %zu disk hits, %zu uncacheable)",
                stats.runs, stats.wallMs / 1000.0, stats.simsPerSec(),
                stats.simulated, stats.diskHits, stats.uncacheable);
         if (stats.failed || stats.timedOut || stats.skipped ||
-            stats.retried || stats.quarantined || stats.evicted ||
+            stats.retried || stats.quarantined ||
             stats.quarantineEvicted) {
             inform("campaign health: %zu failed, %zu timed out, "
                    "%zu skipped, %zu retried, %zu cache entries "
-                   "quarantined, %zu evicted, %zu quarantine files "
-                   "aged out",
+                   "quarantined, %zu quarantine files aged out",
                    stats.failed, stats.timedOut, stats.skipped,
-                   stats.retried, stats.quarantined, stats.evicted,
+                   stats.retried, stats.quarantined,
                    stats.quarantineEvicted);
         }
     }
     return cr;
-}
-
-SimResult
-CampaignRunner::runOne(const SimOptions &options, bool verbose)
-{
-    CampaignResult cr =
-        runChecked(std::vector<SimOptions>{options}, verbose);
-    const RunOutcome &oc = cr.outcomes.front();
-    if (!oc.ok()) {
-        flushCampaignJournal();
-        fatal("run %s/%s config%u %s (%s: %s)",
-              options.benchmark.c_str(), options.scheme.c_str(),
-              options.configLevel, runStatusName(oc.status),
-              runErrorCategoryName(oc.category), oc.error.c_str());
-    }
-    return std::move(cr.results.front());
 }
 
 namespace

@@ -71,12 +71,6 @@ struct CampaignConfig
     bool failFast = false;
 
     /**
-     * On-disk cache size cap in bytes; least-recently-used entries
-     * are evicted after each campaign to stay under it. 0 = unlimited.
-     */
-    std::uint64_t cacheMaxBytes = 0;
-
-    /**
      * Caps on .dmdc_cache/quarantine/: corrupt cache entries are set
      * aside there for post-mortems, but chaos campaigns would grow it
      * without bound. Oldest entries are evicted first once either cap
@@ -109,7 +103,6 @@ struct CampaignStats
     std::size_t skipped = 0;     ///< not executed (fail-fast)
     std::size_t retried = 0;     ///< runs that needed > 1 attempt
     std::size_t quarantined = 0; ///< corrupt cache entries set aside
-    std::size_t evicted = 0;     ///< cache entries removed by the cap
     std::size_t quarantineEvicted = 0; ///< quarantined files aged out
     double wallMs = 0.0;         ///< campaign wall-clock, milliseconds
 
@@ -166,19 +159,12 @@ class CampaignRunner
      * gone — every harness renders degraded cells from the
      * RunOutcomes instead of dying.)
      */
-    CampaignResult runChecked(const std::vector<SimOptions> &runs,
-                              bool verbose = false);
-
-    /** Single-run convenience wrapper (still cache-aware). */
-    SimResult runOne(const SimOptions &options, bool verbose = false);
+    CampaignResult runChecked(const std::vector<SimOptions> &runs);
 
     const CampaignConfig &config() const { return config_; }
 
     /** Accounting of the most recent run() call. */
     const CampaignStats &lastStats() const { return lastStats_; }
-
-    /** Simulations actually executed over this runner's lifetime. */
-    std::uint64_t totalSimulated() const { return totalSimulated_; }
 
     /** The process-wide runner used by runSuite(). */
     static CampaignRunner &global();
@@ -201,10 +187,9 @@ class CampaignRunner
 
     CampaignConfig config_;
     CampaignStats lastStats_;
-    std::uint64_t totalSimulated_ = 0;
 
-    /** Owns the on-disk layout: CRC framing, quarantine, claims, LRU
-     *  eviction. The runner keeps the SimResult <-> JSON translation
+    /** Owns the on-disk layout: CRC framing, quarantine, claims. The
+     *  runner keeps the SimResult <-> JSON translation
      *  and key validation. */
     std::unique_ptr<CacheStore> diskStore_;
 };

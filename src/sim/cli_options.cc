@@ -8,6 +8,8 @@
 #include <limits>
 #include <sstream>
 
+#include <unistd.h>
+
 #include "verify/check_mode.hh"
 #include "verify/coherence_agent.hh"
 
@@ -313,8 +315,6 @@ CampaignCliOptions::addTo(CliParser &parser)
     parser.flag("no-cache", &noCache, "disable the run cache");
     parser.value("cache-dir", &config.cacheDir,
                  "on-disk run cache directory");
-    parser.value("cache-max-mb", &cacheMaxMb,
-                 "evict LRU cache entries over this size");
     parser.value("timeout", &config.timeoutMs,
                  "per-run wall-clock budget, ms (0 = none)");
     parser.value("max-retries", &config.maxRetries,
@@ -328,7 +328,8 @@ CampaignCliOptions::addTo(CliParser &parser)
                  "trace channels (comma list or 'all'); captures a "
                  "Chrome trace");
     parser.value("trace-out", &traceOutText,
-                 "Chrome trace-event JSON path (default trace.json)");
+                 "Chrome trace-event JSON path (default "
+                 "trace.<pid>.json)");
     parser.value("trace-buffer", &trace.bufferRecords,
                  "per-thread trace ring capacity, records");
     parser.value("check", &checkText,
@@ -344,19 +345,19 @@ bool
 CampaignCliOptions::finalize(std::string &err)
 {
     config.useCache = !noCache;
-    if (cacheMaxMb > (UINT64_MAX >> 20)) {
-        err = "--cache-max-mb=" + std::to_string(cacheMaxMb) +
-              " overflows a byte count (max " +
-              std::to_string(UINT64_MAX >> 20) + ")";
+    if (config.timeoutMs < 0.0) {
+        err = "--timeout must be >= 0 (ms)";
         return false;
     }
-    config.cacheMaxBytes = cacheMaxMb << 20;
     if (!traceOutText.empty() && trace.channels.empty()) {
         err = "--trace-out requires --trace=<channels|all>";
         return false;
     }
-    if (!traceOutText.empty())
-        trace.outPath = traceOutText;
+    // Concurrent processes in one directory must not overwrite each
+    // other's trace, so the default file is named after the pid.
+    trace.outPath = !traceOutText.empty()
+        ? traceOutText
+        : "trace." + std::to_string(::getpid()) + ".json";
     if (!checkText.empty() &&
         !parseCheckMode(checkText, config.checkMode)) {
         err = "--check expects off, oracle or litmus, got '" +

@@ -30,7 +30,7 @@ namespace dmdc
 
 // Process exit codes shared by every harness.
 constexpr int kExitOk = 0;       ///< success
-constexpr int kExitFailure = 1;  ///< operation failed (all runs, merge)
+constexpr int kExitFailure = 1;  ///< operation failed (e.g. all runs)
 constexpr int kExitUsage = 2;    ///< bad command line / bad config
 constexpr int kExitDegraded = 4; ///< finished, but some runs degraded
 /** Interrupted by SIGINT/SIGTERM after a graceful drain: the journal
@@ -141,7 +141,6 @@ struct CampaignCliOptions
     CampaignConfig config;        ///< assembled runner configuration
     std::string jsonPath;         ///< --json journal target
     bool jsonDeterministic = false;
-    std::uint64_t cacheMaxMb = 0; ///< --cache-max-mb (0 = unlimited)
     bool noCache = false;         ///< --no-cache
     TraceOptions trace;           ///< --trace / --trace-out / --trace-buffer
     std::string traceOutText;     ///< raw --trace-out value
@@ -152,9 +151,10 @@ struct CampaignCliOptions
     void addTo(CliParser &parser);
 
     /**
-     * Cross-validate and derive: require --trace with --trace-out,
-     * parse --check/--agent, translate the cache cap (rejecting one
-     * that overflows bytes). False + @p err on conflict.
+     * Cross-validate and derive: reject a negative --timeout, require
+     * --trace with --trace-out, default the trace file to
+     * trace.<pid>.json, parse --check/--agent. False + @p err on
+     * conflict.
      */
     bool finalize(std::string &err);
 

@@ -11,6 +11,7 @@
 
 #include "common/bitutils.hh"
 #include "common/logging.hh"
+#include "common/trace_sink.hh"
 #include "lsq/policy/registry.hh"
 #include "sim/campaign_runner.hh"
 #include "sim/fault_injector.hh"
@@ -211,11 +212,6 @@ RunLoop::run(std::uint64_t insts)
 Simulator::Simulator(const SimOptions &options) : options_(options)
 {
     validateSimOptions(options_);
-    // Library embedding hook: first configurer wins, so a SimOptions
-    // with tracing set behaves like the --trace flag unless a harness
-    // already configured the process-wide sink.
-    if (options_.trace.enabled() && !traceCaptureActive())
-        traceConfigure(options_.trace);
     params_ = makeMachineConfig(options_.configLevel);
     applyScheme(params_, options_.scheme, options_.coherence,
                 options_.safeLoads);
@@ -380,7 +376,7 @@ Simulator::run()
 
     if (kt.cat.on()) {
         // Per-policy end-of-run counters: one sample each, so a
-        // merged campaign trace shows the policy mix at a glance.
+        // campaign trace shows the policy mix at a glance.
         traceCounter(kt.cat, kt.cycles, r.cycles);
         traceCounter(kt.cat, kt.instructions, r.instructions);
         traceCounter(kt.cat, kt.dmdcReplays, r.dmdcReplays);

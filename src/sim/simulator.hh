@@ -13,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "common/trace_sink.hh"
 #include "core/pipeline.hh"
 #include "lsq/lsq_unit.hh"
 #include "sim/results.hh"
@@ -75,18 +74,6 @@ struct SimOptions
      * long before any real workload comes close.
      */
     std::uint64_t stallCycleLimit = 100000;
-
-    // ---- diagnostics (never part of the run-cache key: tracing
-    // observes a run, it doesn't change results) ----
-
-    /**
-     * Tracing configuration for library users (the CLI harnesses
-     * configure the process-wide sink from --trace/--trace-out before
-     * any run starts). When set and the sink is still unconfigured,
-     * Simulator's constructor applies it — first configurer wins, so
-     * embedding code can trace one run without touching globals.
-     */
-    TraceOptions trace;
 
     // ---- verification (never part of the run-cache key: checked
     // runs bypass the cache entirely, and --check=off journals must

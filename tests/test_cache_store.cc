@@ -1,12 +1,10 @@
 /**
  * @file
  * Tests of the cache storage engine (sim/cache_store.hh): the CRC
- * frame and quarantine, mtime-ordered LRU eviction under a byte cap,
- * leftover index files of older caches being ignored, and — the part
- * that cannot be faked in-process — two real processes sharing one
- * store: simultaneous same-key writers, and a reader racing another
- * process's eviction, must see no torn entry and quarantine nothing
- * that isn't corrupt. The per-key claim rules (exclusive, dead or own
+ * frame and quarantine, leftover index files of older caches being
+ * ignored, and — the part that cannot be faked in-process — two real
+ * processes writing the same keys at once must see no torn entry and
+ * quarantine nothing. The per-key claim rules (exclusive, dead or own
  * pid taken over, other hosts ignored, released by every run, never
  * counted as entries) close the file.
  */
@@ -48,11 +46,10 @@ countEntries(const std::string &dir)
 }
 
 CacheStoreConfig
-storeConfig(const std::string &dir, std::uint64_t maxBytes = 0)
+storeConfig(const std::string &dir)
 {
     CacheStoreConfig cfg;
     cfg.dir = dir;
-    cfg.maxBytes = maxBytes;
     return cfg;
 }
 
@@ -86,39 +83,6 @@ TEST_F(CacheStoreTest, StoreLoadRoundTrip)
     EXPECT_EQ(store.stats().hits, 1u);
     EXPECT_EQ(store.stats().misses, 1u);
     EXPECT_EQ(store.liveEntries(), 1u);
-}
-
-TEST_F(CacheStoreTest, StoreEvictsPastTheCap)
-{
-    CacheStore store(storeConfig(dir_, /*maxBytes=*/1));
-    for (int i = 0; i < 4; ++i)
-        store.store("key-" + std::to_string(i),
-                    std::string(64, 'p'));
-
-    // A 1-byte cap can hold nothing: every store evicts eagerly.
-    EXPECT_EQ(countEntries(dir_), 0u);
-    EXPECT_GE(store.stats().evicted, 3u);
-}
-
-TEST_F(CacheStoreTest, LruEvictsOldestFirst)
-{
-    CacheStore store(storeConfig(dir_));
-    store.store("old", std::string(64, 'a'));
-    store.store("mid", std::string(64, 'b'));
-    store.store("new", std::string(64, 'c'));
-
-    // Touch "old" so "mid" becomes the least recently used entry.
-    // Touch records are only appended under a byte cap, so rebuild a
-    // capped store over the same directory first. Each entry file is
-    // 107 bytes (43-byte CRC header + 64-byte payload); a 250-byte
-    // cap holds two of the three.
-    CacheStore capped(storeConfig(dir_, /*maxBytes=*/250));
-    std::string out;
-    EXPECT_EQ(capped.load("old", out), CacheStore::Load::Hit);
-    capped.evictToCap();
-
-    EXPECT_EQ(capped.load("old", out), CacheStore::Load::Hit);
-    EXPECT_EQ(capped.load("mid", out), CacheStore::Load::Miss);
 }
 
 TEST_F(CacheStoreTest, SiblingInstanceSeesStores)
@@ -245,69 +209,15 @@ TEST_F(CacheStoreTest, TwoProcessSameKeyWriters)
     EXPECT_EQ(fresh.stats().quarantined, 0u);
 }
 
-TEST_F(CacheStoreTest, ReaderSurvivesConcurrentEviction)
-{
-    // Child evicts under a half-size cap in a loop while the parent
-    // keeps storing and loading without one: a load may miss, but
-    // never sees a torn entry, and nothing is quarantined.
-    const std::string dir = dir_;
-    constexpr int kKeys = 16;
-    auto keyOf = [](int i) { return "key-" + std::to_string(i); };
-    auto payloadOf = [](int i) {
-        return "payload-" + std::string(64, 'a' + i);
-    };
-    std::uint64_t full = 0;
-    {
-        CacheStore store(storeConfig(dir));
-        for (int i = 0; i < kKeys; ++i)
-            store.store(keyOf(i), payloadOf(i));
-        for (const auto &e : fs::directory_iterator(dir))
-            full += fs::file_size(e.path());
-    }
-
-    const int child_status = runForked([&] {
-        CacheStore store(storeConfig(dir, full / 2));
-        std::string out;
-        for (int iter = 0; iter < 40; ++iter) {
-            store.evictToCap();
-            for (int i = 0; i < kKeys; ++i) {
-                if (store.load(keyOf(i), out) ==
-                    CacheStore::Load::Corrupt)
-                    _exit(2);
-            }
-        }
-        _exit(store.stats().quarantined == 0 ? 0 : 3);
-    });
-
-    CacheStore store(storeConfig(dir));
-    std::string out;
-    for (int iter = 0; iter < 40; ++iter) {
-        store.store(keyOf(iter % kKeys), payloadOf(iter % kKeys));
-        for (int i = 0; i < kKeys; ++i) {
-            const CacheStore::Load r = store.load(keyOf(i), out);
-            EXPECT_NE(r, CacheStore::Load::Corrupt);
-            if (r == CacheStore::Load::Hit) {
-                EXPECT_EQ(out, payloadOf(i));
-            }
-        }
-    }
-    EXPECT_EQ(child_status, 0);
-    EXPECT_EQ(store.stats().quarantined, 0u);
-    EXPECT_FALSE(fs::exists(fs::path(dir) / "quarantine"));
-}
-
 TEST_F(CacheStoreTest, LeftoverIndexFilesAreIgnored)
 {
     // Caches written before the index was removed still hold
     // index.log and index.lock: entries keep hitting, and neither file
-    // is counted, charged against the cap or evicted.
-    std::uint64_t entryBytes = 0;
+    // is counted or removed.
     {
         CacheStore store(storeConfig(dir_));
         store.store("key-a", "payload-a");
         store.store("key-b", "payload-b");
-        for (const auto &e : fs::directory_iterator(dir_))
-            entryBytes += fs::file_size(e.path());
     }
     {
         std::ofstream log(fs::path(dir_) / "index.log");
@@ -318,20 +228,15 @@ TEST_F(CacheStoreTest, LeftoverIndexFilesAreIgnored)
         std::ofstream(fs::path(dir_) / "index.lock");
     }
 
-    CacheStore capped(storeConfig(dir_, entryBytes));
-    EXPECT_EQ(capped.liveEntries(), 2u);
-    EXPECT_EQ(capped.evictToCap(), 0u);
+    CacheStore store(storeConfig(dir_));
+    EXPECT_EQ(store.liveEntries(), 2u);
     std::string out;
-    EXPECT_EQ(capped.load("key-a", out), CacheStore::Load::Hit);
+    EXPECT_EQ(store.load("key-a", out), CacheStore::Load::Hit);
     EXPECT_EQ(out, "payload-a");
-    EXPECT_EQ(capped.load("key-b", out), CacheStore::Load::Hit);
-
-    CacheStore tiny(storeConfig(dir_, /*maxBytes=*/1));
-    EXPECT_EQ(tiny.evictToCap(), 2u);
-    EXPECT_EQ(tiny.liveEntries(), 0u);
+    EXPECT_EQ(store.load("key-b", out), CacheStore::Load::Hit);
     EXPECT_TRUE(fs::exists(fs::path(dir_) / "index.log"));
     EXPECT_TRUE(fs::exists(fs::path(dir_) / "index.lock"));
-    EXPECT_EQ(tiny.stats().quarantined + capped.stats().quarantined, 0u);
+    EXPECT_EQ(store.stats().quarantined, 0u);
 }
 
 // ---- per-key claims ---------------------------------------------------

@@ -15,6 +15,8 @@
 #include <numeric>
 #include <sstream>
 
+#include <unistd.h>
+
 #include "common/json.hh"
 #include "sim/campaign.hh"
 #include "sim/campaign_runner.hh"
@@ -42,7 +44,7 @@ TEST(Campaign, RunSuiteProducesOneResultPerBenchmark)
     opt.runInsts = 15000;
     opt.scheme = "baseline";
     const std::vector<std::string> names{"gzip", "swim"};
-    const auto results = runSuite(opt, names, /*verbose=*/false);
+    const auto results = runSuite(opt, names);
     ASSERT_EQ(results.size(), 2u);
     EXPECT_EQ(results[0].benchmark, "gzip");
     EXPECT_FALSE(results[0].fp);
@@ -55,7 +57,7 @@ TEST(Campaign, SlowdownRangeIsZeroAgainstItself)
     SimOptions opt;
     opt.warmupInsts = 2000;
     opt.runInsts = 15000;
-    const auto results = runSuite(opt, {"gzip", "crafty"}, false);
+    const auto results = runSuite(opt, {"gzip", "crafty"});
     const Range r = slowdownRange(results, results, false);
     EXPECT_EQ(r.n, 2u);
     EXPECT_DOUBLE_EQ(r.mean, 0.0);
@@ -216,43 +218,41 @@ parseCampaignCli(std::vector<std::string> args, CampaignCliOptions &out,
            out.finalize(err);
 }
 
-TEST(CampaignCli, CacheCapConvertsMebibytes)
-{
-    CampaignCliOptions cli;
-    std::string err;
-    ASSERT_TRUE(parseCampaignCli({"--cache-max-mb=3"}, cli, err)) << err;
-    EXPECT_EQ(cli.config.cacheMaxBytes, 3ull << 20);
-
-    CampaignCliOptions largest;
-    ASSERT_TRUE(parseCampaignCli({"--cache-max-mb=17592186044415"},
-                                 largest, err))
-        << err;
-    EXPECT_EQ(largest.config.cacheMaxBytes,
-              UINT64_MAX - ((1ull << 20) - 1));
-}
-
-TEST(CampaignCli, RejectsCacheCapThatOverflowsBytes)
-{
-    // 2^44 MiB would wrap to 0 (unlimited), 2^44 + 1 to a 1 MiB cap.
-    for (const char *mb : {"17592186044416", "17592186044417",
-                           "18446744073709551615"}) {
-        CampaignCliOptions cli;
-        std::string err;
-        EXPECT_FALSE(parseCampaignCli(
-            {std::string("--cache-max-mb=") + mb}, cli, err))
-            << mb;
-        EXPECT_NE(err.find("--cache-max-mb"), std::string::npos) << err;
-    }
-}
-
 TEST(CampaignCli, SchedulerFlagIsGone)
 {
-    for (const char *gone : {"--scheduler=work-stealing", "--shard=0/2"}) {
+    for (const char *gone : {"--scheduler=work-stealing", "--shard=0/2",
+                             "--cache-max-mb=1"}) {
         CampaignCliOptions cli;
         std::string err;
         EXPECT_FALSE(parseCampaignCli({gone}, cli, err)) << gone;
         EXPECT_FALSE(err.empty()) << gone;
     }
+}
+
+TEST(CampaignCli, RejectsNegativeTimeout)
+{
+    CampaignCliOptions cli;
+    std::string err;
+    EXPECT_FALSE(parseCampaignCli({"--timeout=-5"}, cli, err));
+    EXPECT_NE(err.find("--timeout"), std::string::npos) << err;
+
+    CampaignCliOptions zero;
+    EXPECT_TRUE(parseCampaignCli({"--timeout=0"}, zero, err)) << err;
+}
+
+TEST(CampaignCli, DefaultTraceFileIsPerProcess)
+{
+    CampaignCliOptions cli;
+    std::string err;
+    ASSERT_TRUE(parseCampaignCli({"--trace=all"}, cli, err)) << err;
+    EXPECT_EQ(cli.trace.outPath,
+              "trace." + std::to_string(::getpid()) + ".json");
+
+    CampaignCliOptions named;
+    ASSERT_TRUE(parseCampaignCli({"--trace=all", "--trace-out=t.json"},
+                                 named, err))
+        << err;
+    EXPECT_EQ(named.trace.outPath, "t.json");
 }
 
 // ---- run identity, queue order, journal order --------------------------

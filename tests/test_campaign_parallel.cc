@@ -162,14 +162,15 @@ TEST_F(CampaignParallel, CacheHitsSkipSimulationAndMatch)
 
     CampaignRunner runner(config(0, /*use_cache=*/true));
     const auto cold = runner.runChecked(runs).results;
-    EXPECT_EQ(runner.lastStats().simulated, runs.size());
-    EXPECT_EQ(runner.totalSimulated(), runs.size());
+    std::size_t simulated = runner.lastStats().simulated;
+    EXPECT_EQ(simulated, runs.size());
 
     // Second pass, same runner: served from disk, zero simulations.
     const auto warm = runner.runChecked(runs).results;
+    simulated += runner.lastStats().simulated;
     EXPECT_EQ(runner.lastStats().simulated, 0u);
     EXPECT_EQ(runner.lastStats().diskHits, runs.size());
-    EXPECT_EQ(runner.totalSimulated(), runs.size());
+    EXPECT_EQ(simulated, runs.size());
     for (std::size_t i = 0; i < runs.size(); ++i)
         expectIdentical(cold[i], warm[i]);
 
@@ -210,13 +211,15 @@ TEST_F(CampaignParallel, TweakRunsBypassCache)
     EXPECT_FALSE(cacheableOptions(opt));
 
     CampaignRunner runner(config(0, true));
-    runner.runOne(opt);
-    EXPECT_EQ(runner.lastStats().simulated, 1u);
+    ASSERT_TRUE(runner.runChecked({opt}).allOk());
+    std::size_t simulated = runner.lastStats().simulated;
+    EXPECT_EQ(simulated, 1u);
     EXPECT_EQ(runner.lastStats().uncacheable, 1u);
-    runner.runOne(opt);
+    ASSERT_TRUE(runner.runChecked({opt}).allOk());
+    simulated += runner.lastStats().simulated;
     // Re-simulated, never served from cache.
     EXPECT_EQ(runner.lastStats().simulated, 1u);
-    EXPECT_EQ(runner.totalSimulated(), 2u);
+    EXPECT_EQ(simulated, 2u);
     EXPECT_TRUE(!fs::exists(cacheDir_) || fs::is_empty(cacheDir_));
 }
 
@@ -231,14 +234,16 @@ TEST_F(CampaignParallel, ObserverRunsBypassCache)
     EXPECT_FALSE(cacheableOptions(opt));
 
     CampaignRunner runner(config(0, true));
-    runner.runOne(opt);
+    ASSERT_TRUE(runner.runChecked({opt}).allOk());
+    std::size_t simulated = runner.lastStats().simulated;
     const std::uint64_t stores_first = obs.storesObserved();
     EXPECT_GT(stores_first, 0u);
     EXPECT_EQ(runner.lastStats().uncacheable, 1u);
 
-    runner.runOne(opt);
+    ASSERT_TRUE(runner.runChecked({opt}).allOk());
+    simulated += runner.lastStats().simulated;
     EXPECT_EQ(runner.lastStats().simulated, 1u);
-    EXPECT_EQ(runner.totalSimulated(), 2u);
+    EXPECT_EQ(simulated, 2u);
     // The observer really saw the second simulation too.
     EXPECT_EQ(obs.storesObserved(), 2 * stores_first);
 }
@@ -326,7 +331,7 @@ TEST_F(CampaignParallel, RunSuiteOrderingMatchesNames)
     base.warmupInsts = 2000;
     base.runInsts = 12000;
     const std::vector<std::string> names{"swim", "gzip", "art"};
-    const auto results = runSuite(base, names, /*verbose=*/false);
+    const auto results = runSuite(base, names);
     ASSERT_EQ(results.size(), names.size());
     for (std::size_t i = 0; i < names.size(); ++i)
         EXPECT_EQ(results[i].benchmark, names[i]);

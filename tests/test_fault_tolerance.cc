@@ -4,8 +4,8 @@
  * validation, the deterministic fault injector, per-run isolation and
  * retries in the campaign engine, watchdog timeouts, cache corruption
  * handling (quarantine + recompute, for bad framing and for bad
- * payloads), LRU eviction, and rerunning an interrupted campaign to a
- * bit-identical journal.
+ * payloads), the quarantine cap, and rerunning an interrupted
+ * campaign to a bit-identical journal.
  */
 
 #include <gtest/gtest.h>
@@ -550,28 +550,6 @@ TEST_F(FaultTolerance, InjectedCacheCorruptionHealsOnReload)
     ASSERT_TRUE(runner.runChecked({opt}).allOk());
     EXPECT_EQ(runner.lastStats().quarantined, 1u);
     EXPECT_EQ(runner.lastStats().simulated, 1u);
-}
-
-TEST_F(FaultTolerance, CacheCapEvictsLru)
-{
-    const std::vector<SimOptions> runs = {
-        quickOptions("gzip", "baseline"),
-        quickOptions("swim", "baseline"),
-        quickOptions("vpr", "baseline"),
-    };
-    {
-        CampaignRunner runner(cachedConfig());
-        ASSERT_TRUE(runner.runChecked(runs).allOk());
-    }
-    const fs::path dir = scratch_ / "cache";
-    EXPECT_EQ(countFiles(dir), 3u);
-
-    CampaignConfig cfg = cachedConfig();
-    cfg.cacheMaxBytes = 1; // evict everything written so far
-    CampaignRunner capped(cfg);
-    ASSERT_TRUE(capped.runChecked({runs[0]}).allOk());
-    EXPECT_GE(capped.lastStats().evicted, 3u);
-    EXPECT_EQ(countFiles(dir), 0u);
 }
 
 TEST_F(FaultTolerance, QuarantineCapAgesOutOldestFiles)

@@ -7,10 +7,13 @@
  * converges to a journal byte-identical to the serial
  * --json-deterministic run. Recovery needs nothing but the run cache.
  * Campaigns started together on one cache simulate each run once
- * between them (the run cache's per-key claims).
+ * between them (the run cache's per-key claims). A bad command line
+ * exits kExitUsage before anything simulates, in single-run and
+ * campaign mode alike.
  *
- * The integration tests receive the dmdc_sim location from CMake via
- * the DMDC_SIM_BIN compile definition.
+ * The integration tests receive the dmdc_sim and fig4_dmdc_main
+ * locations from CMake via the DMDC_SIM_BIN and BENCH_BIN compile
+ * definitions.
  */
 
 #include <gtest/gtest.h>
@@ -80,6 +83,34 @@ TEST(WorkerFaultSpec, ParsesWorkerCrashSite)
     EXPECT_TRUE(inj.injectWorkerCrash("run-a"));
     inj.configure({});
     EXPECT_FALSE(inj.injectWorkerCrash("run-a"));
+}
+
+// ---- bad command lines -----------------------------------------------
+
+TEST(BadCommandLine, ExitsUsageInEveryMode)
+{
+    const std::string quiet = " --insts=20000 --warmup=2000 --no-cache"
+                              " > /dev/null 2>&1";
+    // A bad run in a campaign is a command line error, exactly as it
+    // is for a single run: nothing simulates.
+    EXPECT_EQ(shell(std::string(DMDC_SIM_BIN) +
+                    " --bench=gzip,swim --config=9" + quiet),
+              kExitUsage);
+    EXPECT_EQ(shell(std::string(DMDC_SIM_BIN) +
+                    " --bench=gzip --config=9" + quiet),
+              kExitUsage);
+    for (const char *bad : {"--timeout=-5", "--cache-max-mb=1"}) {
+        EXPECT_EQ(shell(std::string(DMDC_SIM_BIN) + " " + bad + quiet),
+                  kExitUsage)
+            << bad;
+    }
+    for (const char *bad : {"--verbose", "--cache-max-mb=1",
+                            "--timeout=-5"}) {
+        EXPECT_EQ(shell(std::string(BENCH_BIN) + " --quick " + bad +
+                        " --no-cache > /dev/null 2>&1"),
+                  kExitUsage)
+            << bad;
+    }
 }
 
 // ---- end-to-end recovery ---------------------------------------------

@@ -238,7 +238,6 @@ TEST(TraceSink, ReconfigureFlipsCategories)
     traceConfigure(off);
     EXPECT_FALSE(a.on());
     EXPECT_FALSE(b.on());
-    EXPECT_FALSE(traceCaptureActive());
 }
 
 TEST(TraceSink, ConcurrentWritersAndSnapshots)

@@ -24,13 +24,13 @@
  *     --jobs=<n>            campaign worker threads (0 = all cores)
  *     --no-cache            bypass the memoized run cache
  *     --cache-dir=<path>    run-cache directory (default .dmdc_cache)
- *     --cache-max-mb=<n>    LRU-evict the run cache above n MB
  *     --timeout=<ms>        per-run wall-clock budget (0 = none)
  *     --max-retries=<n>     retries for transient failures (default 2)
  *     --fail-fast           stop scheduling runs after a failure and
  *                           exit non-zero if anything failed
  *     --trace=<channels>    capture a Chrome trace (comma list or
- *                           'all'); --trace-out=<path> names the file
+ *                           'all') into trace.<pid>.json;
+ *                           --trace-out=<path> names the file
  *     --json=<path>         write the campaign journal / failure
  *                           manifest to <path>
  *     --json-deterministic  strip timestamps/wall-clock/attempts from
@@ -43,11 +43,13 @@
  *     --agent=<spec>        scripted coherence-agent family
  *                           (implies --check=litmus)
  *
- * Comma-separated --bench / --scheme / --config values select campaign
- * mode: the cross product runs through the fault-isolated campaign
- * engine. Individual run failures degrade the campaign (they appear in
- * the journal and the exit status stays 0) unless --fail-fast is given
- * or every run failed. Deterministic chaos can be injected with
+ * Every run's options are validated before anything simulates: a bad
+ * --bench/--scheme/--config/... value exits 2 in single-run and
+ * campaign mode alike. Comma-separated --bench / --scheme / --config
+ * values select campaign mode: the cross product runs through the
+ * fault-isolated campaign engine. Individual run failures degrade the
+ * campaign (they appear in the journal and the exit status stays 0)
+ * unless --fail-fast is given or every run failed. Deterministic chaos can be injected with
  * DMDC_FAULT=run-throw:p=0.1,run-hang:p=0.01,cache-corrupt:p=0.1;
  * DMDC_FAULT=worker-crash:p=<p> SIGKILLs the process right after a
  * freshly simulated run is cached.
@@ -61,7 +63,7 @@
  * Concurrent campaigns: N processes running the same command on one
  * --cache-dir simulate each run once between them (per-key claims,
  * see sim/cache_store.hh), and each writes the journal a serial run
- * would; give each its own --json (and --trace-out) path.
+ * would; give each its own --json path.
  *
  * Repeat invocations with identical options are served from the run
  * cache (near-instant); --stats always re-simulates because the full
@@ -182,7 +184,7 @@ runCampaign(const std::vector<SimOptions> &runs,
             const CampaignConfig &cfg)
 {
     const CampaignResult cr =
-        CampaignRunner::global().runChecked(runs, /*verbose=*/false);
+        CampaignRunner::global().runChecked(runs);
 
     std::printf("%-12s %-14s %3s  %-12s %8s %8s\n", "benchmark",
                 "scheme", "cfg", "status", "ipc", "attempts");
@@ -314,6 +316,13 @@ main(int argc, char **argv)
     campaign.apply();
     const CampaignConfig &campaign_cfg = campaign.config;
 
+    // The campaign runner materializes --check/--agent into each run;
+    // the in-process --stats path bypasses it, so apply the same
+    // override to the template every run is copied from.
+    if (opt.check == CheckMode::Off)
+        opt.check = campaign_cfg.checkMode;
+    if (opt.coherenceAgent.empty())
+        opt.coherenceAgent = campaign_cfg.coherenceAgent;
     if (schemes.empty())
         schemes.push_back(opt.scheme);
     std::vector<SimOptions> runs;
@@ -328,6 +337,16 @@ main(int argc, char **argv)
                                   "integers, got '" + config + "'");
                 runs.push_back(std::move(r));
             }
+        }
+    }
+    // A typo'd --config/--yla is a command line problem, not a
+    // runtime failure: reject every bad run before simulating any.
+    for (const SimOptions &r : runs) {
+        try {
+            validateSimOptions(r);
+        } catch (const RunError &e) {
+            std::fprintf(stderr, "dmdc_sim: %s\n", e.what());
+            return kExitUsage;
         }
     }
 
@@ -345,22 +364,6 @@ main(int argc, char **argv)
     }
 
     opt = runs.front();
-    // The campaign runner materializes --check/--agent into each run;
-    // the in-process --stats path below bypasses it, so mirror the
-    // same override here.
-    if (opt.check == CheckMode::Off)
-        opt.check = campaign_cfg.checkMode;
-    if (opt.coherenceAgent.empty())
-        opt.coherenceAgent = campaign_cfg.coherenceAgent;
-    // Reject bad machine configurations before simulating, with a
-    // usage-style exit code: a typo'd --config/--yla is a command
-    // line problem, not a runtime failure.
-    try {
-        validateSimOptions(opt);
-    } catch (const RunError &e) {
-        std::fprintf(stderr, "dmdc_sim: %s\n", e.what());
-        return kExitUsage;
-    }
 
     // --stats needs the live pipeline's statistics tree, so that mode
     // always simulates in-process; everything else goes through the

@@ -1,16 +1,16 @@
 # Tracing smoke test (driven by ctest, see CMakeLists.txt).
 #
 # Runs one small campaign as two concurrent dmdc_sim processes with
-# --trace=all, each with its own --trace-out and --json. Both run with
-# --no-cache, so each simulates every run and records kernel and
+# --trace=all in one working directory and no --trace-out. Both run
+# with --no-cache, so each simulates every run and records kernel and
 # runner events (on a shared cache one process could serve the other
-# everything). trace_merge must combine the two trace files into a
-# document that re-validates and carries kernel and runner events from
-# both processes, and each traced journal must stay byte-identical to
-# an untraced serial run.
+# everything). Each process must write its own trace.<pid>.json
+# holding kernel and runner events of that one pid, the two pids must
+# differ, and each traced journal must stay byte-identical to an
+# untraced serial run.
 
 file(REMOVE_RECURSE "${WORK_DIR}")
-file(MAKE_DIRECTORY "${WORK_DIR}")
+file(MAKE_DIRECTORY "${WORK_DIR}/run")
 
 set(campaign
     --bench=gzip,swim --scheme=baseline,yla --insts=20000 --warmup=2000
@@ -28,13 +28,13 @@ endif()
 # carries nothing.
 set(traced_cmds)
 foreach(proc 0 1)
-    string(JOIN " " args ${DMDC_SIM} ${campaign} --jobs=2
-           --trace=all --trace-out=${WORK_DIR}/trace${proc}.json
+    string(JOIN " " args ${DMDC_SIM} ${campaign} --jobs=2 --trace=all
            --json=${WORK_DIR}/journal${proc}.json)
     list(APPEND traced_cmds COMMAND sh -c
          "exec ${args} >${WORK_DIR}/traced${proc}.log 2>&1 </dev/null")
 endforeach()
-execute_process(${traced_cmds} RESULTS_VARIABLE rcs)
+execute_process(${traced_cmds} WORKING_DIRECTORY ${WORK_DIR}/run
+                RESULTS_VARIABLE rcs)
 if(NOT rcs STREQUAL "0;0")
     message(FATAL_ERROR
         "traced processes failed (exits ${rcs}); see "
@@ -54,44 +54,47 @@ foreach(proc 0 1)
     endif()
 endforeach()
 
-execute_process(
-    COMMAND ${TRACE_MERGE}
-            ${WORK_DIR}/trace0.json ${WORK_DIR}/trace1.json
-            --out=${WORK_DIR}/trace.merged.json
-    RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "trace_merge failed (exit ${rc})")
-endif()
-
-# The merged document must itself pass trace_merge's strict
-# validation (i.e. parse as one well-formed trace).
-execute_process(
-    COMMAND ${TRACE_MERGE} ${WORK_DIR}/trace.merged.json
-            --out=${WORK_DIR}/trace.revalidated.json
-    RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
+file(GLOB traces "${WORK_DIR}/run/trace.*.json")
+list(LENGTH traces ntraces)
+if(NOT ntraces EQUAL 2)
     message(FATAL_ERROR
-        "merged trace failed re-validation (exit ${rc})")
+        "expected 2 trace.<pid>.json files, found ${ntraces}: ${traces}")
 endif()
 
-file(READ "${WORK_DIR}/trace.merged.json" merged_trace)
-foreach(cat kernel runner)
-    string(REGEX MATCHALL "\"pid\":[0-9]+,\"tid\":[0-9]+,\"cat\":\"${cat}\""
-           hits "${merged_trace}")
-    set(pids)
-    foreach(hit IN LISTS hits)
-        string(REGEX REPLACE "^\"pid\":([0-9]+),.*" "\\1" pid "${hit}")
-        list(APPEND pids ${pid})
+set(file_pids)
+foreach(trace IN LISTS traces)
+    get_filename_component(name "${trace}" NAME)
+    file(READ "${trace}" text)
+    foreach(cat kernel runner)
+        string(REGEX MATCHALL
+               "\"pid\":[0-9]+,\"tid\":[0-9]+,\"cat\":\"${cat}\""
+               hits "${text}")
+        set(pids)
+        foreach(hit IN LISTS hits)
+            string(REGEX REPLACE "^\"pid\":([0-9]+),.*" "\\1" pid
+                   "${hit}")
+            list(APPEND pids ${pid})
+        endforeach()
+        list(REMOVE_DUPLICATES pids)
+        list(LENGTH pids npids)
+        if(NOT npids EQUAL 1)
+            message(FATAL_ERROR
+                "${name} has \"${cat}\" events from ${npids} "
+                "process(es), expected 1")
+        endif()
+        if(NOT name STREQUAL "trace.${pids}.json")
+            message(FATAL_ERROR
+                "${name} holds \"${cat}\" events of pid ${pids}")
+        endif()
     endforeach()
-    list(REMOVE_DUPLICATES pids)
-    list(LENGTH pids npids)
-    if(NOT npids EQUAL 2)
-        message(FATAL_ERROR
-            "merged trace has \"${cat}\" events from ${npids} "
-            "process(es), expected 2")
-    endif()
+    list(APPEND file_pids ${pids})
 endforeach()
+list(REMOVE_DUPLICATES file_pids)
+list(LENGTH file_pids npids)
+if(NOT npids EQUAL 2)
+    message(FATAL_ERROR "both trace files carry pid ${file_pids}")
+endif()
 
-message(STATUS "trace smoke: merged trace carries kernel and runner "
-               "events from both processes and the traced journals are "
-               "byte-identical")
+message(STATUS "trace smoke: two concurrent processes wrote one "
+               "trace.<pid>.json each with their own kernel and runner "
+               "events, and the traced journals are byte-identical")
