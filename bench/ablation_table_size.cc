@@ -7,6 +7,7 @@
  */
 
 #include <cstdio>
+#include <optional>
 
 #include "bench_common.hh"
 
@@ -15,44 +16,56 @@ using namespace dmdc;
 int
 main(int argc, char **argv)
 {
-    const BenchArgs args = BenchArgs::parse(argc, argv);
+    const std::vector<unsigned> sizes{256, 512, 1024, 2048, 4096, 8192};
 
-    printBanner("Ablation: checking-table size sweep (global DMDC, "
-                "config 2)",
-                "DMDC (MICRO 2006), Sec. 6.2.2 discussion of Table 3");
-
-    SimOptions base = args.baseOptions();
-    base.configLevel = 2;
-    base.scheme = "dmdc-global";
-
-    std::printf("\n  %-8s %16s %16s %22s\n", "entries",
-                "INT false/M", "FP false/M", "hash-conflict share");
-    for (unsigned entries : {256u, 512u, 1024u, 2048u, 4096u, 8192u}) {
-        base.tableEntriesOverride = entries;
-        const auto res = runSuite(base, args.benchmarks);
-        const Range fi = rangeOver(res, false, [](const SimResult &r) {
-            return r.perMInst(r.falseReplays());
-        });
-        const Range ff = rangeOver(res, true, [](const SimResult &r) {
-            return r.perMInst(r.falseReplays());
-        });
-        double hash = 0;
-        double all = 0;
-        for (const SimResult &r : res) {
-            if (!r.valid)
-                continue;
-            hash += static_cast<double>(
-                r.falseHashBefore + r.falseHashX + r.falseHashY);
-            all += r.falseReplays();
-        }
-        std::printf("  %-8u %16s %16s %21s%%\n", entries,
-                    fmt(fi.mean).c_str(), fmt(ff.mean).c_str(),
-                    fmt(all > 0 ? hash / all * 100.0 : 0.0).c_str());
-    }
-
-    std::printf("\nPaper shape: at 2K entries hashing conflicts are a "
-                "minority of false replays (11%%\n"
-                "INT / 26%% FP), so growing the table further has "
-                "diminishing returns.\n");
-    return harnessExitCode();
+    return runHarness(argc, argv, {
+        "Ablation: checking-table size sweep (global DMDC, config 2)",
+        "DMDC (MICRO 2006), Sec. 6.2.2 discussion of Table 3",
+        [&](const BenchArgs &args) {
+            SimOptions base = args.baseOptions();
+            base.configLevel = 2;
+            base.scheme = "dmdc-global";
+            Grid grid;
+            for (unsigned entries : sizes) {
+                base.tableEntriesOverride = entries;
+                grid.push_back(args.suite(base));
+            }
+            return grid;
+        },
+        [&](const Suites &s) {
+            std::printf("\n  %-8s %16s %16s %22s\n", "entries",
+                        "INT false/M", "FP false/M",
+                        "hash-conflict share");
+            auto false_per_m = [](const SimResult &r) {
+                return r.perMInst(r.falseReplays());
+            };
+            for (std::size_t i = 0; i < sizes.size(); ++i) {
+                const auto &res = s[i];
+                std::size_t valid = 0;
+                double hash = 0;
+                double all = 0;
+                for (const SimResult &r : res) {
+                    if (!r.valid)
+                        continue;
+                    ++valid;
+                    hash += static_cast<double>(
+                        r.falseHashBefore + r.falseHashX + r.falseHashY);
+                    all += r.falseReplays();
+                }
+                std::optional<double> share;
+                if (valid)
+                    share = all > 0 ? hash / all * 100.0 : 0.0;
+                std::printf(
+                    "  %-8u %16s %16s %22s\n", sizes[i],
+                    fmt(meanOf(rangeOver(res, false, false_per_m)))
+                        .c_str(),
+                    fmt(meanOf(rangeOver(res, true, false_per_m)))
+                        .c_str(),
+                    fmt(share, 1, "%").c_str());
+            }
+        },
+        "\nPaper shape: at 2K entries hashing conflicts are a minority of "
+        "false replays (11%\n"
+        "INT / 26% FP), so growing the table further has diminishing "
+        "returns.\n"});
 }

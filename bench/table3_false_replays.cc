@@ -18,48 +18,44 @@ using namespace dmdc;
 int
 main(int argc, char **argv)
 {
-    const BenchArgs args = BenchArgs::parse(argc, argv);
+    return runHarness(argc, argv, {
+        "Table 3: false-replay breakdown (global DMDC, config 2)",
+        "DMDC (MICRO 2006), Table 3; paper totals: INT ~168, FP ~35 per "
+        "1M instructions",
+        // With safe-load detection, then without (Sec. 6.2.2).
+        [](const BenchArgs &args) {
+            SimOptions base = args.baseOptions();
+            base.configLevel = 2;
+            base.scheme = "dmdc-global";
+            Grid grid{args.suite(base)};
+            base.safeLoads = false;
+            grid.push_back(args.suite(base));
+            return grid;
+        },
+        [](const Suites &s) {
+            const auto &with_safe = s[0];
+            const auto &without_safe = s[1];
+            printReplayBreakdown(with_safe);
 
-    printBanner("Table 3: false-replay breakdown (global DMDC, "
-                "config 2)",
-                "DMDC (MICRO 2006), Table 3; paper totals: INT ~168, "
-                "FP ~35 per 1M instructions");
-
-    SimOptions base = args.baseOptions();
-    base.configLevel = 2;
-    base.scheme = "dmdc-global";
-    const auto with_safe = runSuite(base, args.benchmarks);
-
-    printReplayBreakdown(with_safe);
-
-    // Sec. 6.2.2: the value of safe-load detection.
-    base.safeLoads = false;
-    const auto without_safe = runSuite(base, args.benchmarks);
-
-    std::printf("\nSafe-load detection ablation (false replays per "
-                "1M instructions):\n");
-    std::printf("  %-6s %16s %16s %12s\n", "group", "with safe-loads",
-                "without", "reduction");
-    for (const bool fp : {false, true}) {
-        const Range with_r = rangeOver(with_safe, fp,
-            [](const SimResult &r) {
-                return r.perMInst(r.falseReplays());
-            });
-        const Range wo_r = rangeOver(without_safe, fp,
-            [](const SimResult &r) {
-                return r.perMInst(r.falseReplays());
-            });
-        const double red = wo_r.mean > 0
-            ? (1.0 - with_r.mean / wo_r.mean) * 100.0 : 0.0;
-        std::printf("  %-6s %16s %16s %11s%%\n", fp ? "FP" : "INT",
-                    fmt(with_r.mean).c_str(), fmt(wo_r.mean).c_str(),
-                    fmt(red, 0).c_str());
-    }
-
-    std::printf("\nPaper shape: most false replays stem from ONE "
-                "approximation (timing dominates with a\n"
-                "2K-entry table: hashing is ~11%% INT / ~26%% FP); "
-                "safe loads cut replays by ~52%% (INT)\n"
-                "/ ~20%% (FP).\n");
-    return harnessExitCode();
+            std::printf("\nSafe-load detection ablation (false replays "
+                        "per 1M instructions):\n");
+            std::printf("  %-6s %16s %16s %12s\n", "group",
+                        "with safe-loads", "without", "reduction");
+            for (const bool fp : {false, true}) {
+                auto false_per_m = [](const SimResult &r) {
+                    return r.perMInst(r.falseReplays());
+                };
+                const Range with_r = rangeOver(with_safe, fp, false_per_m);
+                const Range wo_r = rangeOver(without_safe, fp, false_per_m);
+                std::printf("  %-6s %16s %16s %12s\n", fp ? "FP" : "INT",
+                            fmt(meanOf(with_r)).c_str(),
+                            fmt(meanOf(wo_r)).c_str(),
+                            fmt(reductionPct(with_r, wo_r), 0, "%").c_str());
+            }
+        },
+        "\nPaper shape: most false replays stem from ONE approximation "
+        "(timing dominates with a\n"
+        "2K-entry table: hashing is ~11% INT / ~26% FP); safe loads cut "
+        "replays by ~52% (INT)\n"
+        "/ ~20% (FP).\n"});
 }

@@ -15,46 +15,43 @@ using namespace dmdc;
 int
 main(int argc, char **argv)
 {
-    const BenchArgs args = BenchArgs::parse(argc, argv);
+    return runHarness(argc, argv, {
+        "Table 5: false-replay breakdown (LOCAL DMDC, config 2)",
+        "DMDC (MICRO 2006), Table 5; paper totals: INT ~134 (-20% vs. "
+        "global), FP ~23.7 (-33%)",
+        [](const BenchArgs &args) {
+            SimOptions base = args.baseOptions();
+            base.configLevel = 2;
+            Grid grid;
+            for (const char *scheme : {"dmdc-local", "dmdc-global"}) {
+                base.scheme = scheme;
+                grid.push_back(args.suite(base));
+            }
+            return grid;
+        },
+        [](const Suites &s) {
+            const auto &local_res = s[0];
+            const auto &global_res = s[1];
+            std::printf("\nLocal DMDC:");
+            printReplayBreakdown(local_res);
 
-    printBanner("Table 5: false-replay breakdown (LOCAL DMDC, "
-                "config 2)",
-                "DMDC (MICRO 2006), Table 5; paper totals: INT ~134 "
-                "(-20% vs. global), FP ~23.7 (-33%)");
-
-    SimOptions base = args.baseOptions();
-    base.configLevel = 2;
-
-    base.scheme = "dmdc-local";
-    const auto local_res = runSuite(base, args.benchmarks);
-    std::printf("\nLocal DMDC:");
-    printReplayBreakdown(local_res);
-
-    base.scheme = "dmdc-global";
-    const auto global_res = runSuite(base, args.benchmarks);
-
-    std::printf("\nTotal false replays per 1M instructions, local vs. "
-                "global:\n");
-    std::printf("  %-6s %10s %10s %12s\n", "group", "global", "local",
-                "reduction");
-    for (const bool fp : {false, true}) {
-        const Range g = rangeOver(global_res, fp,
-            [](const SimResult &r) {
-                return r.perMInst(r.falseReplays());
-            });
-        const Range l = rangeOver(local_res, fp,
-            [](const SimResult &r) {
-                return r.perMInst(r.falseReplays());
-            });
-        const double red =
-            g.mean > 0 ? (1.0 - l.mean / g.mean) * 100.0 : 0.0;
-        std::printf("  %-6s %10s %10s %11s%%\n", fp ? "FP" : "INT",
-                    fmt(g.mean).c_str(), fmt(l.mean).c_str(),
-                    fmt(red, 0).c_str());
-    }
-
-    std::printf("\nPaper shape: the Y (merged windows) column is "
-                "mitigated under local DMDC; totals drop\n"
-                "~20%% (INT) / ~33%% (FP).\n");
-    return harnessExitCode();
+            std::printf("\nTotal false replays per 1M instructions, "
+                        "local vs. global:\n");
+            std::printf("  %-6s %10s %10s %12s\n", "group", "global",
+                        "local", "reduction");
+            for (const bool fp : {false, true}) {
+                auto false_per_m = [](const SimResult &r) {
+                    return r.perMInst(r.falseReplays());
+                };
+                const Range g = rangeOver(global_res, fp, false_per_m);
+                const Range l = rangeOver(local_res, fp, false_per_m);
+                std::printf("  %-6s %10s %10s %12s\n", fp ? "FP" : "INT",
+                            fmt(meanOf(g)).c_str(),
+                            fmt(meanOf(l)).c_str(),
+                            fmt(reductionPct(l, g), 0, "%").c_str());
+            }
+        },
+        "\nPaper shape: the Y (merged windows) column is mitigated under "
+        "local DMDC; totals drop\n"
+        "~20% (INT) / ~33% (FP).\n"});
 }

@@ -7,7 +7,7 @@
  */
 
 #include <cstdio>
-#include <map>
+#include <optional>
 
 #include "bench_common.hh"
 
@@ -16,95 +16,91 @@ using namespace dmdc;
 int
 main(int argc, char **argv)
 {
-    const BenchArgs args = BenchArgs::parse(argc, argv);
-
-    printBanner("Table 6: external-invalidation sweep (coherent "
-                "global DMDC, config 2)",
-                "DMDC (MICRO 2006), Table 6; paper: moderate impact "
-                "up to 10/1000 cycles, stress at 100");
-
     const std::vector<double> rates{0.0, 1.0, 10.0, 100.0};
 
-    SimOptions base = args.baseOptions();
-    base.configLevel = 2;
-    base.coherence = true;
-
-    // Baseline (conventional LQ, no invalidations) for slowdown.
-    base.scheme = "baseline";
-    const auto baseline = runSuite(base, args.benchmarks);
-
-    struct Row
-    {
-        double checkPct = 0;
-        double window = 0;
-        double falseReplays = 0;
-        double slowdown = 0;
-    };
-    std::map<double, Row> rows_int;
-    std::map<double, Row> rows_fp;
-
-    base.scheme = "dmdc-global";
-    std::map<double, std::vector<SimResult>> sweeps;
-    for (double rate : rates) {
-        base.invalidationsPer1kCycles = rate;
-        sweeps[rate] = runSuite(base, args.benchmarks);
-    }
-
-    for (const bool fp : {false, true}) {
-        auto &rows = fp ? rows_fp : rows_int;
-        for (double rate : rates) {
-            const auto &res = sweeps[rate];
-            Row row;
-            row.checkPct = rangeOver(res, fp, [](const SimResult &r) {
-                return r.checkingCycleFrac * 100;
-            }).mean;
-            row.window = rangeOver(res, fp, [](const SimResult &r) {
-                return r.windowInstrs;
-            }).mean;
-            row.falseReplays =
-                rangeOver(res, fp, [](const SimResult &r) {
-                    return r.perMInst(r.falseReplays());
-                }).mean;
-            row.slowdown = slowdownRange(baseline, res, fp).mean;
-            rows[rate] = row;
-        }
-    }
-
-    auto print_group = [&](const char *name, bool fp) {
-        const auto &rows = fp ? rows_fp : rows_int;
-        const Row &base_row = rows.at(0.0);
-        std::printf("\n%s applications:\n", name);
-        std::printf("  %-34s", "invalidations per 1000 cycles");
-        for (double rate : rates)
-            std::printf(" %9.0f", rate);
-        std::printf("\n  %-34s", "% cycles in checking mode");
-        for (double rate : rates)
-            std::printf(" %9.1f", rows.at(rate).checkPct);
-        std::printf("\n  %-34s", "relative checking window size");
-        for (double rate : rates) {
-            std::printf(" %9.2f", base_row.window > 0
-                            ? rows.at(rate).window / base_row.window
-                            : 0.0);
-        }
-        std::printf("\n  %-34s", "relative false replay rate");
-        for (double rate : rates) {
-            std::printf(" %9.2f",
-                        base_row.falseReplays > 0
-                            ? rows.at(rate).falseReplays /
-                                  base_row.falseReplays
-                            : 0.0);
-        }
-        std::printf("\n  %-34s", "slowdown (%)");
-        for (double rate : rates)
-            std::printf(" %9.2f", rows.at(rate).slowdown);
-        std::printf("\n");
-    };
-    print_group("INT", false);
-    print_group("FP", true);
-
-    std::printf("\nPaper shape: statistics rise moderately up to 10 "
-                "invalidations/1000 cycles; at 100 the\n"
-                "false-replay rate is ~5x and slowdown grows but "
-                "stays near ~1%%.\n");
-    return harnessExitCode();
+    return runHarness(argc, argv, {
+        "Table 6: external-invalidation sweep (coherent global DMDC, "
+        "config 2)",
+        "DMDC (MICRO 2006), Table 6; paper: moderate impact up to "
+        "10/1000 cycles, stress at 100",
+        // Baseline (conventional LQ, no invalidations) for slowdown,
+        // then dmdc-global at each rate.
+        [&](const BenchArgs &args) {
+            SimOptions base = args.baseOptions();
+            base.configLevel = 2;
+            base.coherence = true;
+            base.scheme = "baseline";
+            Grid grid{args.suite(base)};
+            base.scheme = "dmdc-global";
+            for (double rate : rates) {
+                base.invalidationsPer1kCycles = rate;
+                grid.push_back(args.suite(base));
+            }
+            return grid;
+        },
+        [&](const Suites &s) {
+            // Group means of one dmdc-global suite.
+            struct Row
+            {
+                std::optional<double> check, window, falseReplays,
+                    slowdown;
+            };
+            // A rate's value relative to rate 0's.
+            auto relative = [](std::optional<double> v,
+                               std::optional<double> at_zero)
+                -> std::optional<double> {
+                if (!v || !at_zero)
+                    return std::nullopt;
+                return *at_zero > 0 ? *v / *at_zero : 0.0;
+            };
+            for (const bool fp : {false, true}) {
+                std::vector<Row> rows;
+                for (std::size_t i = 0; i < rates.size(); ++i) {
+                    const auto &res = s[1 + i];
+                    rows.push_back(
+                        {meanOf(rangeOver(res, fp,
+                             [](const SimResult &r) {
+                                 return r.checkingCycleFrac * 100;
+                             })),
+                         meanOf(rangeOver(res, fp,
+                             [](const SimResult &r) {
+                                 return r.windowInstrs;
+                             })),
+                         meanOf(rangeOver(res, fp,
+                             [](const SimResult &r) {
+                                 return r.perMInst(r.falseReplays());
+                             })),
+                         meanOf(slowdownRange(s[0], res, fp))});
+                }
+                auto print_row = [&rows](const char *label,
+                                         int precision, auto &&value) {
+                    std::printf("\n  %-34s", label);
+                    for (const Row &row : rows)
+                        std::printf(" %9s",
+                                    fmt(value(row), precision).c_str());
+                };
+                std::printf("\n%s applications:\n", fp ? "FP" : "INT");
+                std::printf("  %-34s", "invalidations per 1000 cycles");
+                for (double rate : rates)
+                    std::printf(" %9.0f", rate);
+                print_row("% cycles in checking mode", 1,
+                          [](const Row &r) { return r.check; });
+                print_row("relative checking window size", 2,
+                          [&](const Row &r) {
+                              return relative(r.window, rows[0].window);
+                          });
+                print_row("relative false replay rate", 2,
+                          [&](const Row &r) {
+                              return relative(r.falseReplays,
+                                              rows[0].falseReplays);
+                          });
+                print_row("slowdown (%)", 2,
+                          [](const Row &r) { return r.slowdown; });
+                std::printf("\n");
+            }
+        },
+        "\nPaper shape: statistics rise moderately up to 10 "
+        "invalidations/1000 cycles; at 100 the\n"
+        "false-replay rate is ~5x and slowdown grows but stays near "
+        "~1%.\n"});
 }

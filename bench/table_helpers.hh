@@ -1,13 +1,16 @@
 /**
  * @file
  * Shared row formatters for the Tables 2-5 benches (checking-window
- * statistics and false-replay breakdowns).
+ * statistics and false-replay breakdowns). A group whose runs all
+ * degraded keeps its rows, with "n/a" cells.
  */
 
 #ifndef DMDC_BENCH_TABLE_HELPERS_HH
 #define DMDC_BENCH_TABLE_HELPERS_HH
 
+#include <cstdint>
 #include <cstdio>
+#include <optional>
 #include <vector>
 
 #include "sim/campaign.hh"
@@ -28,16 +31,10 @@ printWindowTable(const std::vector<SimResult> &results)
             [](const SimResult &r) { return r.windowLoads; });
         const Range safe = rangeOver(results, fp,
             [](const SimResult &r) { return r.windowSafeLoads; });
-        if (instrs.n == 0) {
-            // Every run of this group degraded; keep the row so the
-            // table shape is stable, but mark it unusable.
-            std::printf("  %-6s %14s %10s %12s\n", fp ? "FP" : "INT",
-                        "n/a", "n/a", "n/a");
-            continue;
-        }
         std::printf("  %-6s %14s %10s %12s\n", fp ? "FP" : "INT",
-                    fmt(instrs.mean).c_str(), fmt(loads.mean).c_str(),
-                    fmt(safe.mean, 2).c_str());
+                    fmt(meanOf(instrs)).c_str(),
+                    fmt(meanOf(loads)).c_str(),
+                    fmt(meanOf(safe), 2).c_str());
     }
 }
 
@@ -51,43 +48,29 @@ printReplayBreakdown(const std::vector<SimResult> &results)
                 "load before store", "X (own window)",
                 "Y (merged windows)", "total");
     for (const bool fp : {false, true}) {
-        double addr_x = 0;
-        double addr_y = 0;
-        double hash_b = 0;
-        double hash_x = 0;
-        double hash_y = 0;
-        double overflow = 0;
-        double true_r = 0;
-        for (const SimResult &r : results) {
-            if (!r.valid || r.fp != fp)
-                continue;
-            addr_x += r.perMInst(static_cast<double>(r.falseAddrX));
-            addr_y += r.perMInst(static_cast<double>(r.falseAddrY));
-            hash_b +=
-                r.perMInst(static_cast<double>(r.falseHashBefore));
-            hash_x += r.perMInst(static_cast<double>(r.falseHashX));
-            hash_y += r.perMInst(static_cast<double>(r.falseHashY));
-            overflow +=
-                r.perMInst(static_cast<double>(r.falseOverflow));
-            true_r += r.perMInst(static_cast<double>(r.trueReplays));
-        }
-        double n = 0;
-        for (const SimResult &r : results)
-            n += r.valid && r.fp == fp;
-        if (n == 0)
-            continue;
-        addr_x /= n;
-        addr_y /= n;
-        hash_b /= n;
-        hash_x /= n;
-        hash_y /= n;
-        overflow /= n;
-        true_r /= n;
-        const double total =
-            addr_x + addr_y + hash_b + hash_x + hash_y + overflow;
-        auto cell = [total](double v) {
-            return fmt(v) + " (" +
-                fmt(total > 0 ? v / total * 100.0 : 0.0, 0) + "%)";
+        auto per_m = [&](std::uint64_t SimResult::*count) {
+            return meanOf(rangeOver(results, fp,
+                [count](const SimResult &r) {
+                    return r.perMInst(static_cast<double>(r.*count));
+                }));
+        };
+        const auto addr_x = per_m(&SimResult::falseAddrX);
+        const auto addr_y = per_m(&SimResult::falseAddrY);
+        const auto hash_b = per_m(&SimResult::falseHashBefore);
+        const auto hash_x = per_m(&SimResult::falseHashX);
+        const auto hash_y = per_m(&SimResult::falseHashY);
+        const auto overflow = per_m(&SimResult::falseOverflow);
+        const auto true_r = per_m(&SimResult::trueReplays);
+        // Every mean is empty or none is: they share one run set.
+        const std::optional<double> total = addr_x
+            ? std::optional<double>(*addr_x + *addr_y + *hash_b +
+                                    *hash_x + *hash_y + *overflow)
+            : std::nullopt;
+        auto cell = [&total](const std::optional<double> &v) {
+            if (!v)
+                return fmt(v);
+            return fmt(*v) + " (" +
+                fmt(*total > 0 ? *v / *total * 100.0 : 0.0, 0) + "%)";
         };
         std::printf("  %-6s %-16s %18s %18s %18s %10s\n",
                     fp ? "FP" : "INT", "Address match", "-",
@@ -96,13 +79,26 @@ printReplayBreakdown(const std::vector<SimResult> &results)
                     "Hashing conflict", cell(hash_b).c_str(),
                     cell(hash_x).c_str(), cell(hash_y).c_str(),
                     fmt(total).c_str());
-        if (overflow > 0) {
+        if (overflow.value_or(0.0) > 0) {
             std::printf("  %-6s %-16s %56s %10s\n", "",
                         "Queue overflow", "", cell(overflow).c_str());
         }
         std::printf("  %-6s %-16s (true replays: %s per 1M)\n", "",
                     "", fmt(true_r, 2).c_str());
     }
+}
+
+/**
+ * Percent by which the group mean @p after is below @p before (0 when
+ * @p before's mean is not positive); empty when either has no run.
+ */
+inline std::optional<double>
+reductionPct(const Range &after, const Range &before)
+{
+    if (after.n == 0 || before.n == 0)
+        return std::nullopt;
+    return before.mean > 0 ? (1.0 - after.mean / before.mean) * 100.0
+                           : 0.0;
 }
 
 } // namespace dmdc

@@ -1,31 +1,49 @@
 #!/bin/bash
 # Regenerate every paper table/figure; output tees to bench_output.txt.
 #
-# Runs go through the parallel campaign engine: pass --jobs=N to bound
-# worker threads and --no-cache to force re-simulation. Repeat
-# invocations reuse .dmdc_cache/ and are near-instant. Per-bench
-# machine-readable results are written to bench_json/BENCH_<name>.json.
+# Each harness submits its whole run grid as one campaign: pass
+# --jobs=N to bound worker threads and --no-cache to force
+# re-simulation. Repeat invocations reuse .dmdc_cache/ and are
+# near-instant. Per-bench machine-readable results are written to
+# bench_json/BENCH_<name>.json.
+#
+# Every harness runs even when an earlier one fails; the script then
+# names the failed ones (with their exit status: 2 bad command line,
+# 4 degraded runs, see the journal) and exits 1.
 set -u
 cd "$(dirname "$0")"
 : > bench_output.txt
 mkdir -p bench_json
 start=$(date +%s)
+failed=()
+# run NAME CMD...: run CMD, tee its stdout, record a non-zero exit.
+run() {
+    local name=$1
+    shift
+    echo "=== running $name ===" | tee -a bench_output.txt
+    "$@" 2>/dev/null | tee -a bench_output.txt
+    local rc=${PIPESTATUS[0]}
+    if [ "$rc" -ne 0 ]; then
+        failed+=("$name (exit $rc)")
+    fi
+}
 for b in fig2_yla_filtering fig3_bloom_filter fig4_dmdc_main \
          fig5_local_vs_global table2_checking_window \
          table3_false_replays table4_local_window table5_local_replays \
          table6_invalidations sec3_sq_filtering sec61_yla_energy \
          sec623_checking_queue ablation_table_size related_agetable; do
-    echo "=== running $b ===" | tee -a bench_output.txt
-    ./build/bench/$b --json=bench_json/BENCH_$b.json "$@" 2>/dev/null \
-        | tee -a bench_output.txt
+    run "$b" ./build/bench/$b --json=bench_json/BENCH_$b.json "$@"
 done
 # Plain-double min_time: the "0.05s" suffixed spelling is rejected by
 # older google-benchmark releases, which made this step silently no-op.
-echo "=== running micro_structures ===" | tee -a bench_output.txt
-./build/bench/micro_structures --benchmark_min_time=0.05 2>/dev/null \
-    | tee -a bench_output.txt
-echo "=== running micro_kernel ===" | tee -a bench_output.txt
-./build/bench/micro_kernel --benchmark_min_time=0.05 2>/dev/null \
-    | tee -a bench_output.txt
+for m in micro_structures micro_kernel; do
+    run "$m" ./build/bench/$m --benchmark_min_time=0.05
+done
 elapsed=$(( $(date +%s) - start ))
+if [ ${#failed[@]} -ne 0 ]; then
+    echo "FAILED (${#failed[@]}): ${failed[*]}" | tee -a bench_output.txt
+    echo "BENCHES DONE WITH FAILURES in ${elapsed}s" \
+        | tee -a bench_output.txt
+    exit 1
+fi
 echo "ALL BENCHES DONE in ${elapsed}s" | tee -a bench_output.txt

@@ -5,12 +5,9 @@
 
 #include "sim/campaign.hh"
 
-#include <atomic>
 #include <cstdio>
 
-#include "common/logging.hh"
 #include "sim/campaign_runner.hh"
-#include "sim/cli_options.hh"
 #include "trace/spec_suite.hh"
 
 namespace dmdc
@@ -18,9 +15,6 @@ namespace dmdc
 
 namespace
 {
-
-/** Degraded runs across the process lifetime. */
-std::atomic<std::size_t> g_degraded{0};
 
 /** spec_suite group of @p name; tolerant of unknown names (a run may
  *  have failed precisely because its benchmark doesn't exist). */
@@ -44,7 +38,6 @@ runCampaignChecked(const std::vector<SimOptions> &runs)
         const RunOutcome &oc = cr.outcomes[i];
         if (oc.ok())
             continue;
-        g_degraded.fetch_add(1, std::memory_order_relaxed);
         // Give the degraded slot its identity so tables can still
         // label the row; valid=false keeps it out of aggregates.
         SimResult &r = cr.results[i];
@@ -55,31 +48,6 @@ runCampaignChecked(const std::vector<SimOptions> &runs)
         r.valid = false;
     }
     return cr;
-}
-
-std::size_t
-harnessDegradedRuns()
-{
-    return g_degraded.load(std::memory_order_relaxed);
-}
-
-int
-harnessExitCode()
-{
-    return harnessDegradedRuns() ? kExitDegraded : kExitOk;
-}
-
-std::vector<SimResult>
-runSuite(const SimOptions &base, const std::vector<std::string> &names)
-{
-    std::vector<SimOptions> runs;
-    runs.reserve(names.size());
-    for (const std::string &name : names) {
-        SimOptions opt = base;
-        opt.benchmark = name;
-        runs.push_back(std::move(opt));
-    }
-    return std::move(runCampaignChecked(runs).results);
 }
 
 Range
@@ -105,18 +73,6 @@ slowdownRange(const std::vector<SimResult> &baseline,
     return makeRange(v);
 }
 
-void
-printBanner(const std::string &title, const std::string &paper_ref)
-{
-    std::printf("\n");
-    std::printf("==========================================================="
-                "=====================\n");
-    std::printf("%s\n", title.c_str());
-    std::printf("Reproduces: %s\n", paper_ref.c_str());
-    std::printf("==========================================================="
-                "=====================\n");
-}
-
 std::string
 fmt(double v, int precision)
 {
@@ -140,10 +96,16 @@ rangeStr(const Range &r, int precision)
         ", " + fmt(r.max, precision) + "]";
 }
 
-std::string
-cell(const SimResult &r, double v, int precision)
+std::optional<double>
+meanOf(const Range &r)
 {
-    return r.valid ? fmt(v, precision) : "n/a";
+    return r.n ? std::optional<double>(r.mean) : std::nullopt;
+}
+
+std::string
+fmt(const std::optional<double> &v, int precision, const char *unit)
+{
+    return v ? fmt(*v, precision) + unit : "n/a";
 }
 
 } // namespace dmdc

@@ -1,14 +1,16 @@
 /**
  * @file
- * Campaign helpers: run a SimOptions template across the benchmark
- * suite and compare schemes, plus small table-formatting utilities
- * shared by the bench harnesses.
+ * Campaign helpers for the bench harnesses: submit a run list as one
+ * checked campaign, compare schemes over a benchmark group, and
+ * format table cells. A cell of a group whose runs all degraded
+ * prints "n/a" (rangeStr, and fmt of an empty optional), never a
+ * made-up zero.
  */
 
 #ifndef DMDC_SIM_CAMPAIGN_HH
 #define DMDC_SIM_CAMPAIGN_HH
 
-#include <cstddef>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -19,41 +21,13 @@ namespace dmdc
 {
 
 /**
- * Run @p base once per benchmark in @p benchmarks (the template's
- * .benchmark field is overwritten).
- * Runs execute on CampaignRunner::global() — parallel across
- * benchmarks and cached on disk — with results in suite order, element-wise
- * identical to a serial loop over runSimulation().
- *
- * Failure tolerance: a failed / timed-out / skipped run yields
- * an *invalid* result slot (SimResult::valid == false, identity
- * fields filled in) instead of killing the process; the aggregation
- * helpers skip invalid slots and the harness exits with
- * harnessExitCode() so degradation is visible to scripts.
- */
-std::vector<SimResult> runSuite(const SimOptions &base,
-                                const std::vector<std::string> &names);
-
-/**
- * Run an explicit campaign on the global runner, marking degraded
- * result slots invalid and feeding the process-wide degradation
- * counter behind harnessExitCode(). The bench harnesses call this
- * instead of touching the runner directly.
+ * Run @p runs as one campaign on the global runner. Each degraded
+ * (failed / timed-out / skipped) slot keeps its identity fields but
+ * is marked invalid, so tables can still label its row while the
+ * aggregation helpers skip it. The caller reads the degradation off
+ * the returned CampaignResult (degradedRuns()).
  */
 CampaignResult runCampaignChecked(const std::vector<SimOptions> &runs);
-
-/**
- * Runs that degraded (failed / timed out / skipped) across
- * every runSuite() / runCampaignChecked() call so far.
- */
-std::size_t harnessDegradedRuns();
-
-/**
- * kExitOk when every run so far succeeded, kExitDegraded otherwise.
- * Every bench main() returns this: a figure with "n/a" cells still
- * prints, but scripts can tell it was degraded.
- */
-int harnessExitCode();
 
 /**
  * Per-benchmark slowdown (%) of @p test versus @p baseline, aggregated
@@ -89,9 +63,6 @@ savingRange(const std::vector<SimResult> &baseline,
 
 // ---- formatting helpers ----
 
-/** Print a bench banner. */
-void printBanner(const std::string &title, const std::string &paper_ref);
-
 /** "12.3" with fixed precision. */
 std::string fmt(double v, int precision = 1);
 
@@ -102,9 +73,12 @@ std::string pct(double frac, int precision = 1);
  *  (every contributing run degraded). */
 std::string rangeStr(const Range &r, int precision = 1);
 
-/** Table cell for one result's metric: fmt(v) or "n/a" when the slot
- *  is invalid (degraded run). */
-std::string cell(const SimResult &r, double v, int precision = 1);
+/** Mean of @p r; empty when no run contributed (all degraded). */
+std::optional<double> meanOf(const Range &r);
+
+/** fmt(*v) followed by @p unit, or "n/a" when @p v is empty. */
+std::string fmt(const std::optional<double> &v, int precision = 1,
+                const char *unit = "");
 
 } // namespace dmdc
 

@@ -285,10 +285,14 @@ flushCampaignJournal()
     // leave either the previous complete journal or the new one on
     // disk — never a torn file.
     std::ostringstream os;
-    os << "{\"version\":" << kJournalFormatVersion
-       << ",\"commit\":\"" << buildCommit() << '"';
-    if (!j.deterministic)
-        os << ",\"generated_utc\":\"" << utcTimestamp() << '"';
+    // The build stamp is provenance, like the timestamp: identical
+    // code built twice (or from an archive, which stamps "unknown")
+    // must still write identical deterministic journals.
+    os << "{\"version\":" << kJournalFormatVersion;
+    if (!j.deterministic) {
+        os << ",\"commit\":\"" << buildCommit()
+           << "\",\"generated_utc\":\"" << utcTimestamp() << '"';
+    }
     os << ",\"results\":[";
     const char *sep = "";
     if (j.deterministic) {

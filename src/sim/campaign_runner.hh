@@ -143,7 +143,7 @@ struct CampaignResult
 
 /**
  * Runs campaigns. Instances are independent; the process-wide
- * instance behind runSuite() is reachable via global().
+ * instance behind runCampaignChecked() is reachable via global().
  */
 class CampaignRunner
 {
@@ -166,12 +166,12 @@ class CampaignRunner
     /** Accounting of the most recent run() call. */
     const CampaignStats &lastStats() const { return lastStats_; }
 
-    /** The process-wide runner used by runSuite(). */
+    /** The process-wide runner used by runCampaignChecked(). */
     static CampaignRunner &global();
 
     /**
      * Replace the process-wide runner's configuration. Call before
-     * the first runSuite() (benches do this while parsing argv).
+     * the first campaign (benches do this while parsing argv).
      */
     static void configureGlobal(const CampaignConfig &config);
 
@@ -257,7 +257,7 @@ bool lptBefore(const LptItem &a, const LptItem &b);
 // ---- machine-readable campaign journal (bench --json) ----
 
 /** Journal file format version (header "version" field). */
-constexpr unsigned kJournalFormatVersion = 3;
+constexpr unsigned kJournalFormatVersion = 4;
 
 /**
  * One "results" record of a journal, with numeric fields kept as the
@@ -295,10 +295,10 @@ void writeJournalEntry(std::ostream &os, const JournalEntry &e,
  * Failed runs appear with their status, error category and attempt
  * count — the journal is the campaign's failure manifest.
  *
- * @p deterministic strips every nondeterministic field (timestamps,
- * wall-clock, cache provenance, attempt counts) and sorts records
- * canonically, so two campaigns over the same run list — interrupted
- * + rerun vs. uninterrupted — produce bit-identical files.
+ * @p deterministic strips every nondeterministic field (build commit,
+ * timestamps, wall-clock, cache provenance, attempt counts) and sorts
+ * records canonically, so two campaigns over the same run list —
+ * interrupted + rerun vs. uninterrupted — produce bit-identical files.
  */
 void setCampaignJournal(const std::string &path,
                         bool deterministic = false);

@@ -37,14 +37,25 @@ const bool disableCache = [] {
     return true;
 }();
 
-TEST(Campaign, RunSuiteProducesOneResultPerBenchmark)
+/** @p base once per name, run as one checked campaign. */
+std::vector<SimResult>
+runEach(SimOptions base, const std::vector<std::string> &names)
+{
+    std::vector<SimOptions> runs;
+    for (const std::string &name : names) {
+        base.benchmark = name;
+        runs.push_back(base);
+    }
+    return runCampaignChecked(runs).results;
+}
+
+TEST(Campaign, CheckedCampaignProducesOneResultPerBenchmark)
 {
     SimOptions opt;
     opt.warmupInsts = 2000;
     opt.runInsts = 15000;
     opt.scheme = "baseline";
-    const std::vector<std::string> names{"gzip", "swim"};
-    const auto results = runSuite(opt, names);
+    const auto results = runEach(opt, {"gzip", "swim"});
     ASSERT_EQ(results.size(), 2u);
     EXPECT_EQ(results[0].benchmark, "gzip");
     EXPECT_FALSE(results[0].fp);
@@ -57,7 +68,7 @@ TEST(Campaign, SlowdownRangeIsZeroAgainstItself)
     SimOptions opt;
     opt.warmupInsts = 2000;
     opt.runInsts = 15000;
-    const auto results = runSuite(opt, {"gzip", "crafty"});
+    const auto results = runEach(opt, {"gzip", "crafty"});
     const Range r = slowdownRange(results, results, false);
     EXPECT_EQ(r.n, 2u);
     EXPECT_DOUBLE_EQ(r.mean, 0.0);
@@ -99,6 +110,10 @@ TEST(Campaign, FormattingHelpers)
     EXPECT_EQ(pct(0.5), "50.0%");
     const Range r{1.0, 2.0, 3.0, 3};
     EXPECT_EQ(rangeStr(r), "2.0 [1.0, 3.0]");
+    EXPECT_EQ(fmt(meanOf(r), 2, "%"), "2.00%");
+    // A group with no valid run prints n/a, never a made-up zero.
+    EXPECT_EQ(rangeStr(Range{}), "n/a");
+    EXPECT_EQ(fmt(meanOf(Range{}), 2, "%"), "n/a");
 }
 
 TEST(Campaign, RangeOverFiltersByGroup)

@@ -320,18 +320,21 @@ TEST_F(CampaignParallel, CacheKeyCoversKnobs)
     EXPECT_EQ(runIdentity(tweaked), runIdentity(a) + "|custom=1");
 }
 
-TEST_F(CampaignParallel, RunSuiteOrderingMatchesNames)
+TEST_F(CampaignParallel, CheckedCampaignOrderingMatchesNames)
 {
-    // runSuite() goes through the global runner; make sure its
-    // configuration hooks work and ordering follows the name list.
+    // runCampaignChecked() goes through the global runner; make sure
+    // its configuration hooks work and ordering follows the run list.
     CampaignConfig cfg = config(0, false);
     CampaignRunner::configureGlobal(cfg);
 
-    SimOptions base;
-    base.warmupInsts = 2000;
-    base.runInsts = 12000;
     const std::vector<std::string> names{"swim", "gzip", "art"};
-    const auto results = runSuite(base, names);
+    std::vector<SimOptions> runs(names.size());
+    for (std::size_t i = 0; i < names.size(); ++i) {
+        runs[i].warmupInsts = 2000;
+        runs[i].runInsts = 12000;
+        runs[i].benchmark = names[i];
+    }
+    const auto results = runCampaignChecked(runs).results;
     ASSERT_EQ(results.size(), names.size());
     for (std::size_t i = 0; i < names.size(); ++i)
         EXPECT_EQ(results[i].benchmark, names[i]);

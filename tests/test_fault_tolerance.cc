@@ -601,6 +601,36 @@ TEST_F(FaultTolerance, QuarantineCapAgesOutOldestFiles)
     EXPECT_GE(again.lastStats().quarantineEvicted, 1u);
 }
 
+// ---- journals ------------------------------------------------------------
+
+TEST_F(FaultTolerance, OnlyTheFullJournalCarriesTheBuildStamp)
+{
+    // The build commit is provenance, like the timestamp: the same
+    // code built twice must write byte-identical deterministic
+    // journals.
+    for (const bool deterministic : {true, false}) {
+        const std::string path =
+            (scratch_ / (deterministic ? "det.json" : "full.json"))
+                .string();
+        setCampaignJournal(path, deterministic);
+        CampaignConfig cfg;
+        cfg.useCache = false;
+        CampaignRunner runner(cfg);
+        ASSERT_TRUE(
+            runner.runChecked({quickOptions("gzip", "baseline")}).allOk());
+        flushCampaignJournal();
+
+        JsonValue doc;
+        std::string err;
+        ASSERT_TRUE(parseJson(slurp(path), doc, err)) << err;
+        ASSERT_NE(doc.find("version"), nullptr);
+        EXPECT_EQ(doc.find("version")->text,
+                  std::to_string(kJournalFormatVersion));
+        EXPECT_EQ(doc.find("commit") != nullptr, !deterministic);
+        EXPECT_EQ(doc.find("generated_utc") != nullptr, !deterministic);
+    }
+}
+
 // ---- interrupted campaigns ---------------------------------------------
 
 TEST_F(FaultTolerance, RerunAfterFailuresMatchesUninterruptedRunBitForBit)

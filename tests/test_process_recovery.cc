@@ -9,7 +9,8 @@
  * Campaigns started together on one cache simulate each run once
  * between them (the run cache's per-key claims). A bad command line
  * exits kExitUsage before anything simulates, in single-run and
- * campaign mode alike.
+ * campaign mode alike. A bench harness's --fail-fast covers its
+ * whole run grid.
  *
  * The integration tests receive the dmdc_sim and fig4_dmdc_main
  * locations from CMake via the DMDC_SIM_BIN and BENCH_BIN compile
@@ -111,6 +112,33 @@ TEST(BadCommandLine, ExitsUsageInEveryMode)
                   kExitUsage)
             << bad;
     }
+}
+
+// ---- bench harnesses -------------------------------------------------
+
+TEST(BenchHarness, FailFastCoversTheWholeGrid)
+{
+    // fig4's 24 --quick runs are one campaign, so on one worker the
+    // first failure skips every later run of the table, not only the
+    // rest of one scheme's suite.
+    const fs::path journal = fs::temp_directory_path() /
+        ("dmdc_failfast_" + std::to_string(::getpid()) + ".json");
+    EXPECT_EQ(shell("DMDC_FAULT=run-throw:p=1 " + std::string(BENCH_BIN) +
+                    " --quick --jobs=1 --no-cache --fail-fast"
+                    " --max-retries=0 --json=" + journal.string() +
+                    " > /dev/null 2>&1"),
+              kExitDegraded);
+    JsonValue doc;
+    std::string err;
+    ASSERT_TRUE(parseJson(slurp(journal), doc, err)) << err;
+    fs::remove(journal);
+    const JsonValue *results = doc.find("results");
+    ASSERT_NE(results, nullptr);
+    std::map<std::string, std::size_t> by_status;
+    for (const JsonValue &r : results->items)
+        ++by_status[r.find("status")->text];
+    EXPECT_EQ(by_status, (std::map<std::string, std::size_t>{
+                             {"failed", 1}, {"skipped", 23}}));
 }
 
 // ---- end-to-end recovery ---------------------------------------------
