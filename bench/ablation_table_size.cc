@@ -33,35 +33,38 @@ main(int argc, char **argv)
             return grid;
         },
         [&](const Suites &s) {
-            std::printf("\n  %-8s %16s %16s %22s\n", "entries",
-                        "INT false/M", "FP false/M",
-                        "hash-conflict share");
+            std::printf("\n  %-8s %16s %16s %16s %16s\n", "entries",
+                        "INT false/M", "FP false/M", "INT hash share",
+                        "FP hash share");
             auto false_per_m = [](const SimResult &r) {
                 return r.perMInst(r.falseReplays());
             };
-            for (std::size_t i = 0; i < sizes.size(); ++i) {
-                const auto &res = s[i];
-                std::size_t valid = 0;
+            // Hashing conflicts as a share of one group's false
+            // replays; n/a without a valid run or a false replay.
+            auto hash_share = [](const std::vector<SimResult> &res,
+                                 bool fp) {
                 double hash = 0;
                 double all = 0;
                 for (const SimResult &r : res) {
-                    if (!r.valid)
+                    if (!r.valid || r.fp != fp)
                         continue;
-                    ++valid;
                     hash += static_cast<double>(
                         r.falseHashBefore + r.falseHashX + r.falseHashY);
                     all += r.falseReplays();
                 }
-                std::optional<double> share;
-                if (valid)
-                    share = all > 0 ? hash / all * 100.0 : 0.0;
+                return all > 0 ? std::optional<double>(hash / all * 100.0)
+                               : std::nullopt;
+            };
+            for (std::size_t i = 0; i < sizes.size(); ++i) {
+                const auto &res = s[i];
                 std::printf(
-                    "  %-8u %16s %16s %22s\n", sizes[i],
+                    "  %-8u %16s %16s %16s %16s\n", sizes[i],
                     fmt(meanOf(rangeOver(res, false, false_per_m)))
                         .c_str(),
                     fmt(meanOf(rangeOver(res, true, false_per_m)))
                         .c_str(),
-                    fmt(share, 1, "%").c_str());
+                    fmt(hash_share(res, false), 1, "%").c_str(),
+                    fmt(hash_share(res, true), 1, "%").c_str());
             }
         },
         "\nPaper shape: at 2K entries hashing conflicts are a minority of "

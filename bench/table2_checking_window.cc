@@ -32,7 +32,7 @@ main(int argc, char **argv)
 
             std::printf("\nSurrounding Sec. 6.2.2 statistics:\n");
             std::printf("  %-6s %22s %24s %18s %18s\n", "group",
-                        "%% cycles checking", "%% windows single-store",
+                        "% cycles checking", "% windows single-store",
                         "safe stores", "safe loads");
             for (const bool fp : {false, true}) {
                 auto mean = [&](double SimResult::*frac) {

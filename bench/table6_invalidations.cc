@@ -45,13 +45,14 @@ main(int argc, char **argv)
                 std::optional<double> check, window, falseReplays,
                     slowdown;
             };
-            // A rate's value relative to rate 0's.
+            // A rate's value relative to rate 0's; undefined (empty)
+            // when rate 0's value is 0.
             auto relative = [](std::optional<double> v,
                                std::optional<double> at_zero)
                 -> std::optional<double> {
-                if (!v || !at_zero)
+                if (!v || !at_zero || *at_zero <= 0)
                     return std::nullopt;
-                return *at_zero > 0 ? *v / *at_zero : 0.0;
+                return *v / *at_zero;
             };
             for (const bool fp : {false, true}) {
                 std::vector<Row> rows;

@@ -66,11 +66,15 @@ printReplayBreakdown(const std::vector<SimResult> &results)
             ? std::optional<double>(*addr_x + *addr_y + *hash_b +
                                     *hash_x + *hash_y + *overflow)
             : std::nullopt;
+        // A share of no false replays at all is undefined: "n/a".
         auto cell = [&total](const std::optional<double> &v) {
             if (!v)
                 return fmt(v);
             return fmt(*v) + " (" +
-                fmt(*total > 0 ? *v / *total * 100.0 : 0.0, 0) + "%)";
+                fmt(*total > 0 ? std::optional<double>(*v / *total * 100.0)
+                               : std::nullopt,
+                    0, "%") +
+                ")";
         };
         std::printf("  %-6s %-16s %18s %18s %18s %10s\n",
                     fp ? "FP" : "INT", "Address match", "-",
@@ -89,16 +93,16 @@ printReplayBreakdown(const std::vector<SimResult> &results)
 }
 
 /**
- * Percent by which the group mean @p after is below @p before (0 when
- * @p before's mean is not positive); empty when either has no run.
+ * Percent by which the group mean @p after is below @p before; empty
+ * when either has no run or @p before's mean is not positive (the
+ * ratio is undefined).
  */
 inline std::optional<double>
 reductionPct(const Range &after, const Range &before)
 {
-    if (after.n == 0 || before.n == 0)
+    if (after.n == 0 || before.n == 0 || before.mean <= 0)
         return std::nullopt;
-    return before.mean > 0 ? (1.0 - after.mean / before.mean) * 100.0
-                           : 0.0;
+    return (1.0 - after.mean / before.mean) * 100.0;
 }
 
 } // namespace dmdc

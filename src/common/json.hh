@@ -64,9 +64,7 @@ bool parseJson(const std::string &text, JsonValue &out,
 /**
  * Escape @p s for embedding in a JSON string literal, reversibly:
  * quotes and backslashes are backslash-escaped, control characters
- * become \n/\r/\t/\u00XX. (The journal writers intentionally use a
- * lossy space-substitution instead — journal bytes are contractual —
- * so this is for every other payload, not journals.)
+ * become \n/\r/\t/\u00XX.
  */
 std::string jsonEscapeString(const std::string &s);
 

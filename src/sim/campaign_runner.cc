@@ -2,8 +2,7 @@
  * @file
  * Parallel campaign engine implementation: fingerprinting, the
  * CRC-protected on-disk run cache, the fault-isolated fan-out loop,
- * and the bench journal (which doubles as the campaign failure
- * manifest).
+ * and the campaign journal (which doubles as the failure manifest).
  */
 
 #include "sim/campaign_runner.hh"
@@ -12,12 +11,10 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <ctime>
 #include <memory>
 #include <mutex>
-#include <ostream>
 #include <sstream>
 #include <thread>
 #include <tuple>
@@ -101,246 +98,73 @@ utcTimestamp()
     return buf;
 }
 
-// ---- bench journal / failure manifest --------------------------------
+// ---- campaign journal ------------------------------------------------
 
-struct JournalRecord
-{
-    std::string benchmark;
-    std::string scheme;
-    unsigned configLevel;
-    double ipc;
-    std::uint64_t cycles;
-    double wallMs;
-    double simKhz;  ///< simulated kilocycles per wall second; 0 cached
-    bool cached;
-    RunStatus status;
-    std::string category; ///< empty when ok
-    std::string error;    ///< empty when ok
-    unsigned attempts;
-
-    // Oracle verdict of a checked run ("off" otherwise). Emitted only
-    // in the non-deterministic journal: --check=off journals must stay
-    // byte-identical to pre-oracle ones, and checked runs are excluded
-    // from the deterministic format by construction (uncacheable).
-    std::string checkMode = "off";
-    std::uint64_t oracleLoads = 0;
-    std::uint64_t oracleStale = 0;
-    std::uint64_t oracleForbidden = 0;
-};
-
-struct Journal
-{
-    std::mutex mutex;
-    std::string path;
-    bool deterministic = false;
-    std::vector<JournalRecord> records;
-};
-
-Journal &
-journal()
-{
-    static Journal j;
-    return j;
-}
-
+/**
+ * Write @p cr, the outcome of @p runs, as the campaign journal at
+ * cfg.journalPath: one row per run, in run-list order. Serialized to
+ * memory and published atomically, so a process killed mid-write
+ * leaves either the previous complete journal or this one on disk,
+ * never a torn file.
+ */
 void
-appendJournal(const SimResult &r, const RunOutcome &oc)
+writeJournal(const CampaignConfig &cfg,
+             const std::vector<SimOptions> &runs,
+             const CampaignResult &cr)
 {
-    Journal &j = journal();
-    std::lock_guard<std::mutex> lock(j.mutex);
-    if (j.path.empty())
-        return;
-    // cycles per wall millisecond == simulated kilocycles per second.
-    // A cached result cost no simulation time; record 0 rather than a
-    // nonsense rate derived from the cache-lookup latency.
-    const double sim_khz = (!oc.cached && oc.wallMs > 0.0)
-        ? static_cast<double>(r.cycles) / oc.wallMs : 0.0;
-    j.records.push_back({r.benchmark, r.scheme, r.configLevel, r.ipc,
-                         r.cycles, oc.wallMs, sim_khz, oc.cached,
-                         oc.status, "", "", oc.attempts,
-                         r.checkMode, r.oracleLoadsChecked,
-                         r.oracleStaleCommits, r.oracleForbidden});
-}
-
-void
-appendJournalFailure(const SimOptions &opt, const RunOutcome &oc)
-{
-    Journal &j = journal();
-    std::lock_guard<std::mutex> lock(j.mutex);
-    if (j.path.empty())
-        return;
-    j.records.push_back({opt.benchmark, opt.scheme, opt.configLevel,
-                         0.0, 0, oc.wallMs, 0.0, false, oc.status,
-                         runErrorCategoryName(oc.category), oc.error,
-                         oc.attempts,
-                         checkModeName(opt.check), 0, 0, 0});
-}
-
-/** The journal-model view of @p rec: identity, status and outcome. */
-JournalEntry
-journalEntryOf(const JournalRecord &rec)
-{
-    JournalEntry e;
-    e.benchmark = rec.benchmark;
-    e.scheme = rec.scheme;
-    e.config = rec.configLevel;
-    e.status = rec.status;
-    if (rec.status == RunStatus::Ok) {
-        e.ipcToken = doubleToken(rec.ipc);
-        e.cyclesToken = std::to_string(rec.cycles);
-    } else {
-        e.category = rec.category;
-        e.error = rec.error;
-    }
-    return e;
-}
-
-/** The journals' lossy string escaper: quotes and backslashes are
- *  escaped, control characters become spaces (journal bytes are
- *  contractual, so this never changes). */
-std::string
-escapeJournalString(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        if (c == '"' || c == '\\') {
-            out.push_back('\\');
-            out.push_back(c);
-        } else if (static_cast<unsigned char>(c) < 0x20) {
-            out.push_back(' ');
-        } else {
-            out.push_back(c);
-        }
-    }
-    return out;
-}
-
-} // namespace
-
-bool
-journalEntryLess(const JournalEntry &a, const JournalEntry &b)
-{
-    // The value tokens break ties between runs that share a journal
-    // identity but differ in hidden knobs (e.g. an invalidation-rate
-    // sweep): without them their order would follow completion order.
-    // They compare as strings, not numbers: the order is part of the
-    // journal bytes.
-    return std::tie(a.benchmark, a.scheme, a.config, a.status, a.error,
-                    a.cyclesToken, a.ipcToken) <
-           std::tie(b.benchmark, b.scheme, b.config, b.status, b.error,
-                    b.cyclesToken, b.ipcToken);
-}
-
-void
-writeJournalEntry(std::ostream &os, const JournalEntry &e,
-                  const std::string &extra)
-{
-    os << "\n  {\"benchmark\":\"" << e.benchmark
-       << "\",\"scheme\":\"" << e.scheme
-       << "\",\"config\":" << e.config
-       << ",\"status\":\"" << runStatusName(e.status) << '"';
-    if (e.status == RunStatus::Ok) {
-        os << ",\"ipc\":" << e.ipcToken
-           << ",\"cycles\":" << e.cyclesToken;
-    } else {
-        os << ",\"category\":\"" << escapeJournalString(e.category)
-           << "\",\"error\":\"" << escapeJournalString(e.error) << '"';
-    }
-    os << extra << '}';
-}
-
-void
-setCampaignJournal(const std::string &path, bool deterministic)
-{
-    Journal &j = journal();
-    {
-        std::lock_guard<std::mutex> lock(j.mutex);
-        // Retargeting starts a fresh journal; the records of the
-        // previous target belong to its file (already flushed or
-        // about to be dropped), not to the new one.
-        if (path != j.path)
-            j.records.clear();
-        j.path = path;
-        j.deterministic = deterministic;
-    }
-    // Benches exit through main()'s return; flush without requiring
-    // every harness to remember a call.
-    static const bool registered = [] {
-        std::atexit(flushCampaignJournal);
-        return true;
-    }();
-    (void)registered;
-}
-
-void
-flushCampaignJournal()
-{
-    Journal &j = journal();
-    std::lock_guard<std::mutex> lock(j.mutex);
-    if (j.path.empty())
-        return;
-    // Serialize to memory and publish atomically: the journal is the
-    // campaign's failure manifest, and a worker killed mid-flush must
-    // leave either the previous complete journal or the new one on
-    // disk — never a torn file.
+    const bool full = !cfg.journalDeterministic;
     std::ostringstream os;
     // The build stamp is provenance, like the timestamp: identical
     // code built twice (or from an archive, which stamps "unknown")
     // must still write identical deterministic journals.
     os << "{\"version\":" << kJournalFormatVersion;
-    if (!j.deterministic) {
+    if (full) {
         os << ",\"commit\":\"" << buildCommit()
            << "\",\"generated_utc\":\"" << utcTimestamp() << '"';
     }
     os << ",\"results\":[";
-    const char *sep = "";
-    if (j.deterministic) {
-        // Workers append in completion order; sort canonically so
-        // any run of the same campaign writes the same bytes.
-        std::vector<JournalEntry> entries;
-        entries.reserve(j.records.size());
-        for (const JournalRecord &rec : j.records)
-            entries.push_back(journalEntryOf(rec));
-        std::sort(entries.begin(), entries.end(), journalEntryLess);
-        for (const JournalEntry &e : entries) {
-            os << sep;
-            sep = ",";
-            writeJournalEntry(os, e);
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+        const SimOptions &opt = runs[i];
+        const SimResult &r = cr.results[i];
+        const RunOutcome &oc = cr.outcomes[i];
+        os << (i ? "," : "") << "\n  {\"run\":\""
+           << jsonEscapeString(runIdentity(opt)) << "\",\"status\":\""
+           << runStatusName(oc.status) << '"';
+        if (oc.ok()) {
+            os << ",\"result\":";
+            writeSimResultJson(os, r);
+        } else {
+            os << ",\"category\":\"" << runErrorCategoryName(oc.category)
+               << "\",\"error\":\"" << jsonEscapeString(oc.error) << '"';
         }
-    } else {
-        for (const JournalRecord &rec : j.records) {
-            std::string extra =
-                ",\"attempts\":" + std::to_string(rec.attempts) +
-                ",\"wall_ms\":" + doubleToken(rec.wallMs) +
-                ",\"sim_khz\":" + doubleToken(rec.simKhz) +
-                ",\"cached\":" + (rec.cached ? "true" : "false");
-            if (rec.checkMode != "off") {
-                extra += ",\"check\":\"" + rec.checkMode +
-                         "\",\"oracle_loads\":" +
-                         std::to_string(rec.oracleLoads) +
-                         ",\"oracle_stale\":" +
-                         std::to_string(rec.oracleStale) +
-                         ",\"oracle_forbidden\":" +
-                         std::to_string(rec.oracleForbidden);
+        if (full) {
+            // Warm-up plus measured instructions per wall second, as
+            // perfbench counts them. A cache hit simulated nothing:
+            // record 0 rather than a rate of the lookup latency.
+            const double inst_per_s =
+                oc.ok() && !oc.cached && oc.wallMs > 0.0
+                ? static_cast<double>(opt.warmupInsts + r.instructions) /
+                      (oc.wallMs / 1000.0)
+                : 0.0;
+            os << ",\"attempts\":" << oc.attempts
+               << ",\"wall_ms\":" << doubleToken(oc.wallMs)
+               << ",\"inst_per_s\":" << doubleToken(inst_per_s)
+               << ",\"cached\":" << (oc.cached ? "true" : "false");
+            if (opt.check != CheckMode::Off) {
+                os << ",\"check\":\"" << checkModeName(opt.check)
+                   << "\",\"oracle_loads\":" << r.oracleLoadsChecked
+                   << ",\"oracle_stale\":" << r.oracleStaleCommits
+                   << ",\"oracle_forbidden\":" << r.oracleForbidden;
             }
-            os << sep;
-            sep = ",";
-            writeJournalEntry(os, journalEntryOf(rec), extra);
         }
+        os << '}';
     }
     os << "\n]}\n";
-    if (!writeFileAtomic(j.path, os.str()))
-        warn("cannot write bench journal '%s'", j.path.c_str());
-    // Records stay buffered: flush is idempotent, so an explicit
-    // flush followed by the atexit flush rewrites the same content
-    // instead of truncating the journal to an empty one.
+    if (!writeFileAtomic(cfg.journalPath, os.str()))
+        warn("cannot write bench journal '%s'", cfg.journalPath.c_str());
 }
 
 // ---- cooperative interruption ---------------------------------------
-
-namespace
-{
 
 std::atomic<bool> g_interruptRequested{false};
 
@@ -583,7 +407,6 @@ CampaignRunner::runChecked(const std::vector<SimOptions> &runs_in)
         traceInstant(rt.cat, rt.diskHit);
         cr.outcomes[i].cached = true;
         cr.outcomes[i].attempts = 0;
-        appendJournal(cr.results[i], cr.outcomes[i]);
     };
 
     for (std::size_t i = 0; i < runs.size(); ++i) {
@@ -701,14 +524,12 @@ CampaignRunner::runChecked(const std::vector<SimOptions> &runs_in)
                     const SimResult &r = cr.results[p.index];
                     if (!p.key.empty() && config_.useCache)
                         storeToDisk(p.key, r);
-                    appendJournal(r, oc);
                 } else {
                     if (config_.failFast &&
                         oc.status != RunStatus::Skipped) {
                         abort_flag.store(true,
                                          std::memory_order_relaxed);
                     }
-                    appendJournalFailure(runs[p.index], oc);
                     if (oc.status != RunStatus::Skipped) {
                         warn("  %s/%s config%u %s after %u "
                              "attempt(s): %s",
@@ -835,13 +656,11 @@ CampaignRunner::runChecked(const std::vector<SimOptions> &runs_in)
             cr.results[dst] = cr.results[src];
             oc.cached = true;
             oc.attempts = 0;
-            appendJournal(cr.results[dst], oc);
         } else {
             oc.status = RunStatus::Skipped;
             oc.category = leader.category;
             oc.error = "duplicate of a failed run";
             oc.attempts = 0;
-            appendJournalFailure(runs[dst], oc);
         }
         cr.outcomes[dst] = oc;
     }
@@ -880,6 +699,8 @@ CampaignRunner::runChecked(const std::vector<SimOptions> &runs_in)
                    stats.quarantineEvicted);
         }
     }
+    if (!config_.journalPath.empty())
+        writeJournal(config_, runs, cr);
     return cr;
 }
 

@@ -23,18 +23,23 @@
  * that converts exceptions (structured RunErrors, watchdog timeouts,
  * injected chaos) into a RunOutcome instead of aborting the process.
  * Transient failures retry with bounded backoff; the campaign
- * completes every surviving run and reports a failure manifest in the
- * JSON journal. On-disk cache entries carry a CRC32 and are
- * quarantined (never trusted) when corrupt. An interrupted campaign
- * resumes by rerunning it against the same cache: completed runs are
- * disk hits, so only the failed and skipped ones simulate.
+ * completes every surviving run. On-disk cache entries carry a CRC32
+ * and are quarantined (never trusted) when corrupt. An interrupted
+ * campaign resumes by rerunning it against the same cache: completed
+ * runs are disk hits, so only the failed and skipped ones simulate.
+ *
+ * The JSON journal (CampaignConfig::journalPath) is a view of the
+ * CampaignResult, written once at the end of runChecked(): one row per
+ * run in run-list order, named by runIdentity(), whose "result" is the
+ * run-cache payload's result object (writeSimResultJson). Failed,
+ * timed-out and skipped runs appear with their status, category and
+ * error, so the journal is also the campaign's failure manifest.
  */
 
 #ifndef DMDC_SIM_CAMPAIGN_RUNNER_HH
 #define DMDC_SIM_CAMPAIGN_RUNNER_HH
 
 #include <cstdint>
-#include <iosfwd>
 #include <memory>
 #include <string>
 #include <vector>
@@ -89,6 +94,15 @@ struct CampaignConfig
     CheckMode checkMode = CheckMode::Off;
     /** Campaign-wide coherence-agent spec (--agent), same contract. */
     std::string coherenceAgent;
+
+    /** Campaign journal (--json; see the file comment): runChecked()
+     *  writes one row per run here before it returns. Empty = none. */
+    std::string journalPath;
+    /** Omit the journal's nondeterministic fields (build commit,
+     *  timestamp, attempts, wall clock, throughput, cache provenance),
+     *  so every campaign over the same run list writes the same
+     *  bytes. */
+    bool journalDeterministic = false;
 };
 
 /** Execution accounting of the most recent campaign. */
@@ -210,9 +224,10 @@ bool cacheableOptions(const SimOptions &opt);
 std::string runIdentity(const SimOptions &opt);
 
 /**
- * Journal identity of one run ("benchmark|scheme|config"): the
- * fingerprint of the simulator's per-run fault sites and the last
- * tie-breaker of the run queue's order.
+ * The (benchmark, scheme, config) triple of one run, spelled
+ * "benchmark|scheme|config": the fingerprint of the simulator's
+ * per-run fault sites and the last tie-breaker of the run queue's
+ * order. Journal rows are named by the full runIdentity().
  */
 std::string journalIdentity(const std::string &benchmark,
                             const std::string &scheme, unsigned config);
@@ -239,7 +254,7 @@ struct LptItem
 {
     double cost = 0.0;      ///< instruction budget (warmup + measured)
     std::uint64_t hash = 0; ///< hashBytes(identity): first tie-breaker
-    std::string identity;   ///< journal identity: last tie-breaker
+    std::string identity;   ///< journalIdentity(): last tie-breaker
 };
 
 /** The LptItem of one run. Simulation cost is linear in the
@@ -257,54 +272,7 @@ bool lptBefore(const LptItem &a, const LptItem &b);
 // ---- machine-readable campaign journal (bench --json) ----
 
 /** Journal file format version (header "version" field). */
-constexpr unsigned kJournalFormatVersion = 4;
-
-/**
- * One "results" record of a journal, with numeric fields kept as the
- * JSON tokens the journal writes.
- */
-struct JournalEntry
-{
-    std::string benchmark;
-    std::string scheme;
-    unsigned config = 2;
-    RunStatus status = RunStatus::Ok;
-    std::string ipcToken = "0";    ///< raw JSON number (ok records)
-    std::string cyclesToken = "0"; ///< raw JSON number (ok records)
-    std::string category;          ///< failure records only
-    std::string error;             ///< failure records only, unescaped
-};
-
-/** Canonical order of a deterministic journal's records. */
-bool journalEntryLess(const JournalEntry &a, const JournalEntry &b);
-
-/**
- * Serialize one journal record ("\n  {...}"): identity, status, then
- * ipc/cycles or category/error. Deterministic journals write exactly
- * that; the non-deterministic journal passes its run-metadata fields,
- * already serialized as ",\"key\":value..." text, in @p extra, which
- * lands just before the closing brace. String fields go through the
- * journals' lossy escaper (control characters become spaces).
- */
-void writeJournalEntry(std::ostream &os, const JournalEntry &e,
-                       const std::string &extra = {});
-
-/**
- * Record every subsequent campaign run into an in-process journal
- * flushed to @p path (JSON) at flushCampaignJournal() / process exit.
- * Failed runs appear with their status, error category and attempt
- * count — the journal is the campaign's failure manifest.
- *
- * @p deterministic strips every nondeterministic field (build commit,
- * timestamps, wall-clock, cache provenance, attempt counts) and sorts
- * records canonically, so two campaigns over the same run list —
- * interrupted + rerun vs. uninterrupted — produce bit-identical files.
- */
-void setCampaignJournal(const std::string &path,
-                        bool deterministic = false);
-
-/** Write the journal now (no-op when no path is set). */
-void flushCampaignJournal();
+constexpr unsigned kJournalFormatVersion = 5;
 
 // ---- cooperative interruption ---------------------------------------
 

@@ -321,9 +321,10 @@ CampaignCliOptions::addTo(CliParser &parser)
                  "retries for transient run failures");
     parser.flag("fail-fast", &config.failFast,
                 "stop launching runs after the first failure");
-    parser.value("json", &jsonPath, "write the campaign journal here");
-    parser.flag("json-deterministic", &jsonDeterministic,
-                "strip nondeterministic journal fields + sort");
+    parser.value("json", &config.journalPath,
+                 "write the campaign journal here");
+    parser.flag("json-deterministic", &config.journalDeterministic,
+                "omit the nondeterministic journal fields");
     parser.value("trace", &trace.channels,
                  "trace channels (comma list or 'all'); captures a "
                  "Chrome trace");
@@ -382,8 +383,6 @@ void
 CampaignCliOptions::apply() const
 {
     CampaignRunner::configureGlobal(config);
-    if (!jsonPath.empty())
-        setCampaignJournal(jsonPath, jsonDeterministic);
     if (trace.enabled()) {
         traceConfigure(trace);
         traceSetThreadName("main");

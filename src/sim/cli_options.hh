@@ -139,8 +139,6 @@ class CliParser
 struct CampaignCliOptions
 {
     CampaignConfig config;        ///< assembled runner configuration
-    std::string jsonPath;         ///< --json journal target
-    bool jsonDeterministic = false;
     bool noCache = false;         ///< --no-cache
     TraceOptions trace;           ///< --trace / --trace-out / --trace-buffer
     std::string traceOutText;     ///< raw --trace-out value
@@ -158,8 +156,8 @@ struct CampaignCliOptions
      */
     bool finalize(std::string &err);
 
-    /** Configure the process-wide runner, journal, and trace sink
-     *  from this. */
+    /** Configure the process-wide runner (journal included) and the
+     *  trace sink from this. */
     void apply() const;
 };
 

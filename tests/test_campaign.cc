@@ -3,7 +3,7 @@
  * Tests of the campaign layer: suite running, comparison helpers,
  * formatting utilities the benches rely on, the run cache's SimResult
  * JSON form, the shared campaign flags, run identities, the run
- * queue's order and the journal's record order.
+ * queue's order and the journal's row order.
  */
 
 #include <gtest/gtest.h>
@@ -11,6 +11,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
 #include <limits>
 #include <numeric>
 #include <sstream>
@@ -325,21 +327,50 @@ TEST(RunQueue, MixedBudgetOrderIsPinned)
                                                5, 1, 4, 0, 8}));
 }
 
-TEST(JournalOrder, SharedIdentityRecordsHaveATotalOrder)
+TEST(JournalRows, FollowTheRunListWhateverTheCompletionOrder)
 {
-    // Two runs of one (benchmark, scheme, config) triple that differ in
-    // a hidden knob (an invalidation-rate sweep, say) must not land in
-    // completion order.
-    JournalEntry a;
-    a.benchmark = "swim";
-    a.scheme = "dmdc-global";
-    a.cyclesToken = "82189";
-    a.ipcToken = "0.7300246991689886";
-    JournalEntry b = a;
-    b.cyclesToken = "82265";
-    b.ipcToken = "0.72935027046739198";
-    EXPECT_TRUE(journalEntryLess(a, b));
-    EXPECT_FALSE(journalEntryLess(b, a));
+    // An invalidation-rate sweep shares one (benchmark, scheme,
+    // config) triple: each row still names its own run, rows keep the
+    // run-list order on any worker count, and the deterministic
+    // journal is the same bytes on 1 and 4 workers.
+    std::vector<SimOptions> runs;
+    for (double rate : {100.0, 10.0, 1.0, 0.0}) {
+        SimOptions opt = quickOptions("swim", "dmdc-global");
+        opt.coherence = true;
+        opt.invalidationsPer1kCycles = rate;
+        runs.push_back(opt);
+    }
+    std::string bytes[2];
+    for (const unsigned jobs : {1u, 4u}) {
+        const std::string path = ::testing::TempDir() +
+            "dmdc_journal_rows_" + std::to_string(::getpid()) + "_" +
+            std::to_string(jobs) + ".json";
+        CampaignConfig cfg;
+        cfg.jobs = jobs;
+        cfg.useCache = false;
+        cfg.journalPath = path;
+        cfg.journalDeterministic = true;
+        CampaignRunner runner(cfg);
+        ASSERT_TRUE(runner.runChecked(runs).allOk());
+        std::ifstream is(path);
+        std::stringstream buf;
+        buf << is.rdbuf();
+        std::remove(path.c_str());
+        bytes[jobs == 4] = buf.str();
+
+        JsonValue doc;
+        std::string err;
+        ASSERT_TRUE(parseJson(bytes[jobs == 4], doc, err)) << err;
+        const JsonValue *rows = doc.find("results");
+        ASSERT_NE(rows, nullptr);
+        ASSERT_EQ(rows->items.size(), runs.size());
+        for (std::size_t i = 0; i < runs.size(); ++i) {
+            const JsonValue *run = rows->items[i].find("run");
+            ASSERT_NE(run, nullptr);
+            EXPECT_EQ(run->text, runIdentity(runs[i])) << i;
+        }
+    }
+    EXPECT_EQ(bytes[0], bytes[1]);
 }
 
 } // namespace

@@ -2,8 +2,8 @@
  * @file
  * Tests of the parallel campaign engine: determinism of parallel
  * execution versus serial, the shared run queue's exactly-once
- * dispatch, on-disk run-cache behavior, and the cache-bypass rules
- * for observer/tweak runs.
+ * dispatch, on-disk run-cache behavior, the cache-bypass rules
+ * for observer/tweak runs, and the journal's results.
  */
 
 #include <gtest/gtest.h>
@@ -11,9 +11,12 @@
 #include <atomic>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <functional>
 #include <vector>
 
+#include "common/json.hh"
 #include "lsq/lsq_unit.hh"
 #include "sim/campaign.hh"
 #include "sim/campaign_runner.hh"
@@ -199,6 +202,66 @@ TEST_F(CampaignParallel, DuplicateRunsSimulateOnce)
     EXPECT_EQ(runner.lastStats().simulated, 1u);
     expectIdentical(res[0], res[1]);
     expectIdentical(res[0], res[2]);
+}
+
+TEST_F(CampaignParallel, JournalResultsRoundTripToTheReturnedResults)
+{
+    // A mixed campaign: a disk hit, a fresh run, its follower (a
+    // duplicate in the same campaign) and a failed run. Every ok row's
+    // "result" decodes to exactly the SimResult runChecked() returned,
+    // and the failed row carries its error instead.
+    SimOptions cached;
+    cached.benchmark = "swim";
+    cached.warmupInsts = 2000;
+    cached.runInsts = 12000;
+    SimOptions fresh = cached;
+    fresh.benchmark = "mcf";
+    fresh.scheme = "dmdc-global";
+    SimOptions failing = cached;
+    failing.configLevel = 9;
+    {
+        CampaignRunner warm(config(1, true));
+        ASSERT_TRUE(warm.runChecked({cached}).allOk());
+    }
+    const std::vector<SimOptions> runs{cached, fresh, fresh, failing};
+
+    CampaignConfig cfg = config(3, true);
+    cfg.journalPath = (cacheDir_ / "journal.json").string();
+    CampaignRunner runner(cfg);
+    const CampaignResult cr = runner.runChecked(runs);
+    EXPECT_EQ(runner.lastStats().diskHits, 1u);
+    ASSERT_TRUE(cr.outcomes[0].cached);
+    ASSERT_FALSE(cr.outcomes[1].cached);
+    ASSERT_TRUE(cr.outcomes[2].cached);
+    ASSERT_EQ(cr.outcomes[3].status, RunStatus::Failed);
+
+    std::ifstream is(cfg.journalPath);
+    std::stringstream text;
+    text << is.rdbuf();
+    JsonValue doc;
+    std::string err;
+    ASSERT_TRUE(parseJson(text.str(), doc, err)) << err;
+    const JsonValue *rows = doc.find("results");
+    ASSERT_NE(rows, nullptr);
+    ASSERT_EQ(rows->items.size(), runs.size());
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+        SCOPED_TRACE(i);
+        const JsonValue &row = rows->items[i];
+        ASSERT_NE(row.find("run"), nullptr);
+        EXPECT_EQ(row.find("run")->text, runIdentity(runs[i]));
+        EXPECT_EQ(row.find("status")->text,
+                  runStatusName(cr.outcomes[i].status));
+        const JsonValue *result = row.find("result");
+        if (!cr.outcomes[i].ok()) {
+            EXPECT_EQ(result, nullptr);
+            EXPECT_EQ(row.find("error")->text, cr.outcomes[i].error);
+            continue;
+        }
+        ASSERT_NE(result, nullptr);
+        SimResult decoded;
+        ASSERT_TRUE(readSimResultJson(*result, decoded));
+        expectIdentical(decoded, cr.results[i]);
+    }
 }
 
 TEST_F(CampaignParallel, TweakRunsBypassCache)

@@ -77,7 +77,7 @@ soleCacheEntry(const fs::path &dir)
 
 /**
  * Every test gets a scratch directory and leaves the process-global
- * injector and journal disabled behind it.
+ * injector disabled behind it.
  */
 class FaultTolerance : public ::testing::Test
 {
@@ -98,7 +98,6 @@ class FaultTolerance : public ::testing::Test
     TearDown() override
     {
         FaultInjector::global().configure({});
-        setCampaignJournal("");
         fs::remove_all(scratch_);
     }
 
@@ -612,13 +611,13 @@ TEST_F(FaultTolerance, OnlyTheFullJournalCarriesTheBuildStamp)
         const std::string path =
             (scratch_ / (deterministic ? "det.json" : "full.json"))
                 .string();
-        setCampaignJournal(path, deterministic);
         CampaignConfig cfg;
         cfg.useCache = false;
+        cfg.journalPath = path;
+        cfg.journalDeterministic = deterministic;
         CampaignRunner runner(cfg);
         ASSERT_TRUE(
             runner.runChecked({quickOptions("gzip", "baseline")}).allOk());
-        flushCampaignJournal();
 
         JsonValue doc;
         std::string err;
@@ -650,19 +649,18 @@ TEST_F(FaultTolerance, RerunAfterFailuresMatchesUninterruptedRunBitForBit)
 
     // Reference: uninterrupted serial campaign.
     {
-        setCampaignJournal(ref_path, /*deterministic=*/true);
         CampaignConfig cfg;
         cfg.cacheDir = (scratch_ / "cache_ref").string();
         cfg.jobs = 1;
+        cfg.journalPath = ref_path;
+        cfg.journalDeterministic = true;
         CampaignRunner runner(cfg);
         ASSERT_TRUE(runner.runChecked(runs).allOk());
-        flushCampaignJournal();
     }
 
     // Interrupted: chaos kills some runs mid-campaign.
     std::size_t ok_runs = 0;
     {
-        setCampaignJournal(int_path, /*deterministic=*/true);
         FaultSpec spec;
         spec.runThrowP = 0.5;
         spec.seed = 5;
@@ -670,9 +668,10 @@ TEST_F(FaultTolerance, RerunAfterFailuresMatchesUninterruptedRunBitForBit)
         CampaignConfig cfg;
         cfg.cacheDir = (scratch_ / "cache_res").string();
         cfg.maxRetries = 0;
+        cfg.journalPath = int_path;
+        cfg.journalDeterministic = true;
         CampaignRunner runner(cfg);
         const CampaignResult cr = runner.runChecked(runs);
-        flushCampaignJournal();
         FaultInjector::global().configure({});
         // A mixed outcome exercises both halves of the rerun: served
         // from cache for the survivors, fresh execution for the
@@ -703,12 +702,12 @@ TEST_F(FaultTolerance, RerunAfterFailuresMatchesUninterruptedRunBitForBit)
 
     // Rerun: completed runs come from the cache, the rest execute.
     {
-        setCampaignJournal(res_path, /*deterministic=*/true);
         CampaignConfig cfg;
         cfg.cacheDir = (scratch_ / "cache_res").string();
+        cfg.journalPath = res_path;
+        cfg.journalDeterministic = true;
         CampaignRunner runner(cfg);
         ASSERT_TRUE(runner.runChecked(runs).allOk());
-        flushCampaignJournal();
         EXPECT_EQ(runner.lastStats().diskHits, ok_runs);
         EXPECT_EQ(runner.lastStats().simulated, runs.size() - ok_runs);
     }

@@ -12,9 +12,12 @@
  * campaign mode alike. A bench harness's --fail-fast covers its
  * whole run grid.
  *
- * The integration tests receive the dmdc_sim and fig4_dmdc_main
- * locations from CMake via the DMDC_SIM_BIN and BENCH_BIN compile
- * definitions.
+ * Journal rows keep their run identity, so bench_compare compares
+ * every run of a sweep and names a result field that moved.
+ *
+ * The integration tests receive the dmdc_sim, fig4_dmdc_main and
+ * bench_compare locations from CMake via the DMDC_SIM_BIN, BENCH_BIN
+ * and BENCH_COMPARE_BIN compile definitions.
  */
 
 #include <gtest/gtest.h>
@@ -25,6 +28,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -139,6 +143,126 @@ TEST(BenchHarness, FailFastCoversTheWholeGrid)
         ++by_status[r.find("status")->text];
     EXPECT_EQ(by_status, (std::map<std::string, std::size_t>{
                              {"failed", 1}, {"skipped", 23}}));
+}
+
+// ---- bench_compare on real journals ------------------------------------
+
+/** Run @p runs, uncached, into the deterministic journal @p path. */
+void
+writeJournal(const std::vector<SimOptions> &runs, const fs::path &path)
+{
+    CampaignConfig cfg;
+    cfg.useCache = false;
+    cfg.journalPath = path.string();
+    cfg.journalDeterministic = true;
+    CampaignRunner runner(cfg);
+    ASSERT_TRUE(runner.runChecked(runs).allOk());
+}
+
+/** bench_compare @p base @p cur; its exit code, stdout in @p out. */
+int
+benchCompare(const fs::path &base, const fs::path &cur, std::string &out)
+{
+    const fs::path text = cur.string() + ".compare.txt";
+    const int rc = shell(std::string(BENCH_COMPARE_BIN) + " " +
+                         base.string() + " " + cur.string() + " > " +
+                         text.string() + " 2>&1");
+    out = slurp(text);
+    return rc;
+}
+
+/** swim, dmdc-global, config 2, with coherence at @p rate. */
+SimOptions
+sweepRun(double rate)
+{
+    SimOptions opt;
+    opt.benchmark = "swim";
+    opt.scheme = "dmdc-global";
+    opt.warmupInsts = 2000;
+    opt.runInsts = 20000;
+    opt.coherence = true;
+    opt.invalidationsPer1kCycles = rate;
+    return opt;
+}
+
+class JournalCompare : public ::testing::Test
+{
+  protected:
+    void
+    SetUp() override
+    {
+        dir_ = fs::temp_directory_path() /
+            ("dmdc_jcmp_" + std::to_string(::getpid()) + "_" +
+             ::testing::UnitTest::GetInstance()
+                 ->current_test_info()
+                 ->name());
+        fs::remove_all(dir_);
+        fs::create_directories(dir_);
+    }
+
+    void TearDown() override { fs::remove_all(dir_); }
+
+    fs::path dir_;
+};
+
+TEST_F(JournalCompare, SweepRowsKeepTheirOwnIdentity)
+{
+    // One (benchmark, scheme, config) triple at four invalidation
+    // rates is four rows with four run identities, and a journal
+    // compared with itself compares all four. Keyed on the triple, it
+    // compared one.
+    const fs::path journal = dir_ / "sweep.json";
+    writeJournal({sweepRun(0.0), sweepRun(1.0), sweepRun(10.0),
+                  sweepRun(100.0)},
+                 journal);
+    JsonValue doc;
+    std::string err;
+    ASSERT_TRUE(parseJson(slurp(journal), doc, err)) << err;
+    const JsonValue *rows = doc.find("results");
+    ASSERT_NE(rows, nullptr);
+    std::set<std::string> runs;
+    for (const JsonValue &row : rows->items)
+        runs.insert(row.find("run")->text);
+    EXPECT_EQ(rows->items.size(), 4u);
+    EXPECT_EQ(runs.size(), 4u);
+
+    std::string out;
+    EXPECT_EQ(benchCompare(journal, journal, out), 0) << out;
+    EXPECT_NE(out.find("(4 row(s) compared)"), std::string::npos) << out;
+    EXPECT_EQ(out.find("differ in result fields"), std::string::npos)
+        << out;
+}
+
+TEST_F(JournalCompare, NamesAMovedReplayClass)
+{
+    // Two journals that differ only in one row's false_hash_x: the
+    // report names that field of that row, and nothing else.
+    const fs::path base = dir_ / "base.json";
+    writeJournal({sweepRun(0.0), sweepRun(10.0)}, base);
+    std::string text = slurp(base);
+    const std::string field = "\"false_hash_x\":";
+    const std::size_t first = text.find(field);
+    ASSERT_NE(first, std::string::npos);
+    const std::size_t at = text.find(field, first + 1);
+    ASSERT_NE(at, std::string::npos);
+    const std::size_t value = at + field.size();
+    const std::size_t end = text.find(',', value);
+    const std::string old_count = text.substr(value, end - value);
+    const std::string new_count =
+        std::to_string(std::stoull(old_count) + 1);
+    text.replace(value, end - value, new_count);
+    const fs::path cur = dir_ / "cur.json";
+    std::ofstream(cur) << text;
+
+    std::string out;
+    EXPECT_EQ(benchCompare(base, cur, out), 0) << out;
+    EXPECT_NE(out.find("    false_hash_x: " + old_count + " -> " +
+                       new_count + "\n"),
+              std::string::npos)
+        << out;
+    EXPECT_NE(out.find("1 compared row(s) differ in result fields"),
+              std::string::npos)
+        << out;
 }
 
 // ---- end-to-end recovery ---------------------------------------------
@@ -367,12 +491,9 @@ TEST_F(ProcessRecovery, ConcurrentCampaignsSimulateEachRunOnce)
         ASSERT_NE(results, nullptr);
         EXPECT_EQ(results->items.size(), 8u) << journal;
         for (const JsonValue &r : results->items) {
-            const std::string id = r.find("benchmark")->text + "/" +
-                                   r.find("scheme")->text + "/" +
-                                   r.find("config")->text;
-            fresh[id] += r.find("cached")->kind ==
-                             JsonValue::Kind::Bool &&
-                         !r.find("cached")->boolean;
+            fresh[r.find("run")->text] +=
+                r.find("cached")->kind == JsonValue::Kind::Bool &&
+                !r.find("cached")->boolean;
         }
     }
     EXPECT_EQ(fresh.size(), 8u);

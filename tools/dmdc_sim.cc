@@ -32,9 +32,11 @@
  *                           'all') into trace.<pid>.json;
  *                           --trace-out=<path> names the file
  *     --json=<path>         write the campaign journal / failure
- *                           manifest to <path>
- *     --json-deterministic  strip timestamps/wall-clock/attempts from
- *                           the journal and sort records canonically
+ *                           manifest to <path> (not with --stats,
+ *                           which bypasses the campaign runner)
+ *     --json-deterministic  omit the build stamp, timestamps, wall
+ *                           clock, throughput and attempts from the
+ *                           journal
  *     --check=<mode>        off | oracle | litmus: attach the
  *                           commit-time ordering oracle (and, for
  *                           litmus, a scripted coherence agent) to
@@ -209,7 +211,6 @@ runCampaign(const std::vector<SimOptions> &runs,
         }
     }
     std::printf("\n%zu of %zu runs ok\n", ok, runs.size());
-    flushCampaignJournal();
 
     // A signal-interrupted campaign has flushed its journal; the
     // distinct exit code tells the calling script that rerunning the
@@ -377,7 +378,6 @@ main(int argc, char **argv)
         CampaignResult cr = CampaignRunner::global().runChecked({opt});
         const RunOutcome &oc = cr.outcomes.front();
         if (!oc.ok()) {
-            flushCampaignJournal();
             std::fprintf(stderr, "dmdc_sim: run %s (%s error): %s\n",
                          runStatusName(oc.status),
                          runErrorCategoryName(oc.category),
