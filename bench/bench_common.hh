@@ -44,10 +44,9 @@ struct BenchArgs
     CampaignCliOptions campaign;           ///< shared engine flags
 
     /**
-     * Parse argv and configure the process-wide CampaignRunner and
-     * journal accordingly.
-     * Invalid flags, malformed numbers, or unknown benchmark names
-     * print usage and exit(kExitUsage).
+     * Parse argv (and start tracing when asked). Invalid flags,
+     * malformed numbers, or unknown benchmark names print usage and
+     * exit(kExitUsage).
      */
     static BenchArgs
     parse(int argc, char **argv)
@@ -94,10 +93,11 @@ struct BenchArgs
         return args;
     }
 
+    /** The run template (--timeout/--check/--agent) at this budget. */
     SimOptions
     baseOptions() const
     {
-        SimOptions opt;
+        SimOptions opt = campaign.run;
         opt.warmupInsts = warmupInsts;
         opt.runInsts = runInsts;
         return opt;
@@ -168,7 +168,8 @@ runHarness(int argc, char **argv, const Harness &h)
     std::vector<SimOptions> runs;
     for (const std::vector<SimOptions> &suite : grid)
         runs.insert(runs.end(), suite.begin(), suite.end());
-    CampaignResult cr = runCampaignChecked(runs);
+    CampaignResult cr =
+        CampaignRunner(args.campaign.config).runChecked(runs);
 
     Suites suites;
     auto next = std::make_move_iterator(cr.results.begin());

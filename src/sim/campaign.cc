@@ -1,54 +1,14 @@
 /**
  * @file
- * Campaign helper implementation.
+ * Table helper implementation.
  */
 
 #include "sim/campaign.hh"
 
 #include <cstdio>
 
-#include "sim/campaign_runner.hh"
-#include "trace/spec_suite.hh"
-
 namespace dmdc
 {
-
-namespace
-{
-
-/** spec_suite group of @p name; tolerant of unknown names (a run may
- *  have failed precisely because its benchmark doesn't exist). */
-bool
-isFpBenchmark(const std::string &name)
-{
-    for (const std::string &fp : specFpNames()) {
-        if (fp == name)
-            return true;
-    }
-    return false;
-}
-
-} // namespace
-
-CampaignResult
-runCampaignChecked(const std::vector<SimOptions> &runs)
-{
-    CampaignResult cr = CampaignRunner::global().runChecked(runs);
-    for (std::size_t i = 0; i < runs.size(); ++i) {
-        const RunOutcome &oc = cr.outcomes[i];
-        if (oc.ok())
-            continue;
-        // Give the degraded slot its identity so tables can still
-        // label the row; valid=false keeps it out of aggregates.
-        SimResult &r = cr.results[i];
-        r.benchmark = runs[i].benchmark;
-        r.scheme = runs[i].scheme;
-        r.configLevel = runs[i].configLevel;
-        r.fp = isFpBenchmark(runs[i].benchmark);
-        r.valid = false;
-    }
-    return cr;
-}
 
 Range
 slowdownRange(const std::vector<SimResult> &baseline,

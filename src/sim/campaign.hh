@@ -1,10 +1,9 @@
 /**
  * @file
- * Campaign helpers for the bench harnesses: submit a run list as one
- * checked campaign, compare schemes over a benchmark group, and
- * format table cells. A cell of a group whose runs all degraded
- * prints "n/a" (rangeStr, and fmt of an empty optional), never a
- * made-up zero.
+ * Table helpers for the bench harnesses: compare schemes over a
+ * benchmark group and format table cells. A cell of a group whose
+ * runs all degraded prints "n/a" (rangeStr, and fmt of an empty
+ * optional), never a made-up zero.
  */
 
 #ifndef DMDC_SIM_CAMPAIGN_HH
@@ -14,20 +13,10 @@
 #include <string>
 #include <vector>
 
-#include "sim/campaign_runner.hh"
 #include "sim/simulator.hh"
 
 namespace dmdc
 {
-
-/**
- * Run @p runs as one campaign on the global runner. Each degraded
- * (failed / timed-out / skipped) slot keeps its identity fields but
- * is marked invalid, so tables can still label its row while the
- * aggregation helpers skip it. The caller reads the degradation off
- * the returned CampaignResult (degradedRuns()).
- */
-CampaignResult runCampaignChecked(const std::vector<SimOptions> &runs);
 
 /**
  * Per-benchmark slowdown (%) of @p test versus @p baseline, aggregated

@@ -14,7 +14,6 @@
 #include <cstring>
 #include <ctime>
 #include <memory>
-#include <mutex>
 #include <sstream>
 #include <thread>
 #include <tuple>
@@ -32,6 +31,7 @@
 #include "common/trace_sink.hh"
 #include "lsq/policy/registry.hh"
 #include "sim/fault_injector.hh"
+#include "trace/spec_suite.hh"
 
 namespace dmdc
 {
@@ -227,18 +227,6 @@ policySourceFingerprint()
 }
 
 std::string
-journalIdentity(const std::string &benchmark, const std::string &scheme,
-                unsigned config)
-{
-    std::string id = benchmark;
-    id += '|';
-    id += scheme;
-    id += '|';
-    id += std::to_string(config);
-    return id;
-}
-
-std::string
 runIdentity(const SimOptions &opt)
 {
     std::ostringstream os;
@@ -276,8 +264,8 @@ lptItem(const SimOptions &opt)
     LptItem item;
     item.cost = static_cast<double>(opt.warmupInsts) +
                 static_cast<double>(opt.runInsts);
-    item.identity =
-        journalIdentity(opt.benchmark, opt.scheme, opt.configLevel);
+    item.identity = opt.benchmark + '|' + opt.scheme + '|' +
+                    std::to_string(opt.configLevel);
     item.hash = hashBytes(item.identity.data(), item.identity.size());
     return item;
 }
@@ -355,26 +343,8 @@ CampaignRunner::storeToDisk(const std::string &key, const SimResult &r)
 }
 
 CampaignResult
-CampaignRunner::runChecked(const std::vector<SimOptions> &runs_in)
+CampaignRunner::runChecked(const std::vector<SimOptions> &runs)
 {
-    // Materialize the campaign-wide --check/--agent override before
-    // anything looks at the options: classification, fingerprints,
-    // and journaling must all see the checked options.
-    std::vector<SimOptions> checked_runs;
-    const std::vector<SimOptions> *run_list = &runs_in;
-    if (config_.checkMode != CheckMode::Off ||
-        !config_.coherenceAgent.empty()) {
-        checked_runs = runs_in;
-        for (SimOptions &o : checked_runs) {
-            if (o.check == CheckMode::Off)
-                o.check = config_.checkMode;
-            if (o.coherenceAgent.empty())
-                o.coherenceAgent = config_.coherenceAgent;
-        }
-        run_list = &checked_runs;
-    }
-    const std::vector<SimOptions> &runs = *run_list;
-
     RunnerTrace &rt = runnerTrace();
     TraceSpan campaign_span(rt.cat, rt.campaign);
     const auto t0 = Clock::now();
@@ -461,12 +431,10 @@ CampaignRunner::runChecked(const std::vector<SimOptions> &runs_in)
                         : "skipped after earlier failure (fail-fast)";
                     oc.attempts = 0;
                 } else {
-                    SimOptions opt = runs[p.index];
-                    if (opt.timeoutMs == 0.0)
-                        opt.timeoutMs = config_.timeoutMs;
+                    const SimOptions &opt = runs[p.index];
                     id = runIdentity(opt);
                     // Run lifecycle span, labeled with the run
-                    // identity (one interned name per distinct triple)
+                    // identity (one interned name per distinct run)
                     // and covering every retry attempt.
                     TraceSpan run_span(
                         rt.cat, rt.cat.on() ? traceNameId(id) : 0);
@@ -574,8 +542,7 @@ CampaignRunner::runChecked(const std::vector<SimOptions> &runs_in)
             }
             const CacheStore::Claim claim = diskStore_->claim(p.key);
             if (claim == CacheStore::Claim::Held) {
-                const double budget = runs[p.index].timeoutMs != 0.0
-                    ? runs[p.index].timeoutMs : config_.timeoutMs;
+                const double budget = runs[p.index].timeoutMs;
                 if (budget <= 0.0 || elapsedMs(since) < budget)
                     return false;
             }
@@ -666,7 +633,22 @@ CampaignRunner::runChecked(const std::vector<SimOptions> &runs_in)
     }
 
     // ---- accounting --------------------------------------------------
-    for (const RunOutcome &oc : cr.outcomes) {
+    const std::vector<std::string> &fp_names = specFpNames();
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+        const RunOutcome &oc = cr.outcomes[i];
+        if (!oc.ok()) {
+            // Name the degraded slot so tables can still label its
+            // row; valid=false keeps it out of aggregates. The lookup
+            // tolerates unknown names: a run may have failed because
+            // its benchmark doesn't exist.
+            SimResult &r = cr.results[i] = SimResult{};
+            r.benchmark = runs[i].benchmark;
+            r.scheme = runs[i].scheme;
+            r.configLevel = runs[i].configLevel;
+            r.fp = std::find(fp_names.begin(), fp_names.end(),
+                             r.benchmark) != fp_names.end();
+            r.valid = false;
+        }
         switch (oc.status) {
           case RunStatus::Failed:   ++stats.failed;   break;
           case RunStatus::TimedOut: ++stats.timedOut; break;
@@ -702,44 +684,6 @@ CampaignRunner::runChecked(const std::vector<SimOptions> &runs_in)
     if (!config_.journalPath.empty())
         writeJournal(config_, runs, cr);
     return cr;
-}
-
-namespace
-{
-
-struct GlobalRunner
-{
-    std::mutex mutex;
-    CampaignConfig config;
-    std::unique_ptr<CampaignRunner> runner;
-};
-
-GlobalRunner &
-globalRunner()
-{
-    static GlobalRunner g;
-    return g;
-}
-
-} // namespace
-
-CampaignRunner &
-CampaignRunner::global()
-{
-    GlobalRunner &g = globalRunner();
-    std::lock_guard<std::mutex> lock(g.mutex);
-    if (!g.runner)
-        g.runner = std::make_unique<CampaignRunner>(g.config);
-    return *g.runner;
-}
-
-void
-CampaignRunner::configureGlobal(const CampaignConfig &config)
-{
-    GlobalRunner &g = globalRunner();
-    std::lock_guard<std::mutex> lock(g.mutex);
-    g.config = config;
-    g.runner.reset();
 }
 
 } // namespace dmdc

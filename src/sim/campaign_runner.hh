@@ -8,7 +8,10 @@
  * worker threads, which take runs from one shared queue, while
  * preserving the serial result ordering and bit-identical SimResults
  * (each Simulator owns all of its state, so runs are deterministic
- * functions of their SimOptions).
+ * functions of their SimOptions). A run is its SimOptions: its
+ * wall-clock budget (timeoutMs) and its verification (check,
+ * coherenceAgent) ride there, and CampaignConfig only says how the
+ * campaign executes.
  *
  * Runs whose SimOptions are canonically fingerprintable (no attached
  * observers, no tweak callback) are additionally cached on disk as
@@ -55,7 +58,11 @@ namespace dmdc
  *  clamped to at least 1. */
 unsigned defaultWorkerCount();
 
-/** Knobs of a CampaignRunner (see also bench --jobs / --no-cache). */
+/**
+ * Knobs of a CampaignRunner (see also bench --jobs / --no-cache):
+ * how a campaign executes, never what a run is. Everything about one
+ * run, its --timeout and --check included, is in its SimOptions.
+ */
 struct CampaignConfig
 {
     /** Worker threads; 0 selects defaultWorkerCount(). */
@@ -65,11 +72,6 @@ struct CampaignConfig
     /** On-disk cache directory (created on demand). */
     std::string cacheDir = ".dmdc_cache";
 
-    /**
-     * Per-run wall-clock budget in milliseconds, applied to runs that
-     * don't set their own SimOptions::timeoutMs. 0 = no deadline.
-     */
-    double timeoutMs = 0.0;
     /** Retries (beyond the first attempt) for transient failures. */
     unsigned maxRetries = 2;
     /** Stop launching new runs after the first failure. */
@@ -83,17 +85,6 @@ struct CampaignConfig
      */
     std::size_t quarantineMaxEntries = 32;
     std::uint64_t quarantineMaxBytes = 8ull * 1024 * 1024;
-
-    /**
-     * Campaign-wide verification override (--check): materialized
-     * into every run's SimOptions (that doesn't already ask for
-     * checking itself) before classification. Checked runs always
-     * simulate — they bypass the run cache in both directions — so
-     * the oracle actually re-executes every pipeline.
-     */
-    CheckMode checkMode = CheckMode::Off;
-    /** Campaign-wide coherence-agent spec (--agent), same contract. */
-    std::string coherenceAgent;
 
     /** Campaign journal (--json; see the file comment): runChecked()
      *  writes one row per run here before it returns. Empty = none. */
@@ -131,8 +122,9 @@ struct CampaignStats
 /** Results plus the per-run execution record of one campaign. */
 struct CampaignResult
 {
-    /** Same order as the requested runs; failed slots are
-     *  default-constructed. */
+    /** Same order as the requested runs. A degraded slot carries only
+     *  its run's benchmark, scheme, config and fp, with valid=false,
+     *  so tables can label its row while aggregates skip it. */
     std::vector<SimResult> results;
     /** Parallel to results. */
     std::vector<RunOutcome> outcomes;
@@ -155,10 +147,7 @@ struct CampaignResult
     }
 };
 
-/**
- * Runs campaigns. Instances are independent; the process-wide
- * instance behind runCampaignChecked() is reachable via global().
- */
+/** Runs campaigns. Instances are independent. */
 class CampaignRunner
 {
   public:
@@ -168,26 +157,15 @@ class CampaignRunner
      * Execute every run in @p runs and report results plus per-run
      * RunOutcomes in the same order. Identical to running
      * runSimulation() serially per element, but parallel and
-     * cached; the caller decides what a failed run means. (The
-     * former run() entry point, which fatal()ed on any failure, is
-     * gone — every harness renders degraded cells from the
-     * RunOutcomes instead of dying.)
+     * cached; the caller decides what a failed run means (every
+     * harness renders its degraded slots as n/a cells).
      */
     CampaignResult runChecked(const std::vector<SimOptions> &runs);
 
     const CampaignConfig &config() const { return config_; }
 
-    /** Accounting of the most recent run() call. */
+    /** Accounting of the most recent runChecked() call. */
     const CampaignStats &lastStats() const { return lastStats_; }
-
-    /** The process-wide runner used by runCampaignChecked(). */
-    static CampaignRunner &global();
-
-    /**
-     * Replace the process-wide runner's configuration. Call before
-     * the first campaign (benches do this while parsing argv).
-     */
-    static void configureGlobal(const CampaignConfig &config);
 
     /** The run cache (see cache_store.hh). */
     CacheStore &diskStore() { return *diskStore_; }
@@ -224,15 +202,6 @@ bool cacheableOptions(const SimOptions &opt);
 std::string runIdentity(const SimOptions &opt);
 
 /**
- * The (benchmark, scheme, config) triple of one run, spelled
- * "benchmark|scheme|config": the fingerprint of the simulator's
- * per-run fault sites and the last tie-breaker of the run queue's
- * order. Journal rows are named by the full runIdentity().
- */
-std::string journalIdentity(const std::string &benchmark,
-                            const std::string &scheme, unsigned config);
-
-/**
  * Canonical fingerprint of every behavior-affecting SimOptions field:
  * "dmdc-cache-v<version>|src=<policySourceFingerprint()>|" followed by
  * runIdentity(opt). Two runs with equal keys produce bit-identical
@@ -254,7 +223,8 @@ struct LptItem
 {
     double cost = 0.0;      ///< instruction budget (warmup + measured)
     std::uint64_t hash = 0; ///< hashBytes(identity): first tie-breaker
-    std::string identity;   ///< journalIdentity(): last tie-breaker
+    /** "benchmark|scheme|config": last tie-breaker. */
+    std::string identity;
 };
 
 /** The LptItem of one run. Simulation cost is linear in the

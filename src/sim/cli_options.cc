@@ -315,7 +315,7 @@ CampaignCliOptions::addTo(CliParser &parser)
     parser.flag("no-cache", &noCache, "disable the run cache");
     parser.value("cache-dir", &config.cacheDir,
                  "on-disk run cache directory");
-    parser.value("timeout", &config.timeoutMs,
+    parser.value("timeout", &run.timeoutMs,
                  "per-run wall-clock budget, ms (0 = none)");
     parser.value("max-retries", &config.maxRetries,
                  "retries for transient run failures");
@@ -346,7 +346,7 @@ bool
 CampaignCliOptions::finalize(std::string &err)
 {
     config.useCache = !noCache;
-    if (config.timeoutMs < 0.0) {
+    if (run.timeoutMs < 0.0) {
         err = "--timeout must be >= 0 (ms)";
         return false;
     }
@@ -360,7 +360,7 @@ CampaignCliOptions::finalize(std::string &err)
         ? traceOutText
         : "trace." + std::to_string(::getpid()) + ".json";
     if (!checkText.empty() &&
-        !parseCheckMode(checkText, config.checkMode)) {
+        !parseCheckMode(checkText, run.check)) {
         err = "--check expects off, oracle or litmus, got '" +
               checkText + "'";
         return false;
@@ -371,10 +371,10 @@ CampaignCliOptions::finalize(std::string &err)
             err = "--agent: " + agent_err;
             return false;
         }
-        config.coherenceAgent = agentText;
+        run.coherenceAgent = agentText;
         // A scripted agent only runs under the oracle's eye.
-        if (config.checkMode == CheckMode::Off)
-            config.checkMode = CheckMode::Litmus;
+        if (run.check == CheckMode::Off)
+            run.check = CheckMode::Litmus;
     }
     return true;
 }
@@ -382,7 +382,6 @@ CampaignCliOptions::finalize(std::string &err)
 void
 CampaignCliOptions::apply() const
 {
-    CampaignRunner::configureGlobal(config);
     if (trace.enabled()) {
         traceConfigure(trace);
         traceSetThreadName("main");

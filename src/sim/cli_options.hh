@@ -134,11 +134,16 @@ class CliParser
 
 /**
  * The campaign-engine flag bundle every campaign-running binary
- * shares. Usage: addTo(parser); parse; finalize(); apply().
+ * shares. Usage: addTo(parser); parse; finalize(); apply(); then build
+ * a CampaignRunner from config and every run from the template run.
  */
 struct CampaignCliOptions
 {
     CampaignConfig config;        ///< assembled runner configuration
+    /** Run template: --timeout, --check and --agent set its timeoutMs,
+     *  check and coherenceAgent; every run a command builds starts
+     *  from it. */
+    SimOptions run;
     bool noCache = false;         ///< --no-cache
     TraceOptions trace;           ///< --trace / --trace-out / --trace-buffer
     std::string traceOutText;     ///< raw --trace-out value
@@ -156,8 +161,7 @@ struct CampaignCliOptions
      */
     bool finalize(std::string &err);
 
-    /** Configure the process-wide runner (journal included) and the
-     *  trace sink from this. */
+    /** Configure the trace sink from this. */
     void apply() const;
 };
 

@@ -242,13 +242,17 @@ Simulator::Simulator(const SimOptions &options) : options_(options)
         pipe_->attachOracle(oracle_.get());
     }
 
-    // Deterministic chaos: silently weaken the policy's checking so
-    // CI can prove the oracle catches real miscompares. Same
-    // fingerprint as the run-hang site.
-    if (FaultInjector::global().injectLsqCorrupt(journalIdentity(
-            options_.benchmark, params_.lsq.policy,
-            options_.configLevel)))
-        pipe_->lsq().corruptChecking();
+    // Deterministic chaos, keyed on the run's identity like the
+    // runner's run-throw site: lsq-corrupt silently weakens the
+    // policy's checking so CI can prove the oracle catches real
+    // miscompares; run-hang wedges run(). Unarmed runs build no key.
+    const FaultInjector &faults = FaultInjector::global();
+    if (faults.enabled()) {
+        const std::string id = runIdentity(options_);
+        if (faults.injectLsqCorrupt(id))
+            pipe_->lsq().corruptChecking();
+        hang_ = faults.injectRunHang(id);
+    }
 }
 
 Simulator::~Simulator() = default;
@@ -285,8 +289,7 @@ Simulator::run()
     RunLoopOptions lo;
     lo.stallCycleLimit = options_.stallCycleLimit;
     lo.timeoutMs = options_.timeoutMs;
-    lo.hang = FaultInjector::global().injectRunHang(journalIdentity(
-        options_.benchmark, params_.lsq.policy, options_.configLevel));
+    lo.hang = hang_;
     // An inactive injector draws no random numbers, so leaving it out
     // lets idle cycles skip in bulk without perturbing anything.
     if (agent) {

@@ -62,8 +62,10 @@ struct SimOptions
     // bound execution, they don't change results) ----
 
     /**
-     * Wall-clock budget per run in milliseconds; the run throws
-     * RunError(Timeout) when exceeded. 0 disables the deadline.
+     * Wall-clock budget per run in milliseconds (--timeout); the run
+     * throws RunError(Timeout) when exceeded. A campaign also waits
+     * at most this long on another process's claim of the run before
+     * simulating it itself. 0 disables both.
      */
     double timeoutMs = 0.0;
 
@@ -173,6 +175,8 @@ class Simulator
     std::unique_ptr<SyntheticWorkload> workload_;
     std::unique_ptr<Pipeline> pipe_;
     std::unique_ptr<OrderingOracle> oracle_;
+    /** Injected run-hang chaos (FaultInjector, keyed on runIdentity()). */
+    bool hang_ = false;
 };
 
 /** Convenience wrapper: construct, run, return. */

@@ -404,7 +404,8 @@ TEST_F(CacheStoreTest, DeferredRunSimulatesPastItsTimeout)
         pause();
         _exit(0);
     }
-    const SimOptions opt = tinyRun();
+    SimOptions opt = tinyRun();
+    opt.timeoutMs = 300; // not part of the cache key
     CacheStore store(storeConfig(dir_));
     const std::string held = claimText(holder, thisHost());
     plantClaim(store, cacheKey(opt), held);
@@ -412,7 +413,6 @@ TEST_F(CacheStoreTest, DeferredRunSimulatesPastItsTimeout)
     CampaignConfig cfg;
     cfg.jobs = 1;
     cfg.cacheDir = dir_;
-    cfg.timeoutMs = 300;
     CampaignRunner runner(cfg);
     const auto t0 = std::chrono::steady_clock::now();
     const CampaignResult cr = runner.runChecked({opt});

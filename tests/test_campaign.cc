@@ -30,16 +30,8 @@ namespace dmdc
 namespace
 {
 
-// Keep these tests hermetic: never serve suite runs from a cache
-// left in the working directory by an earlier build.
-const bool disableCache = [] {
-    CampaignConfig cfg;
-    cfg.useCache = false;
-    CampaignRunner::configureGlobal(cfg);
-    return true;
-}();
-
-/** @p base once per name, run as one checked campaign. */
+/** @p base once per name, run as one checked campaign. Uncached, so
+ *  a cache left in the working directory never serves a run. */
 std::vector<SimResult>
 runEach(SimOptions base, const std::vector<std::string> &names)
 {
@@ -48,7 +40,9 @@ runEach(SimOptions base, const std::vector<std::string> &names)
         base.benchmark = name;
         runs.push_back(base);
     }
-    return runCampaignChecked(runs).results;
+    CampaignConfig cfg;
+    cfg.useCache = false;
+    return CampaignRunner(cfg).runChecked(runs).results;
 }
 
 TEST(Campaign, CheckedCampaignProducesOneResultPerBenchmark)

@@ -385,10 +385,9 @@ TEST_F(CampaignParallel, CacheKeyCoversKnobs)
 
 TEST_F(CampaignParallel, CheckedCampaignOrderingMatchesNames)
 {
-    // runCampaignChecked() goes through the global runner; make sure
-    // its configuration hooks work and ordering follows the run list.
-    CampaignConfig cfg = config(0, false);
-    CampaignRunner::configureGlobal(cfg);
+    // A runner built from a config (as every harness builds one)
+    // returns results in run-list order.
+    CampaignRunner runner(config(0, false));
 
     const std::vector<std::string> names{"swim", "gzip", "art"};
     std::vector<SimOptions> runs(names.size());
@@ -397,13 +396,10 @@ TEST_F(CampaignParallel, CheckedCampaignOrderingMatchesNames)
         runs[i].runInsts = 12000;
         runs[i].benchmark = names[i];
     }
-    const auto results = runCampaignChecked(runs).results;
+    const auto results = runner.runChecked(runs).results;
     ASSERT_EQ(results.size(), names.size());
     for (std::size_t i = 0; i < names.size(); ++i)
         EXPECT_EQ(results[i].benchmark, names[i]);
-
-    // Restore defaults for any test running after us in-process.
-    CampaignRunner::configureGlobal(CampaignConfig{});
 }
 
 } // namespace

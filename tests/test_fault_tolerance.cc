@@ -301,6 +301,26 @@ TEST_F(FaultTolerance, BadRunDegradesGoodCampaign)
     EXPECT_EQ(cr.outcomes[1].attempts, 1u);
 }
 
+TEST_F(FaultTolerance, RunCheckedNamesADegradedSlot)
+{
+    // The runner alone names a failed slot, so any caller can label
+    // its row and keep it out of aggregates.
+    CampaignConfig cfg = cachedConfig();
+    cfg.useCache = false;
+    CampaignRunner runner(cfg);
+    SimOptions opt = quickOptions("swim", "dmdc-global");
+    opt.configLevel = 9;
+    const CampaignResult cr = runner.runChecked({opt});
+    ASSERT_EQ(cr.outcomes[0].status, RunStatus::Failed);
+    const SimResult &r = cr.results[0];
+    EXPECT_FALSE(r.valid);
+    EXPECT_EQ(r.benchmark, "swim");
+    EXPECT_EQ(r.scheme, "dmdc-global");
+    EXPECT_EQ(r.configLevel, 9u);
+    EXPECT_TRUE(r.fp);
+    EXPECT_EQ(r.instructions, 0u);
+}
+
 TEST_F(FaultTolerance, TransientFailuresRetryPredictably)
 {
     FaultSpec spec;
@@ -398,6 +418,51 @@ TEST_F(FaultTolerance, HangSurfacesAsTimedOutOutcome)
     EXPECT_EQ(cr.outcomes[0].status, RunStatus::TimedOut);
     EXPECT_EQ(cr.outcomes[0].category, RunErrorCategory::Timeout);
     EXPECT_EQ(runner.lastStats().timedOut, 1u);
+}
+
+TEST_F(FaultTolerance, RunHangSplitsASweepOfOneTriple)
+{
+    // The run-hang site keys on the whole run identity, so runs that
+    // share (benchmark, scheme, config) and differ only in their
+    // invalidation rate get independent decisions.
+    std::vector<SimOptions> runs;
+    for (double rate : {0.0, 1.0, 5.0, 10.0, 20.0, 50.0}) {
+        SimOptions opt = quickOptions("gzip", "dmdc-global");
+        opt.coherence = true;
+        opt.invalidationsPer1kCycles = rate;
+        opt.stallCycleLimit = 2000; // keep the spin cheap
+        runs.push_back(opt);
+    }
+    FaultSpec spec;
+    spec.runHangP = 0.5;
+    std::vector<bool> hangs;
+    std::size_t n_hang = 0;
+    for (spec.seed = 0;; ++spec.seed) {
+        FaultInjector::global().configure(spec);
+        hangs.clear();
+        n_hang = 0;
+        for (const SimOptions &opt : runs) {
+            hangs.push_back(
+                FaultInjector::global().injectRunHang(runIdentity(opt)));
+            n_hang += hangs.back();
+        }
+        if (n_hang != 0 && n_hang != runs.size())
+            break;
+        ASSERT_LT(spec.seed, 64u) << "no seed splits the sweep";
+    }
+
+    CampaignConfig cfg = cachedConfig();
+    cfg.useCache = false;
+    cfg.maxRetries = 0;
+    CampaignRunner runner(cfg);
+    const CampaignResult cr = runner.runChecked(runs);
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+        EXPECT_EQ(cr.outcomes[i].status,
+                  hangs[i] ? RunStatus::TimedOut : RunStatus::Ok)
+            << "rate " << runs[i].invalidationsPer1kCycles;
+    }
+    EXPECT_EQ(runner.lastStats().timedOut, n_hang);
+    FaultInjector::global().configure({});
 }
 
 TEST_F(FaultTolerance, WallClockDeadlineFires)

@@ -9,8 +9,9 @@
  * Campaigns started together on one cache simulate each run once
  * between them (the run cache's per-key claims). A bad command line
  * exits kExitUsage before anything simulates, in single-run and
- * campaign mode alike. A bench harness's --fail-fast covers its
- * whole run grid.
+ * campaign mode alike. --timeout reaches dmdc_sim's in-process
+ * --stats run. A bench harness's --fail-fast covers its whole run
+ * grid, and its --check and --timeout reach every run of the grid.
  *
  * Journal rows keep their run identity, so bench_compare compares
  * every run of a sweep and names a result field that moved.
@@ -118,7 +119,61 @@ TEST(BadCommandLine, ExitsUsageInEveryMode)
     }
 }
 
+TEST(DmdcSimStats, HonoursTimeout)
+{
+    // --stats simulates in-process, outside the campaign runner; the
+    // run template still carries --timeout into it.
+    const fs::path err = fs::temp_directory_path() /
+        ("dmdc_stats_timeout_" + std::to_string(::getpid()) + ".txt");
+    EXPECT_EQ(shell(std::string(DMDC_SIM_BIN) +
+                    " --bench=gzip --insts=3000000 --warmup=1000"
+                    " --timeout=1 --no-cache --stats > /dev/null 2> " +
+                    err.string()),
+              kExitFailure);
+    const std::string text = slurp(err);
+    fs::remove(err);
+    EXPECT_NE(text.find("timeout"), std::string::npos) << text;
+}
+
 // ---- bench harnesses -------------------------------------------------
+
+/** The "results" rows of the journal at @p path (removed after). */
+std::vector<JsonValue>
+journalRows(const fs::path &path)
+{
+    JsonValue doc;
+    std::string err;
+    EXPECT_TRUE(parseJson(slurp(path), doc, err)) << err;
+    fs::remove(path);
+    const JsonValue *results = doc.find("results");
+    return results ? results->items : std::vector<JsonValue>{};
+}
+
+TEST(BenchHarness, RunFlagsReachEveryRun)
+{
+    // --check and --timeout are part of the run template every grid
+    // run starts from.
+    const fs::path journal = fs::temp_directory_path() /
+        ("dmdc_runflags_" + std::to_string(::getpid()) + ".json");
+    const std::string cmd = std::string(BENCH_BIN) +
+        " --quick --bench=gzip --no-cache --json=" + journal.string();
+    EXPECT_EQ(shell(cmd + " --check=oracle > /dev/null 2>&1"), kExitOk);
+    std::vector<JsonValue> rows = journalRows(journal);
+    EXPECT_EQ(rows.size(), 6u);
+    for (const JsonValue &r : rows) {
+        const JsonValue *check = r.find("check");
+        ASSERT_NE(check, nullptr);
+        EXPECT_EQ(check->text, "oracle");
+    }
+
+    EXPECT_EQ(shell(cmd + " --timeout=1 --max-retries=0 --insts=3000000"
+                          " > /dev/null 2>&1"),
+              kExitDegraded);
+    rows = journalRows(journal);
+    EXPECT_EQ(rows.size(), 6u);
+    for (const JsonValue &r : rows)
+        EXPECT_EQ(r.find("status")->text, "timed-out");
+}
 
 TEST(BenchHarness, FailFastCoversTheWholeGrid)
 {

@@ -185,8 +185,7 @@ int
 runCampaign(const std::vector<SimOptions> &runs,
             const CampaignConfig &cfg)
 {
-    const CampaignResult cr =
-        CampaignRunner::global().runChecked(runs);
+    const CampaignResult cr = CampaignRunner(cfg).runChecked(runs);
 
     std::printf("%-12s %-14s %3s  %-12s %8s %8s\n", "benchmark",
                 "scheme", "cfg", "status", "ipc", "attempts");
@@ -239,7 +238,10 @@ runCampaign(const std::vector<SimOptions> &runs,
 int
 main(int argc, char **argv)
 {
-    SimOptions opt;
+    // Every run is a copy of the campaign flags' run template, so
+    // --timeout/--check/--agent reach the --stats path as well.
+    CampaignCliOptions campaign;
+    SimOptions &opt = campaign.run;
     opt.warmupInsts = 50000;
     opt.runInsts = 500000;
     bool dump_stats = false;
@@ -247,7 +249,6 @@ main(int argc, char **argv)
     std::vector<std::string> benches{"gzip"};
     std::vector<std::string> schemes;
     std::vector<std::string> config_names{"2"};
-    CampaignCliOptions campaign;
 
     CliParser cli(argv[0],
                   "Single simulations and fault-tolerant campaigns. "
@@ -315,15 +316,6 @@ main(int argc, char **argv)
     if (!campaign.finalize(err))
         cli.failUsage(err);
     campaign.apply();
-    const CampaignConfig &campaign_cfg = campaign.config;
-
-    // The campaign runner materializes --check/--agent into each run;
-    // the in-process --stats path bypasses it, so apply the same
-    // override to the template every run is copied from.
-    if (opt.check == CheckMode::Off)
-        opt.check = campaign_cfg.checkMode;
-    if (opt.coherenceAgent.empty())
-        opt.coherenceAgent = campaign_cfg.coherenceAgent;
     if (schemes.empty())
         schemes.push_back(opt.scheme);
     std::vector<SimOptions> runs;
@@ -361,7 +353,7 @@ main(int argc, char **argv)
         // it, flush the journal, exit kExitInterrupted;
         // signal again to die immediately.
         installWorkerSignalHandlers();
-        return runCampaign(runs, campaign_cfg);
+        return runCampaign(runs, campaign.config);
     }
 
     opt = runs.front();
@@ -375,7 +367,8 @@ main(int argc, char **argv)
         sim = std::make_unique<Simulator>(opt);
         r = sim->run();
     } else {
-        CampaignResult cr = CampaignRunner::global().runChecked({opt});
+        CampaignResult cr =
+            CampaignRunner(campaign.config).runChecked({opt});
         const RunOutcome &oc = cr.outcomes.front();
         if (!oc.ok()) {
             std::fprintf(stderr, "dmdc_sim: run %s (%s error): %s\n",
