@@ -1,6 +1,5 @@
 #include "common/json.hh"
 
-#include <cctype>
 #include <cstdio>
 #include <cstring>
 
@@ -37,11 +36,18 @@ class JsonParser
         return false;
     }
 
+    /** The bytes std::isspace() accepts in the C locale. */
+    static bool
+    isWs(char c)
+    {
+        return c == ' ' || c == '\n' || c == '\t' || c == '\r' ||
+               c == '\v' || c == '\f';
+    }
+
     void
     skipWs()
     {
-        while (pos_ < text_.size() &&
-               std::isspace(static_cast<unsigned char>(text_[pos_])))
+        while (pos_ < text_.size() && isWs(text_[pos_]))
             ++pos_;
     }
 
@@ -94,19 +100,17 @@ class JsonParser
         }
         while (true) {
             skipWs();
-            std::string key;
             if (pos_ >= text_.size() || text_[pos_] != '"')
                 return fail("expected object key");
-            if (!string(key))
+            auto &field = out.fields.emplace_back();
+            if (!string(field.first))
                 return false;
             skipWs();
             if (pos_ >= text_.size() || text_[pos_] != ':')
                 return fail("expected ':' after object key");
             ++pos_;
-            JsonValue v;
-            if (!value(v))
+            if (!value(field.second))
                 return false;
-            out.fields.emplace_back(std::move(key), std::move(v));
             skipWs();
             if (pos_ >= text_.size())
                 return fail("unterminated object");
@@ -133,10 +137,8 @@ class JsonParser
             return true;
         }
         while (true) {
-            JsonValue v;
-            if (!value(v))
+            if (!value(out.items.emplace_back()))
                 return false;
-            out.items.push_back(std::move(v));
             skipWs();
             if (pos_ >= text_.size())
                 return fail("unterminated array");
@@ -158,13 +160,15 @@ class JsonParser
         ++pos_; // '"'
         out.clear();
         while (pos_ < text_.size()) {
-            const char c = text_[pos_++];
-            if (c == '"')
+            const std::size_t run = pos_;
+            while (pos_ < text_.size() && text_[pos_] != '"' &&
+                   text_[pos_] != '\\')
+                ++pos_;
+            out.append(text_, run, pos_ - run);
+            if (pos_ >= text_.size())
+                break;
+            if (text_[pos_++] == '"')
                 return true;
-            if (c != '\\') {
-                out.push_back(c);
-                continue;
-            }
             if (pos_ >= text_.size())
                 return fail("unterminated string escape");
             const char esc = text_[pos_++];
@@ -228,16 +232,17 @@ class JsonParser
             text_.compare(word, 3, "inf") == 0) {
             pos_ = word + 3;
             out.kind = JsonValue::Kind::Number;
-            out.text = text_.substr(start, pos_ - start);
+            out.text.assign(text_, start, pos_ - start);
             return true;
         }
-        if (pos_ < text_.size() &&
-            (text_[pos_] == '-' || text_[pos_] == '+'))
-            ++pos_;
+        pos_ = word;
+        // JSON allows only '-' before a number; no writer emits '+'.
+        if (pos_ < text_.size() && text_[pos_] == '+')
+            return fail("a number may not start with '+'");
         bool digits = false;
         while (pos_ < text_.size()) {
             const char c = text_[pos_];
-            if (std::isdigit(static_cast<unsigned char>(c))) {
+            if (c >= '0' && c <= '9') {
                 digits = true;
                 ++pos_;
             } else if (c == '.' || c == 'e' || c == 'E' || c == '+' ||
@@ -250,7 +255,7 @@ class JsonParser
         if (!digits)
             return fail("expected a JSON value");
         out.kind = JsonValue::Kind::Number;
-        out.text = text_.substr(start, pos_ - start);
+        out.text.assign(text_, start, pos_ - start);
         return true;
     }
 

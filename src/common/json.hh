@@ -9,9 +9,9 @@
  *
  *  - numbers keep their raw source token, so a parsed document can be
  *    re-serialized byte-identically;
- *  - parsing is strict (no trailing content, no unknown escapes), so
- *    a torn or hand-mangled document fails loudly instead of yielding
- *    a half-read record.
+ *  - parsing is strict (no trailing content, no unknown escapes, no
+ *    leading '+' on a number), so a torn or hand-mangled document
+ *    fails loudly instead of yielding a half-read record.
  *
  * Non-finite numbers: doubleToken() spells them the way "%.17g" does,
  * so the parser accepts exactly the four tokens `nan`, `-nan`, `inf`

@@ -7,8 +7,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <vector>
 
 #include <fcntl.h>
@@ -66,13 +64,41 @@ ownClaimText()
     return std::to_string(::getpid()) + ' ' + hostName() + '\n';
 }
 
-std::string
-slurp(const std::string &path)
+/**
+ * Read all of @p path into @p out with one open, fstat and read (a
+ * short read is continued). False when the file cannot be opened or
+ * read; @p out is then empty. Entries are replaced by rename, never
+ * rewritten in place, so fstat's size is the whole entry. A claim
+ * read before its holder wrote it reads empty, which claim() allows
+ * for.
+ */
+bool
+readSmallFile(const std::string &path, std::string &out)
 {
-    std::ifstream is(path, std::ios::binary);
-    std::stringstream buf;
-    buf << is.rdbuf();
-    return buf.str();
+    out.clear();
+    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0)
+        return false;
+    struct ::stat st{};
+    bool ok = ::fstat(fd, &st) == 0;
+    if (ok) {
+        out.resize(static_cast<std::size_t>(st.st_size));
+        std::size_t got = 0;
+        while (got < out.size()) {
+            const ssize_t rc =
+                ::read(fd, out.data() + got, out.size() - got);
+            if (rc < 0 && errno == EINTR)
+                continue;
+            if (rc <= 0) {
+                ok = rc == 0;
+                break;
+            }
+            got += static_cast<std::size_t>(rc);
+        }
+        out.resize(ok ? got : 0);
+    }
+    ::close(fd);
+    return ok;
 }
 
 /** One regular file found by oldestFirst(). */
@@ -158,7 +184,8 @@ CacheStore::claim(const std::string &key)
         if (errno != EEXIST)
             return Claim::Unclaimed; // e.g. a read-only cache dir
 
-        const std::string held = slurp(path);
+        std::string held;
+        readSmallFile(path, held);
         if (held.empty()) {
             // Released since our create, or created but not yet
             // written: a writer gets a second, then counts as dead.
@@ -189,7 +216,9 @@ CacheStore::claim(const std::string &key)
             path + "." + std::to_string(::getpid()) + ".stale";
         if (::rename(path.c_str(), aside.c_str()) != 0)
             continue;
-        if (slurp(aside) != held)
+        std::string now;
+        readSmallFile(aside, now);
+        if (now != held)
             (void)::link(aside.c_str(), path.c_str());
         ::unlink(aside.c_str());
     }
@@ -200,7 +229,9 @@ void
 CacheStore::releaseClaim(const std::string &key)
 {
     const std::string path = claimPath(key);
-    if (slurp(path) == ownClaimText())
+    std::string held;
+    readSmallFile(path, held);
+    if (held == ownClaimText())
         ::unlink(path.c_str());
 }
 
@@ -209,14 +240,11 @@ CacheStore::load(const std::string &key, std::string &payload)
 {
     std::lock_guard<std::mutex> guard(mutex_);
     const std::string path = entryPath(key);
-    std::ifstream is(path, std::ios::binary);
-    if (!is) {
+    std::string text;
+    if (!readSmallFile(path, text)) {
         ++stats_.misses;
         return Load::Miss;
     }
-    std::stringstream buf;
-    buf << is.rdbuf();
-    const std::string text = buf.str();
 
     // v3 layout: a one-line CRC header followed by the JSON payload.
     //   {"dmdc_cache":3,"crc":"xxxxxxxx","len":N}\n{...payload...}\n
@@ -229,11 +257,12 @@ CacheStore::load(const std::string &key, std::string &payload)
         quarantinePath(path, "has no header line");
         return Load::Corrupt;
     }
-    const std::string headerLine = text.substr(0, nl);
+    // sscanf stops at the end of its format, so it reads the header in
+    // place; a damaged CRC field fails the checksum below.
     unsigned version = 0;
     char crcBuf[16] = {0};
     unsigned long long expectedLen = 0;
-    if (std::sscanf(headerLine.c_str(),
+    if (std::sscanf(text.c_str(),
                     "{\"dmdc_cache\":%u,\"crc\":\"%8[^\"]\","
                     "\"len\":%llu}",
                     &version, crcBuf, &expectedLen) != 3) {
@@ -244,24 +273,24 @@ CacheStore::load(const std::string &key, std::string &payload)
         quarantinePath(path, "has a mismatched format version");
         return Load::Corrupt;
     }
-    std::string body = text.substr(nl + 1);
-    if (body.size() != expectedLen) {
+    if (text.size() - (nl + 1) != expectedLen) {
         quarantinePath(path, "is truncated");
         return Load::Corrupt;
     }
     const std::uint32_t expectedCrc = static_cast<std::uint32_t>(
         std::strtoul(crcBuf, nullptr, 16));
-    if (crc32(body.data(), body.size()) != expectedCrc) {
+    if (crc32(text.data() + nl + 1, expectedLen) != expectedCrc) {
         quarantinePath(path, "fails its checksum");
         return Load::Corrupt;
     }
-    payload = std::move(body);
+    text.erase(0, nl + 1); // in place: no second buffer
+    payload = std::move(text);
     ++stats_.hits;
     return Load::Hit;
 }
 
 void
-CacheStore::store(const std::string &key, const std::string &payloadIn)
+CacheStore::store(const std::string &key, const std::string &payload)
 {
     std::lock_guard<std::mutex> guard(mutex_);
     std::error_code ec;
@@ -272,24 +301,24 @@ CacheStore::store(const std::string &key, const std::string &payloadIn)
         return;
     }
 
-    std::string payload = payloadIn;
     char header[64];
-    std::snprintf(header, sizeof(header),
-                  "{\"dmdc_cache\":%u,\"crc\":\"%08x\",\"len\":%llu}\n",
-                  kCacheFormatVersion,
-                  crc32(payload.data(), payload.size()),
-                  static_cast<unsigned long long>(payload.size()));
-
+    const int headerLen = std::snprintf(
+        header, sizeof(header),
+        "{\"dmdc_cache\":%u,\"crc\":\"%08x\",\"len\":%llu}\n",
+        kCacheFormatVersion, crc32(payload.data(), payload.size()),
+        static_cast<unsigned long long>(payload.size()));
     // Deterministic chaos: emit a truncated payload under the intact
     // header, exactly what a torn write or disk fault produces. The
     // next reader must quarantine and recompute.
-    if (FaultInjector::global().injectCacheCorrupt(key))
-        payload.resize(payload.size() / 2);
+    const std::size_t kept = FaultInjector::global().injectCacheCorrupt(key)
+        ? payload.size() / 2 : payload.size();
+    std::string text(header, static_cast<std::size_t>(headerLen));
+    text.append(payload, 0, kept);
 
     const std::string path = entryPath(key);
     // Concurrent processes share the cache directory and must never
     // observe a torn file.
-    if (!writeFileAtomic(path, header + payload)) {
+    if (!writeFileAtomic(path, text)) {
         warn("cannot write cache file '%s'", path.c_str());
         return;
     }

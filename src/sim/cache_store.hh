@@ -8,7 +8,10 @@
  * it without coordinating.
  *
  *  - load() always opens the entry file and verifies its CRC frame;
- *    nothing it returns rests on another process's bookkeeping;
+ *    nothing it returns rests on another process's bookkeeping. It
+ *    reads the file with one open/fstat/read into one buffer, parses
+ *    the header line and CRCs the body in that buffer, and hands the
+ *    body over without a second copy;
  *  - store() and load() never list the directory, and nothing is
  *    ever evicted: an entry is ~1.3 KB, so a whole reproduction is
  *    ~1 MB per source revision. Delete the directory to reclaim it.

@@ -229,22 +229,25 @@ policySourceFingerprint()
 std::string
 runIdentity(const SimOptions &opt)
 {
-    std::ostringstream os;
-    os << "bench=" << opt.benchmark
-       << "|config=" << opt.configLevel
-       << "|scheme=" << opt.scheme
-       << "|warmup=" << opt.warmupInsts
-       << "|insts=" << opt.runInsts
-       << "|inv=" << doubleToken(opt.invalidationsPer1kCycles)
-       << "|coherence=" << opt.coherence
-       << "|safe_loads=" << opt.safeLoads
-       << "|sq_filter=" << opt.sqFilter
-       << "|yla_qw=" << opt.numYlaQw
-       << "|table=" << opt.tableEntriesOverride
-       << "|queue=" << opt.queueEntries;
+    // Bools spell 0/1, as an ostream would.
+    auto flag = [](bool b) { return b ? "1" : "0"; };
+    std::string id;
+    id.reserve(160);
+    id.append("bench=").append(opt.benchmark);
+    id.append("|config=").append(std::to_string(opt.configLevel));
+    id.append("|scheme=").append(opt.scheme);
+    id.append("|warmup=").append(std::to_string(opt.warmupInsts));
+    id.append("|insts=").append(std::to_string(opt.runInsts));
+    id.append("|inv=").append(doubleToken(opt.invalidationsPer1kCycles));
+    id.append("|coherence=").append(flag(opt.coherence));
+    id.append("|safe_loads=").append(flag(opt.safeLoads));
+    id.append("|sq_filter=").append(flag(opt.sqFilter));
+    id.append("|yla_qw=").append(std::to_string(opt.numYlaQw));
+    id.append("|table=").append(std::to_string(opt.tableEntriesOverride));
+    id.append("|queue=").append(std::to_string(opt.queueEntries));
     if (!opt.observers.empty() || opt.tweak)
-        os << "|custom=1";
-    return os.str();
+        id.append("|custom=1");
+    return id;
 }
 
 std::string
@@ -252,8 +255,10 @@ cacheKey(const SimOptions &opt)
 {
     if (!cacheableOptions(opt))
         panic("cacheKey() on options with observers/tweak attached");
-    return "dmdc-cache-v" + std::to_string(kCacheFormatVersion) +
-           "|src=" + sourceFingerprint() + '|' + runIdentity(opt);
+    std::string key = "dmdc-cache-v" + std::to_string(kCacheFormatVersion);
+    key.append("|src=").append(sourceFingerprint()).append("|");
+    key.append(runIdentity(opt));
+    return key;
 }
 
 // ---- run queue order -------------------------------------------------

@@ -7,7 +7,7 @@
 #include "sim/results.hh"
 
 #include <algorithm>
-#include <cstdlib>
+#include <charconv>
 #include <ostream>
 #include <type_traits>
 #include <variant>
@@ -116,7 +116,12 @@ writeValue(std::ostream &os, const T &v)
         os << v;
 }
 
-/** False when @p v has the wrong JSON type or a malformed number. */
+/**
+ * False when @p v has the wrong JSON type or a malformed number. A
+ * number must be one whole from_chars() token: no sign on an unsigned
+ * field, nothing out of range, no trailing bytes. Doubles also take
+ * the four non-finite spellings of doubleToken().
+ */
 template <typename T>
 bool
 readValue(const JsonValue &v, T &out)
@@ -128,14 +133,45 @@ readValue(const JsonValue &v, T &out)
         out = v.boolean;
         return v.kind == JsonValue::Kind::Bool;
     } else {
-        char *end = nullptr;
-        if constexpr (std::is_same_v<T, double>)
-            out = std::strtod(v.text.c_str(), &end);
-        else
-            out = static_cast<T>(std::strtoull(v.text.c_str(), &end, 10));
-        return v.kind == JsonValue::Kind::Number && *end == '\0';
+        const char *last = v.text.data() + v.text.size();
+        const auto [end, ec] = std::from_chars(v.text.data(), last, out);
+        return v.kind == JsonValue::Kind::Number && ec == std::errc() &&
+               end == last;
     }
 }
+
+/**
+ * Looks fields up in one object, expecting them in kResultFields
+ * order (the writer's): each lookup first tries the field after the
+ * previous match, and falls back to a scan from the start. (No writer
+ * repeats a key; of a repeated one, either copy may be found.)
+ */
+class FieldCursor
+{
+  public:
+    explicit FieldCursor(const JsonValue *obj) : obj_(obj) {}
+
+    const JsonValue *
+    find(std::string_view name)
+    {
+        if (!obj_)
+            return nullptr;
+        const auto &fields = obj_->fields;
+        if (next_ < fields.size() && fields[next_].first == name)
+            return &fields[next_++].second;
+        for (std::size_t i = 0; i < fields.size(); ++i) {
+            if (fields[i].first == name) {
+                next_ = i + 1;
+                return &fields[i].second;
+            }
+        }
+        return nullptr;
+    }
+
+  private:
+    const JsonValue *obj_;
+    std::size_t next_ = 0;
+};
 
 } // namespace
 
@@ -164,10 +200,16 @@ readSimResultJson(const JsonValue &obj, SimResult &r)
 {
     if (obj.kind != JsonValue::Kind::Object)
         return false;
-    const JsonValue *energy = obj.find("energy");
+    // "energy" is written last, after every top-level field.
+    FieldCursor top(&obj);
+    FieldCursor energy(nullptr);
+    bool inEnergy = false;
     for (const ResultField &f : kResultFields) {
-        const JsonValue *scope = isEnergyField(f) ? energy : &obj;
-        const JsonValue *v = scope ? scope->find(f.name) : nullptr;
+        if (isEnergyField(f) && !inEnergy) {
+            energy = FieldCursor(top.find("energy"));
+            inEnergy = true;
+        }
+        const JsonValue *v = (inEnergy ? energy : top).find(f.name);
         if (!v || !std::visit(
                 [&](auto m) { return readValue(*v, fieldOf(r, m)); },
                 f.member))

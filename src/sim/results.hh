@@ -114,7 +114,11 @@ void writeSimResultJson(std::ostream &os, const SimResult &r);
 
 /**
  * Decode an object written by writeSimResultJson() into @p r. False
- * when any persisted field is missing or has the wrong JSON type.
+ * when any persisted field is missing, has the wrong JSON type, or
+ * holds a number that is not one whole std::from_chars() token of the
+ * field's type (so a signed token never lands in an unsigned field).
+ * Fields are expected in the writer's order; any other order still
+ * decodes, just with a scan per out-of-place field.
  */
 bool readSimResultJson(const JsonValue &obj, SimResult &r);
 

@@ -1,22 +1,25 @@
 /**
  * @file
  * Tests of the cache storage engine (sim/cache_store.hh): the CRC
- * frame and quarantine, leftover index files of older caches being
- * ignored, and — the part that cannot be faked in-process — two real
- * processes writing the same keys at once must see no torn entry and
- * quarantine nothing. The per-key claim rules (exclusive, dead or own
+ * frame and quarantine, threads of one process storing and loading
+ * at once, leftover index files of older caches being ignored, and —
+ * the part that cannot be faked in-process — two real processes
+ * writing the same keys at once must see no torn entry and quarantine
+ * nothing. The per-key claim rules (exclusive, dead or own
  * pid taken over, other hosts ignored, released by every run, never
  * counted as entries) close the file.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <csignal>
 #include <filesystem>
 #include <fstream>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include <sys/wait.h>
 #include <unistd.h>
@@ -207,6 +210,75 @@ TEST_F(CacheStoreTest, TwoProcessSameKeyWriters)
         EXPECT_EQ(out, payloadOf(k));
     }
     EXPECT_EQ(fresh.stats().quarantined, 0u);
+}
+
+TEST_F(CacheStoreTest, ConcurrentStoresAndLoadsInOneProcess)
+{
+    // One store shared by threads, as by a campaign's workers,
+    // publishing and probing the same and distinct keys at once. No
+    // probe may see a torn entry, and every store must count.
+    CacheStore store(storeConfig(dir_));
+    constexpr int kWriters = 8;
+    constexpr int kLoaders = 4;
+    constexpr int kIters = 10;
+    auto payloadOf = [](const std::string &key) {
+        return "{\"key\":\"" + key + "\",\"data\":\"" +
+               std::string(1400, key.back()) + "\"}\n";
+    };
+    auto keyOf = [](int t) {
+        return t < 0 ? std::string("shared") : "key-" + std::to_string(t);
+    };
+
+    std::atomic<int> writersLeft{kWriters};
+    std::atomic<int> corrupt{0};
+    std::atomic<int> wrong{0};
+    std::atomic<int> loads{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kWriters; ++t) {
+        threads.emplace_back([&, t] {
+            for (int i = 0; i < kIters; ++i) {
+                store.store(keyOf(-1), payloadOf(keyOf(-1)));
+                store.store(keyOf(t), payloadOf(keyOf(t)));
+            }
+            --writersLeft;
+        });
+    }
+    for (int t = 0; t < kLoaders; ++t) {
+        threads.emplace_back([&, t] {
+            std::string out;
+            for (int i = t; writersLeft > 0 || i < 4 * kWriters; ++i) {
+                const std::string key = keyOf(i % (kWriters + 1) - 1);
+                switch (store.load(key, out)) {
+                  case CacheStore::Load::Hit:
+                    if (out != payloadOf(key))
+                        ++wrong;
+                    break;
+                  case CacheStore::Load::Corrupt:
+                    ++corrupt;
+                    break;
+                  case CacheStore::Load::Miss:
+                    break;
+                }
+                ++loads;
+            }
+        });
+    }
+    for (std::thread &th : threads)
+        th.join();
+
+    EXPECT_EQ(corrupt.load(), 0);
+    EXPECT_EQ(wrong.load(), 0);
+    const CacheStoreStats stats = store.stats();
+    EXPECT_EQ(stats.stored, 2u * kWriters * kIters);
+    EXPECT_EQ(stats.quarantined, 0u);
+    EXPECT_EQ(stats.hits + stats.misses,
+              static_cast<std::size_t>(loads.load()));
+    EXPECT_EQ(store.liveEntries(), kWriters + 1u);
+    std::string out;
+    for (int t = -1; t < kWriters; ++t) {
+        EXPECT_EQ(store.load(keyOf(t), out), CacheStore::Load::Hit);
+        EXPECT_EQ(out, payloadOf(keyOf(t)));
+    }
 }
 
 TEST_F(CacheStoreTest, LeftoverIndexFilesAreIgnored)

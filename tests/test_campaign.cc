@@ -197,6 +197,53 @@ TEST(ResultJson, EveryWrittenFieldIsRequired)
     EXPECT_TRUE(readSimResultJson(doc, r));
 }
 
+TEST(ResultJson, DecodesFieldsInAnyOrder)
+{
+    // The decoder expects the writer's order but must not depend on
+    // it: reversed top-level and "energy" fields decode the same.
+    SimOptions opt;
+    opt.benchmark = "gzip";
+    opt.scheme = "dmdc-global";
+    opt.warmupInsts = 2000;
+    opt.runInsts = 15000;
+    const std::string text = resultJson(runSimulation(opt));
+    JsonValue doc;
+    std::string err;
+    ASSERT_TRUE(parseJson(text, doc, err)) << err;
+    std::reverse(doc.fields.begin(), doc.fields.end());
+    ASSERT_EQ(doc.fields.front().first, "energy");
+    std::reverse(doc.fields.front().second.fields.begin(),
+                 doc.fields.front().second.fields.end());
+    SimResult back;
+    ASSERT_TRUE(readSimResultJson(doc, back));
+    EXPECT_EQ(resultJson(back), text);
+}
+
+TEST(ResultJson, RejectsSignedAndJunkCounts)
+{
+    SimResult r;
+    r.cycles = 1234;
+    const std::string text = resultJson(r);
+    const std::string field = "\"cycles\":1234,";
+    const std::size_t at = text.find(field);
+    ASSERT_NE(at, std::string::npos);
+    auto decodes = [](const std::string &doc_text) {
+        JsonValue doc;
+        std::string err;
+        SimResult out;
+        return parseJson(doc_text, doc, err) &&
+               readSimResultJson(doc, out);
+    };
+    ASSERT_TRUE(decodes(text));
+    // A signed token must never wrap into an unsigned count.
+    for (const char *token : {"-5", "+5", "12x"}) {
+        std::string bad = text;
+        bad.replace(at, field.size(),
+                    "\"cycles\":" + std::string(token) + ",");
+        EXPECT_FALSE(decodes(bad)) << token;
+    }
+}
+
 TEST(ResultJson, NonFiniteDoublesRoundTrip)
 {
     SimResult r;

@@ -1,8 +1,8 @@
 /**
  * @file
  * Unit tests for the common infrastructure: bit utilities, RNG,
- * statistics, logging counters, the JSON parser and the durability
- * layer.
+ * statistics, logging counters, the JSON parser, CRC-32 and the
+ * durability layer.
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +19,7 @@
 
 #include "common/atomic_file.hh"
 #include "common/bitutils.hh"
+#include "common/crc32.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "common/random.hh"
@@ -383,6 +384,69 @@ TEST(Json, RejectsNearMissNonFiniteTokens)
     std::string err;
     ASSERT_TRUE(parseJson("null", v, err)) << err;
     EXPECT_EQ(v.kind, JsonValue::Kind::Null);
+}
+
+TEST(Json, RejectsLeadingPlus)
+{
+    // JSON numbers take only a leading '-'; no writer emits '+'.
+    for (const char *text :
+         {"+5", "+0", "-+5", "[+1]", "{\"x\":+5}", "{\"x\":+1.5e3}"}) {
+        JsonValue v;
+        std::string err;
+        EXPECT_FALSE(parseJson(text, v, err)) << text;
+        EXPECT_FALSE(err.empty()) << text;
+    }
+    // An exponent's sign is still a sign.
+    JsonValue v;
+    std::string err;
+    ASSERT_TRUE(parseJson("[-5,1e+5,2E-3]", v, err)) << err;
+    ASSERT_EQ(v.items.size(), 3u);
+    EXPECT_EQ(v.items[1].text, "1e+5");
+}
+
+// ---- CRC-32 ----------------------------------------------------------
+
+/** Bit-at-a-time CRC-32 (reflected 0xEDB88320), the definition. */
+std::uint32_t
+crc32Reference(const unsigned char *p, std::size_t len,
+               std::uint32_t seed)
+{
+    std::uint32_t c = ~seed;
+    for (std::size_t i = 0; i < len; ++i) {
+        c ^= p[i];
+        for (int bit = 0; bit < 8; ++bit)
+            c = (c >> 1) ^ (0xedb88320u & (0u - (c & 1u)));
+    }
+    return ~c;
+}
+
+TEST(Crc32, KnownAnswersAndSlicedEqualsBytewise)
+{
+    EXPECT_EQ(crc32("123456789", 9), 0xcbf43926u);
+    EXPECT_EQ(crc32("", 0), 0u);
+    EXPECT_EQ(crc32(nullptr, 0, 0x12345678u), 0x12345678u);
+
+    // Every length 0-100 at every start offset 0-7 crosses the
+    // 8-byte fold and the bytewise tail at every alignment.
+    unsigned char buf[128];
+    Rng rng(42);
+    for (unsigned char &b : buf)
+        b = static_cast<unsigned char>(rng.next());
+    for (std::size_t offset = 0; offset < 8; ++offset) {
+        for (std::size_t len = 0; len <= 100; ++len) {
+            const unsigned char *p = buf + offset;
+            const std::uint32_t want = crc32Reference(p, len, 0);
+            EXPECT_EQ(crc32(p, len), want)
+                << "offset " << offset << " len " << len;
+            // Chained through seed: any split gives the same value.
+            const std::size_t cut = len / 3;
+            EXPECT_EQ(crc32(p + cut, len - cut, crc32(p, cut)), want)
+                << "offset " << offset << " len " << len;
+            EXPECT_EQ(crc32(p, len, 0xdeadbeefu),
+                      crc32Reference(p, len, 0xdeadbeefu))
+                << "offset " << offset << " len " << len;
+        }
+    }
 }
 
 // ---- durability layer (atomic_file) ----------------------------------
