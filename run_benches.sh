@@ -5,7 +5,8 @@
 # --jobs=N to bound worker threads and --no-cache to force
 # re-simulation. Repeat invocations reuse .dmdc_cache/ and are
 # near-instant. Per-bench machine-readable results are written to
-# bench_json/BENCH_<name>.json.
+# bench_json/BENCH_<name>.json. The simulator's own speed is measured
+# by perfbench/ (python3 perfbench/run.py), not here.
 #
 # Every harness runs even when an earlier one fails; the script then
 # names the failed ones (with their exit status: 2 bad command line,
@@ -33,11 +34,6 @@ for b in fig2_yla_filtering fig3_bloom_filter fig4_dmdc_main \
          table6_invalidations sec3_sq_filtering sec61_yla_energy \
          sec623_checking_queue ablation_table_size related_agetable; do
     run "$b" ./build/bench/$b --json=bench_json/BENCH_$b.json "$@"
-done
-# Plain-double min_time: the "0.05s" suffixed spelling is rejected by
-# older google-benchmark releases, which made this step silently no-op.
-for m in micro_structures micro_kernel; do
-    run "$m" ./build/bench/$m --benchmark_min_time=0.05
 done
 elapsed=$(( $(date +%s) - start ))
 if [ ${#failed[@]} -ne 0 ]; then

@@ -222,38 +222,65 @@ class JsonParser
     }
 
     bool
+    digitAt(std::size_t at) const
+    {
+        return at < text_.size() && text_[at] >= '0' && text_[at] <= '9';
+    }
+
+    /** Advance past a run of digits; false when there is none. */
+    bool
+    digits()
+    {
+        if (!digitAt(pos_))
+            return false;
+        do
+            ++pos_;
+        while (digitAt(pos_));
+        return true;
+    }
+
+    /**
+     * -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, or one of the
+     * four non-finite tokens, in one pass over the bytes.
+     */
+    bool
     number(JsonValue &out)
     {
         const std::size_t start = pos_;
+        if (text_[pos_] == '-')
+            ++pos_;
         // "%.17g" spells non-finite doubles nan, -nan, inf and -inf;
         // accept exactly those four (json.hh).
-        const std::size_t word = text_[pos_] == '-' ? pos_ + 1 : pos_;
-        if (text_.compare(word, 3, "nan") == 0 ||
-            text_.compare(word, 3, "inf") == 0) {
-            pos_ = word + 3;
-            out.kind = JsonValue::Kind::Number;
-            out.text.assign(text_, start, pos_ - start);
-            return true;
-        }
-        pos_ = word;
-        // JSON allows only '-' before a number; no writer emits '+'.
-        if (pos_ < text_.size() && text_[pos_] == '+')
-            return fail("a number may not start with '+'");
-        bool digits = false;
-        while (pos_ < text_.size()) {
-            const char c = text_[pos_];
-            if (c >= '0' && c <= '9') {
-                digits = true;
+        if (text_.compare(pos_, 3, "nan") == 0 ||
+            text_.compare(pos_, 3, "inf") == 0) {
+            pos_ += 3;
+        } else {
+            // JSON allows only '-' before a number; no writer emits
+            // '+'.
+            if (pos_ < text_.size() && text_[pos_] == '+')
+                return fail("a number may not start with '+'");
+            if (!digitAt(pos_))
+                return fail(pos_ == start ? "expected a JSON value"
+                                          : "expected a digit after '-'");
+            if (text_[pos_] == '0')
+                ++pos_; // "0" stands alone: "01" leaves a stray '1'
+            else
+                digits();
+            if (pos_ < text_.size() && text_[pos_] == '.') {
                 ++pos_;
-            } else if (c == '.' || c == 'e' || c == 'E' || c == '+' ||
-                       c == '-') {
+                if (!digits())
+                    return fail("expected a digit after '.'");
+            }
+            if (pos_ < text_.size() &&
+                (text_[pos_] == 'e' || text_[pos_] == 'E')) {
                 ++pos_;
-            } else {
-                break;
+                if (pos_ < text_.size() &&
+                    (text_[pos_] == '+' || text_[pos_] == '-'))
+                    ++pos_;
+                if (!digits())
+                    return fail("expected a digit in the exponent");
             }
         }
-        if (!digits)
-            return fail("expected a JSON value");
         out.kind = JsonValue::Kind::Number;
         out.text.assign(text_, start, pos_ - start);
         return true;

@@ -9,9 +9,11 @@
  *
  *  - numbers keep their raw source token, so a parsed document can be
  *    re-serialized byte-identically;
- *  - parsing is strict (no trailing content, no unknown escapes, no
- *    leading '+' on a number), so a torn or hand-mangled document
- *    fails loudly instead of yielding a half-read record.
+ *  - parsing is strict (no trailing content, no unknown escapes,
+ *    numbers exactly as JSON spells them:
+ *    -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?), so a torn or
+ *    hand-mangled document (`1-2`, `01`, `.5`, `+5`) fails loudly
+ *    instead of yielding a half-read record.
  *
  * Non-finite numbers: doubleToken() spells them the way "%.17g" does,
  * so the parser accepts exactly the four tokens `nan`, `-nan`, `inf`

@@ -8,8 +8,6 @@
 #include <algorithm>
 #include <iomanip>
 
-#include "common/logging.hh"
-
 namespace dmdc
 {
 
@@ -33,45 +31,6 @@ Average::reset()
     sum_ = min_ = max_ = 0.0;
 }
 
-Histogram::Histogram(unsigned num_buckets, double bucket_width)
-    : buckets_(num_buckets, 0), bucketWidth_(bucket_width)
-{
-    if (num_buckets == 0 || bucket_width <= 0.0)
-        panic("Histogram requires positive bucket count and width");
-}
-
-void
-Histogram::sample(double v)
-{
-    ++count_;
-    sum_ += v;
-    if (v < 0.0) {
-        ++buckets_.front();
-        return;
-    }
-    const auto idx = static_cast<std::size_t>(v / bucketWidth_);
-    if (idx >= buckets_.size())
-        ++overflow_;
-    else
-        ++buckets_[idx];
-}
-
-std::uint64_t
-Histogram::bucket(unsigned i) const
-{
-    if (i >= buckets_.size())
-        panic("Histogram bucket %u out of range", i);
-    return buckets_[i];
-}
-
-void
-Histogram::reset()
-{
-    std::fill(buckets_.begin(), buckets_.end(), 0);
-    count_ = overflow_ = 0;
-    sum_ = 0.0;
-}
-
 StatGroup::StatGroup(std::string name) : name_(std::move(name))
 {
 }
@@ -80,21 +39,14 @@ void
 StatGroup::regCounter(const std::string &name, Counter *c,
                       const std::string &desc)
 {
-    entries_[name] = Entry{desc, c, nullptr, nullptr};
+    entries_[name] = Entry{desc, c, nullptr};
 }
 
 void
 StatGroup::regAverage(const std::string &name, Average *a,
                       const std::string &desc)
 {
-    entries_[name] = Entry{desc, nullptr, a, nullptr};
-}
-
-void
-StatGroup::regHistogram(const std::string &name, Histogram *h,
-                        const std::string &desc)
-{
-    entries_[name] = Entry{desc, nullptr, nullptr, h};
+    entries_[name] = Entry{desc, nullptr, a};
 }
 
 void
@@ -111,8 +63,6 @@ StatGroup::resetAll()
             e.counter->reset();
         if (e.average)
             e.average->reset();
-        if (e.histogram)
-            e.histogram->reset();
     }
     for (auto *child : children_)
         child->resetAll();
@@ -133,9 +83,6 @@ StatGroup::dump(std::ostream &os, const std::string &indent) const
                << " min=" << e.average->min()
                << " max=" << e.average->max()
                << " n=" << e.average->count();
-        } else if (e.histogram) {
-            os << "mean=" << e.histogram->mean()
-               << " n=" << e.histogram->count();
         }
         if (!e.desc.empty())
             os << "   # " << e.desc;

@@ -2,7 +2,7 @@
  * @file
  * Lightweight statistics infrastructure.
  *
- * Statistics are plain counters/histograms registered with a StatGroup
+ * Statistics are plain counters/averages registered with a StatGroup
  * so whole subsystems can be dumped or reset uniformly. This mirrors the
  * role of SimpleScalar's stats package at a much smaller scale.
  *
@@ -62,32 +62,6 @@ class Average
     double max_ = 0.0;
 };
 
-/** Fixed-bucket histogram over [0, buckets*bucketWidth), with overflow. */
-class Histogram
-{
-  public:
-    Histogram(unsigned num_buckets = 16, double bucket_width = 1.0);
-
-    void sample(double v);
-
-    std::uint64_t count() const { return count_; }
-    double mean() const { return count_ ? sum_ / count_ : 0.0; }
-    std::uint64_t bucket(unsigned i) const;
-    std::uint64_t overflow() const { return overflow_; }
-    unsigned numBuckets() const
-    {
-        return static_cast<unsigned>(buckets_.size());
-    }
-    void reset();
-
-  private:
-    std::vector<std::uint64_t> buckets_;
-    double bucketWidth_;
-    std::uint64_t count_ = 0;
-    std::uint64_t overflow_ = 0;
-    double sum_ = 0.0;
-};
-
 /**
  * A registry of named statistics. Subsystems register their stats at
  * construction; the simulator dumps/resets them through the group.
@@ -102,8 +76,6 @@ class StatGroup
                     const std::string &desc = "");
     void regAverage(const std::string &name, Average *a,
                     const std::string &desc = "");
-    void regHistogram(const std::string &name, Histogram *h,
-                      const std::string &desc = "");
     void addChild(StatGroup *child);
 
     /** Zero every registered statistic (recursively). */
@@ -123,7 +95,6 @@ class StatGroup
         std::string desc;
         Counter *counter = nullptr;
         Average *average = nullptr;
-        Histogram *histogram = nullptr;
     };
 
     std::string name_;

@@ -61,14 +61,20 @@ namespace dmdc
  */
 constexpr unsigned kCacheFormatVersion = 3;
 
-/** Knobs of one CacheStore (a strict subset of CampaignConfig). */
+/** Knobs of one CacheStore. A CampaignRunner sets only dir and keeps
+ *  the default quarantine caps. */
 struct CacheStoreConfig
 {
     /** Directory holding entries, claims and quarantine/.
      *  Nothing is created until the first claim, store or quarantine. */
     std::string dir = ".dmdc_cache";
 
-    /** Caps on quarantine/ (oldest files age out first; 0 = none). */
+    /**
+     * Caps on quarantine/: corrupt entries are set aside there for
+     * post-mortems, but chaos campaigns would grow it without bound.
+     * Oldest files age out first once either cap is exceeded;
+     * 0 = none.
+     */
     std::size_t quarantineMaxEntries = 32;
     std::uint64_t quarantineMaxBytes = 8ull * 1024 * 1024;
 };

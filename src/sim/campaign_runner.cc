@@ -294,11 +294,8 @@ defaultWorkerCount()
 CampaignRunner::CampaignRunner(CampaignConfig config)
     : config_(std::move(config))
 {
-    CacheStoreConfig sc;
-    sc.dir = config_.cacheDir;
-    sc.quarantineMaxEntries = config_.quarantineMaxEntries;
-    sc.quarantineMaxBytes = config_.quarantineMaxBytes;
-    diskStore_ = std::make_unique<CacheStore>(sc);
+    diskStore_ =
+        std::make_unique<CacheStore>(CacheStoreConfig{config_.cacheDir});
 }
 
 CampaignRunner::CacheLoad

@@ -77,15 +77,6 @@ struct CampaignConfig
     /** Stop launching new runs after the first failure. */
     bool failFast = false;
 
-    /**
-     * Caps on .dmdc_cache/quarantine/: corrupt cache entries are set
-     * aside there for post-mortems, but chaos campaigns would grow it
-     * without bound. Oldest entries are evicted first once either cap
-     * is exceeded. 0 = unlimited.
-     */
-    std::size_t quarantineMaxEntries = 32;
-    std::uint64_t quarantineMaxBytes = 8ull * 1024 * 1024;
-
     /** Campaign journal (--json; see the file comment): runChecked()
      *  writes one row per run here before it returns. Empty = none. */
     std::string journalPath;

@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests of the cache storage engine (sim/cache_store.hh): the CRC
- * frame and quarantine, threads of one process storing and loading
+ * frame and quarantine (its count and byte caps age out the oldest
+ * corpses first), threads of one process storing and loading
  * at once, leftover index files of older caches being ignored, and —
  * the part that cannot be faked in-process — two real processes
  * writing the same keys at once must see no torn entry and quarantine
@@ -131,6 +132,62 @@ TEST_F(CacheStoreTest, DamagedEntryQuarantined)
     EXPECT_TRUE(fs::exists(fs::path(dir_) / "quarantine"));
     // Quarantined means forgotten: the next probe is a clean miss.
     EXPECT_EQ(fresh.load("key-a", out), CacheStore::Load::Miss);
+}
+
+/**
+ * Publish @p key, then overwrite its entry with @p bytes of junk last
+ * written @p age ago, so the next load() quarantines it.
+ */
+void
+ruinEntry(CacheStore &store, const std::string &key, std::size_t bytes,
+          std::chrono::minutes age)
+{
+    store.store(key, "{\"v\":1}");
+    const std::string path = store.entryPath(key);
+    std::ofstream(path, std::ios::trunc) << std::string(bytes, 'x');
+    fs::last_write_time(path, fs::file_time_type::clock::now() - age);
+}
+
+TEST_F(CacheStoreTest, QuarantineCapsAgeOutOldestFirst)
+{
+    using std::chrono::minutes;
+    const std::vector<std::string> keys = {"key-a", "key-b", "key-c"};
+    // key-b is the newest corpse, though key-c is quarantined last.
+    const std::vector<minutes> ages = {minutes(30), minutes(10),
+                                       minutes(20)};
+    std::string out;
+
+    // Count cap: one file survives, the newest.
+    CacheStoreConfig count_cap = storeConfig(dir_ + "/count");
+    count_cap.quarantineMaxEntries = 1;
+    count_cap.quarantineMaxBytes = 0;
+    CacheStore by_count(count_cap);
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+        ruinEntry(by_count, keys[i], 100, ages[i]);
+        EXPECT_EQ(by_count.load(keys[i], out), CacheStore::Load::Corrupt);
+    }
+    const fs::path count_dir = fs::path(dir_) / "count" / "quarantine";
+    EXPECT_EQ(by_count.stats().quarantined, 3u);
+    EXPECT_EQ(by_count.stats().quarantineEvicted, 2u);
+    EXPECT_EQ(countEntries(count_dir.string()), 1u);
+    EXPECT_TRUE(fs::exists(
+        count_dir / fs::path(by_count.entryPath("key-b")).filename()));
+
+    // Byte cap: room for two 100-byte corpses; the oldest ages out.
+    CacheStoreConfig byte_cap = storeConfig(dir_ + "/bytes");
+    byte_cap.quarantineMaxEntries = 0;
+    byte_cap.quarantineMaxBytes = 250;
+    CacheStore by_bytes(byte_cap);
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+        ruinEntry(by_bytes, keys[i], 100, ages[i]);
+        EXPECT_EQ(by_bytes.load(keys[i], out), CacheStore::Load::Corrupt);
+    }
+    const fs::path byte_dir = fs::path(dir_) / "bytes" / "quarantine";
+    EXPECT_EQ(by_bytes.stats().quarantined, 3u);
+    EXPECT_EQ(by_bytes.stats().quarantineEvicted, 1u);
+    EXPECT_EQ(countEntries(byte_dir.string()), 2u);
+    EXPECT_FALSE(fs::exists(
+        byte_dir / fs::path(by_bytes.entryPath("key-a")).filename()));
 }
 
 // ---- real multi-process concurrency ----------------------------------

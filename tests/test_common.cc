@@ -284,21 +284,6 @@ TEST(Stats, AverageTracksMinMaxMean)
     EXPECT_DOUBLE_EQ(a.mean(), 0.0);
 }
 
-TEST(Stats, HistogramBuckets)
-{
-    Histogram h(4, 10.0);
-    h.sample(0.0);
-    h.sample(9.9);
-    h.sample(10.0);
-    h.sample(35.0);
-    h.sample(1000.0);
-    EXPECT_EQ(h.bucket(0), 2u);
-    EXPECT_EQ(h.bucket(1), 1u);
-    EXPECT_EQ(h.bucket(3), 1u);
-    EXPECT_EQ(h.overflow(), 1u);
-    EXPECT_EQ(h.count(), 5u);
-}
-
 TEST(Stats, GroupResetAndDump)
 {
     StatGroup root("root");
@@ -402,6 +387,27 @@ TEST(Json, RejectsLeadingPlus)
     ASSERT_TRUE(parseJson("[-5,1e+5,2E-3]", v, err)) << err;
     ASSERT_EQ(v.items.size(), 3u);
     EXPECT_EQ(v.items[1].text, "1e+5");
+}
+
+TEST(Json, NumbersFollowTheJsonGrammar)
+{
+    for (const char *text :
+         {"1-2", "--1", "1e", ".5", "e5", "01", "1.", "-", "[1-2]",
+          "[01]", "{\"ipc\":1-2}", "1e+", "-.5", "1.5.5", "0x1"}) {
+        JsonValue v;
+        std::string err;
+        EXPECT_FALSE(parseJson(text, v, err)) << text;
+        EXPECT_FALSE(err.empty()) << text;
+    }
+    for (const char *text :
+         {"0", "-0.5e+3", "1E5", "nan", "-nan", "inf", "-inf", "10",
+          "-0", "2.50", "1e-07"}) {
+        JsonValue v;
+        std::string err;
+        ASSERT_TRUE(parseJson(text, v, err)) << text << ": " << err;
+        EXPECT_EQ(v.kind, JsonValue::Kind::Number) << text;
+        EXPECT_EQ(v.text, text);
+    }
 }
 
 // ---- CRC-32 ----------------------------------------------------------

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -618,51 +619,37 @@ TEST_F(FaultTolerance, InjectedCacheCorruptionHealsOnReload)
 
 TEST_F(FaultTolerance, QuarantineCapAgesOutOldestFiles)
 {
-    const std::vector<SimOptions> runs = {
-        quickOptions("gzip", "baseline"),
-        quickOptions("swim", "baseline"),
-        quickOptions("vpr", "baseline"),
-    };
+    // The runner keeps the store's default caps (the tight caps are
+    // test_cache_store's): with quarantine/ already at its file cap,
+    // one more corpse ages the oldest one out, and the campaign counts
+    // it.
+    const SimOptions opt = quickOptions("gzip", "baseline");
     {
         CampaignRunner runner(cachedConfig());
-        ASSERT_TRUE(runner.runChecked(runs).allOk());
+        ASSERT_TRUE(runner.runChecked({opt}).allOk());
     }
-    // Damage every cache entry so the next campaign quarantines all
-    // three.
     const fs::path dir = scratch_ / "cache";
-    for (const auto &de : fs::directory_iterator(dir)) {
-        if (!de.is_regular_file() ||
-            de.path().extension() != ".json")
-            continue;
-        std::ofstream os(de.path(), std::ios::trunc);
-        os << "ruined";
+    const fs::path quarantine = dir / "quarantine";
+    const std::size_t cap = CacheStoreConfig{}.quarantineMaxEntries;
+    ASSERT_GT(cap, 0u);
+    fs::create_directories(quarantine);
+    const auto old = fs::file_time_type::clock::now() -
+        std::chrono::hours(1);
+    for (std::size_t i = 0; i < cap; ++i) {
+        const fs::path corpse =
+            quarantine / ("old" + std::to_string(i) + ".json");
+        std::ofstream(corpse) << "corpse";
+        fs::last_write_time(corpse, old);
     }
+    std::ofstream(soleCacheEntry(dir), std::ios::trunc) << "ruined";
 
-    CampaignConfig cfg = cachedConfig();
-    cfg.quarantineMaxEntries = 1;
-    CampaignRunner runner(cfg);
-    ASSERT_TRUE(runner.runChecked(runs).allOk());
-    EXPECT_EQ(runner.lastStats().quarantined, 3u);
-    // The cap held: only the newest corpse survives, the rest aged
-    // out oldest-first and were counted.
-    EXPECT_LE(countFiles(dir / "quarantine"), 1u);
-    EXPECT_GE(runner.lastStats().quarantineEvicted, 2u);
-
-    // A byte cap of 1 clears even that last file on the next
-    // quarantine event.
-    for (const auto &de : fs::directory_iterator(dir)) {
-        if (!de.is_regular_file() ||
-            de.path().extension() != ".json")
-            continue;
-        std::ofstream os(de.path(), std::ios::trunc);
-        os << "ruined again";
-    }
-    CampaignConfig tight = cachedConfig();
-    tight.quarantineMaxBytes = 1;
-    CampaignRunner again(tight);
-    ASSERT_TRUE(again.runChecked(runs).allOk());
-    EXPECT_EQ(countFiles(dir / "quarantine"), 0u);
-    EXPECT_GE(again.lastStats().quarantineEvicted, 1u);
+    CampaignRunner runner(cachedConfig());
+    ASSERT_TRUE(runner.runChecked({opt}).allOk());
+    EXPECT_EQ(runner.lastStats().quarantined, 1u);
+    EXPECT_EQ(runner.lastStats().quarantineEvicted, 1u);
+    EXPECT_EQ(countFiles(quarantine), cap);
+    // Equal mtimes break ties by name: old0 was the oldest.
+    EXPECT_FALSE(fs::exists(quarantine / "old0.json"));
 }
 
 // ---- journals ------------------------------------------------------------

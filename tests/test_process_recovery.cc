@@ -14,7 +14,8 @@
  * grid, and its --check and --timeout reach every run of the grid.
  *
  * Journal rows keep their run identity, so bench_compare compares
- * every run of a sweep and names a result field that moved.
+ * every run of a sweep and names a result field that moved; a
+ * malformed threshold or number token makes it exit kExitUsage.
  *
  * The integration tests receive the dmdc_sim, fig4_dmdc_main and
  * bench_compare locations from CMake via the DMDC_SIM_BIN, BENCH_BIN
@@ -318,6 +319,37 @@ TEST_F(JournalCompare, NamesAMovedReplayClass)
     EXPECT_NE(out.find("1 compared row(s) differ in result fields"),
               std::string::npos)
         << out;
+}
+
+TEST_F(JournalCompare, MalformedFlagsAndNumbersExitUsage)
+{
+    const fs::path journal = dir_ / "base.json";
+    writeJournal({sweepRun(0.0)}, journal);
+    std::string out;
+    ASSERT_EQ(benchCompare(journal, journal, out), 0) << out;
+
+    // A malformed threshold is a usage error, never a threshold of 0.
+    for (const char *bad : {"--perf-threshold=abc", "--max-ipc-drop=1x",
+                            "--max-wall-increase="}) {
+        EXPECT_EQ(shell(std::string(BENCH_COMPARE_BIN) + " " +
+                        journal.string() + " " + journal.string() + " " +
+                        bad + " > /dev/null 2>&1"),
+                  kExitUsage)
+            << bad;
+    }
+
+    // A number token outside JSON's grammar makes the journal
+    // malformed; it is not read as its leading "1".
+    std::string text = slurp(journal);
+    const std::string field = "\"ipc\":";
+    const std::size_t value = text.find(field);
+    ASSERT_NE(value, std::string::npos);
+    const std::size_t start = value + field.size();
+    text.replace(start, text.find(',', start) - start, "1-2");
+    const fs::path mangled = dir_ / "mangled.json";
+    std::ofstream(mangled) << text;
+    EXPECT_EQ(benchCompare(journal, mangled, out), kExitUsage) << out;
+    EXPECT_NE(out.find("malformed JSON"), std::string::npos) << out;
 }
 
 // ---- end-to-end recovery ---------------------------------------------

@@ -1,6 +1,6 @@
 /**
  * @file
- * Ordering-oracle and litmus-harness tests.
+ * Ordering-oracle and litmus-corpus tests.
  *
  * Three layers:
  *  - unit tests drive the OrderingOracle hooks directly with
@@ -10,7 +10,8 @@
  *  - integration sweeps run the real simulator under --check=oracle
  *    across every registered scheme and randomized invalidation
  *    traffic and assert zero forbidden outcomes (the pipeline is
- *    correct), plus the full litmus corpus;
+ *    correct), plus the litmus corpus, which is a run list like any
+ *    other and runs as one CampaignRunner campaign;
  *  - a mutation test injects the lsq-corrupt fault (silently dropping
  *    detected violations and commit-time replays) and asserts the
  *    oracle always catches the resulting miscompare — proof the
@@ -25,11 +26,11 @@
 #include "common/random.hh"
 #include "core/inst.hh"
 #include "lsq/policy/registry.hh"
+#include "sim/campaign_runner.hh"
 #include "sim/fault_injector.hh"
 #include "sim/run_error.hh"
 #include "sim/simulator.hh"
 #include "verify/coherence_agent.hh"
-#include "verify/litmus.hh"
 #include "verify/ordering_oracle.hh"
 
 namespace dmdc
@@ -407,32 +408,85 @@ TEST(OracleIntegration, CheckedRunMatchesUncheckedTiming)
 // litmus corpus
 // ---------------------------------------------------------------
 
+/** One litmus case: @p agent's scripted coherence traffic on
+ *  @p bench under @p scheme, checked by the ordering oracle. */
+SimOptions
+litmusOptions(const std::string &bench, const std::string &scheme,
+              const std::string &agent, bool coherence = true)
+{
+    SimOptions opt;
+    opt.benchmark = bench;
+    opt.scheme = scheme;
+    opt.coherence = coherence;
+    opt.warmupInsts = 20000;
+    opt.runInsts = 120000;
+    opt.check = CheckMode::Litmus;
+    opt.coherenceAgent = agent;
+    return opt;
+}
+
+/**
+ * The corpus: every registered scheme against the mixed rotation (the
+ * broad no-forbidden-outcome sweep); each pure synchronization idiom
+ * against the coherence-enforcing table and queue variants and the
+ * conventional baseline, on a second benchmark for access-pattern
+ * diversity; and the coherence extension off, where stale commits are
+ * merely counted, never forbidden.
+ */
+std::vector<SimOptions>
+litmusCorpus()
+{
+    std::vector<SimOptions> runs;
+    for (const std::string &scheme :
+         DependencePolicyRegistry::instance().names())
+        runs.push_back(litmusOptions("gzip", scheme, "mixed"));
+    for (const char *family :
+         {"producer-consumer", "lock-handoff", "false-sharing"}) {
+        for (const char *scheme : {"baseline", "dmdc-global",
+                                   "dmdc-queue"})
+            runs.push_back(litmusOptions("mcf", scheme, family));
+    }
+    runs.push_back(litmusOptions("gzip", "dmdc-global", "false-sharing",
+                                 false));
+    return runs;
+}
+
 TEST(LitmusSuite, CorpusHasNoForbiddenOutcomes)
 {
-    const std::vector<LitmusOutcome> outcomes = runLitmusSuite();
-    ASSERT_FALSE(outcomes.empty());
-    for (const LitmusOutcome &o : outcomes) {
-        EXPECT_TRUE(o.passed)
-            << o.name << ": " << o.message;
-        EXPECT_GT(o.deliveries, 0u) << o.name;
-        EXPECT_GT(o.loadsChecked, 0u) << o.name;
-        EXPECT_EQ(o.forbidden, 0u) << o.name;
+    const std::vector<SimOptions> runs = litmusCorpus();
+    CampaignConfig cfg;
+    cfg.useCache = false;
+    CampaignRunner runner(cfg);
+    const CampaignResult cr = runner.runChecked(runs);
+    ASSERT_EQ(cr.results.size(), runs.size());
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+        // A forbidden outcome fails the run as RunError(SimInvariant);
+        // the delivery and load counts rule out a vacuous pass by an
+        // inert agent.
+        const std::string name = runs[i].scheme + "/" +
+            runs[i].coherenceAgent +
+            (runs[i].coherence ? "" : "/no-coherence");
+        const SimResult &r = cr.results[i];
+        EXPECT_TRUE(cr.outcomes[i].ok())
+            << name << ": " << cr.outcomes[i].error;
+        EXPECT_GT(r.agentInvalidations, 0u) << name;
+        EXPECT_GT(r.oracleLoadsChecked, 0u) << name;
+        EXPECT_EQ(r.oracleForbidden, 0u) << name;
     }
 }
 
 TEST(LitmusSuite, ScriptedFamiliesAreDeterministic)
 {
-    LitmusCase c;
-    c.name = "det";
-    c.benchmark = "gzip";
-    c.scheme = "dmdc-global";
-    c.agent = "producer-consumer";
-    const LitmusOutcome a = runLitmusCase(c);
-    const LitmusOutcome b = runLitmusCase(c);
-    EXPECT_TRUE(a.passed) << a.message;
-    EXPECT_EQ(a.deliveries, b.deliveries);
-    EXPECT_EQ(a.staleCommits, b.staleCommits);
-    EXPECT_EQ(a.loadsChecked, b.loadsChecked);
+    const SimOptions opt =
+        litmusOptions("gzip", "dmdc-global", "producer-consumer");
+    SimResult a, b;
+    ASSERT_NO_THROW(a = runSimulation(opt));
+    ASSERT_NO_THROW(b = runSimulation(opt));
+    EXPECT_GT(a.agentInvalidations, 0u);
+    EXPECT_GT(a.oracleLoadsChecked, 0u);
+    EXPECT_EQ(a.agentInvalidations, b.agentInvalidations);
+    EXPECT_EQ(a.oracleStaleCommits, b.oracleStaleCommits);
+    EXPECT_EQ(a.oracleLoadsChecked, b.oracleLoadsChecked);
 }
 
 // ---------------------------------------------------------------

@@ -20,11 +20,11 @@
  * comparable row in common are "incomparable".
  *
  * Exit codes: 0 no regressions, 1 regression found, 2 usage or
- * parse error, 3 incomparable (no overlapping comparable rows).
- * CI runs this as an advisory step (continue-on-error), so a red
- * result annotates the PR without blocking it.
+ * parse error (a malformed flag value or journal included), 3
+ * incomparable (no overlapping comparable rows).
  */
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -35,18 +35,26 @@
 #include <vector>
 
 #include "common/json.hh"
+#include "sim/cli_options.hh"
 
 namespace
 {
 
 using dmdc::JsonValue;
 
-/** Numeric value of @p v; 0 when it is not a JSON number. */
+/**
+ * Numeric value of @p v; 0 when it is not a JSON number, or when
+ * std::from_chars does not consume its whole token.
+ */
 double
 number(const JsonValue &v)
 {
-    return v.kind == JsonValue::Kind::Number
-        ? std::strtod(v.text.c_str(), nullptr) : 0.0;
+    if (v.kind != JsonValue::Kind::Number)
+        return 0.0;
+    const char *end = v.text.data() + v.text.size();
+    double out = 0.0;
+    const auto [ptr, ec] = std::from_chars(v.text.data(), end, out);
+    return ec == std::errc() && ptr == end ? out : 0.0;
 }
 
 // ---- journal model ---------------------------------------------------
@@ -462,17 +470,15 @@ selfTest()
     return failures ? 1 : 0;
 }
 
-void
-usage(const char *argv0)
+} // namespace
+
+int
+main(int argc, char **argv)
 {
-    std::fprintf(
-        stderr,
-        "usage: %s <baseline.json> <current.json>\n"
-        "         [--max-ipc-drop=FRAC]       default 0.02\n"
-        "         [--max-wall-increase=FRAC]  default 0.50\n"
-        "         [--perf-threshold=FRAC]     advisory, off by default\n"
-        "       %s --selftest\n"
-        "\n"
+    CompareOptions opt;
+    std::vector<std::string> paths;
+    dmdc::CliParser cli(
+        "bench_compare",
         "Diffs two bench journals produced by --json=, row by run\n"
         "identity: names every result field that differs and every\n"
         "row present on one side only, and exits 1 when the current\n"
@@ -481,41 +487,23 @@ usage(const char *argv0)
         "--perf-threshold flags drops beyond FRAC in the report\n"
         "without affecting the exit code. Failed rows and rows\n"
         "without a finite IPC are excluded; journals sharing no\n"
-        "comparable row exit 3 (incomparable).\n",
-        argv0, argv0);
-}
-
-} // namespace
-
-int
-main(int argc, char **argv)
-{
-    CompareOptions opt;
-    std::vector<const char *> paths;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--selftest")
-            return selfTest();
-        if (arg.rfind("--max-ipc-drop=", 0) == 0) {
-            opt.maxIpcDrop = std::atof(arg.c_str() + 15);
-        } else if (arg.rfind("--max-wall-increase=", 0) == 0) {
-            opt.maxWallIncrease = std::atof(arg.c_str() + 20);
-        } else if (arg.rfind("--perf-threshold=", 0) == 0) {
-            opt.perfThreshold = std::atof(arg.c_str() + 17);
-        } else if (arg.rfind("--", 0) == 0) {
-            usage(argv[0]);
-            return 2;
-        } else {
-            paths.push_back(argv[i]);
-        }
-    }
-    if (paths.size() != 2) {
-        usage(argv[0]);
-        return 2;
-    }
+        "comparable row exit 3 (incomparable).");
+    cli.value("max-ipc-drop", &opt.maxIpcDrop,
+              "relative IPC drop that fails (default 0.02)");
+    cli.value("max-wall-increase", &opt.maxWallIncrease,
+              "relative wall-clock increase that fails (default 0.50)");
+    cli.value("perf-threshold", &opt.perfThreshold,
+              "advisory relative inst/s drop to flag (default off)");
+    cli.action("selftest", [] { std::exit(selfTest()); },
+               "run the built-in checks and exit");
+    cli.positional(&paths, "<baseline.json> <current.json>");
+    cli.parseOrExit(argc, argv);
+    if (paths.size() != 2)
+        cli.failUsage("expected two journals");
 
     Journal base, cur;
-    if (!loadJournal(paths[0], base) || !loadJournal(paths[1], cur))
+    if (!loadJournal(paths[0].c_str(), base) ||
+        !loadJournal(paths[1].c_str(), cur))
         return 2;
     std::size_t compared = 0;
     std::size_t changed = 0;
