@@ -9,6 +9,14 @@ namespace dmdc
 namespace
 {
 
+/**
+ * Deepest array/object nesting parseJson() accepts. The parser
+ * recurses once per level, so without a bound a hostile document
+ * (`[[[...]]]`) overflows the stack; every document the system writes
+ * nests only a few levels.
+ */
+constexpr unsigned kMaxJsonDepth = 256;
+
 class JsonParser
 {
   public:
@@ -68,10 +76,15 @@ class JsonParser
         if (pos_ >= text_.size())
             return fail("unexpected end of input");
         const char c = text_[pos_];
-        if (c == '{')
-            return object(out);
-        if (c == '[')
-            return array(out);
+        if (c == '{' || c == '[') {
+            if (depth_ == kMaxJsonDepth)
+                return fail("nesting deeper than " +
+                            std::to_string(kMaxJsonDepth) + " levels");
+            ++depth_;
+            const bool ok = c == '{' ? object(out) : array(out);
+            --depth_;
+            return ok;
+        }
         if (c == '"') {
             out.kind = JsonValue::Kind::String;
             return string(out.text);
@@ -162,11 +175,14 @@ class JsonParser
         while (pos_ < text_.size()) {
             const std::size_t run = pos_;
             while (pos_ < text_.size() && text_[pos_] != '"' &&
-                   text_[pos_] != '\\')
+                   text_[pos_] != '\\' &&
+                   static_cast<unsigned char>(text_[pos_]) >= 0x20)
                 ++pos_;
             out.append(text_, run, pos_ - run);
             if (pos_ >= text_.size())
                 break;
+            if (static_cast<unsigned char>(text_[pos_]) < 0x20)
+                return fail("raw control character in string");
             if (text_[pos_++] == '"')
                 return true;
             if (pos_ >= text_.size())
@@ -289,6 +305,7 @@ class JsonParser
     const std::string &text_;
     std::string &err_;
     std::size_t pos_ = 0;
+    unsigned depth_ = 0; ///< arrays/objects open at pos_
 };
 
 } // namespace

@@ -9,11 +9,14 @@
  *
  *  - numbers keep their raw source token, so a parsed document can be
  *    re-serialized byte-identically;
- *  - parsing is strict (no trailing content, no unknown escapes,
- *    numbers exactly as JSON spells them:
+ *  - parsing is strict (no trailing content, no unknown escapes, no
+ *    raw control characters (< 0x20) inside strings, numbers exactly
+ *    as JSON spells them:
  *    -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?), so a torn or
  *    hand-mangled document (`1-2`, `01`, `.5`, `+5`) fails loudly
- *    instead of yielding a half-read record.
+ *    instead of yielding a half-read record;
+ *  - nesting is bounded (256 levels of arrays/objects), so a hostile
+ *    document is a parse error, not a stack overflow.
  *
  * Non-finite numbers: doubleToken() spells them the way "%.17g" does,
  * so the parser accepts exactly the four tokens `nan`, `-nan`, `inf`
@@ -59,7 +62,8 @@ struct JsonValue
 };
 
 /** Parse @p text into @p out. False + @p err on any syntax error
- *  (including trailing content after the document). */
+ *  (including trailing content after the document and nesting past
+ *  the depth bound). */
 bool parseJson(const std::string &text, JsonValue &out,
                std::string &err);
 

@@ -5,8 +5,6 @@
 
 #include "common/logging.hh"
 
-#include <array>
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -16,12 +14,6 @@ namespace dmdc
 
 namespace
 {
-
-// Simulations run concurrently under the campaign engine; counts are
-// atomic and each message is formatted into a private buffer and
-// written with one stdio call so lines never interleave across
-// threads (stdio itself locks per call).
-std::array<std::atomic<std::uint64_t>, 4> messageCounts{};
 
 const char *
 levelPrefix(LogLevel level)
@@ -43,9 +35,10 @@ namespace detail
 void
 logMessage(LogLevel level, const char *fmt, ...)
 {
-    messageCounts[static_cast<unsigned>(level)].fetch_add(
-        1, std::memory_order_relaxed);
-
+    // Simulations run concurrently under the campaign engine: each
+    // message is formatted into a private buffer and written with one
+    // stdio call, so lines never interleave across threads (stdio
+    // itself locks per call).
     char stack_buf[512];
     std::va_list ap;
     va_start(ap, fmt);
@@ -73,12 +66,5 @@ logMessage(LogLevel level, const char *fmt, ...)
 }
 
 } // namespace detail
-
-std::uint64_t
-loggedMessageCount(LogLevel level)
-{
-    return messageCounts[static_cast<unsigned>(level)].load(
-        std::memory_order_relaxed);
-}
 
 } // namespace dmdc

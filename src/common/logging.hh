@@ -11,14 +11,13 @@
  *
  * Thread-safety: each message is formatted into a private buffer and
  * emitted with a single stdio call, so concurrent campaign workers
- * never interleave partial lines; the message counters are atomic.
+ * never interleave partial lines.
  */
 
 #ifndef DMDC_COMMON_LOGGING_HH
 #define DMDC_COMMON_LOGGING_HH
 
 #include <cstdarg>
-#include <cstdint>
 
 namespace dmdc
 {
@@ -66,12 +65,6 @@ inform(const char *fmt, Args... args)
 {
     detail::logMessage(LogLevel::Inform, fmt, args...);
 }
-
-/**
- * Number of Warn/Fatal/Panic messages emitted so far (testing hook;
- * Fatal/Panic normally terminate but tests stub the terminate step).
- */
-std::uint64_t loggedMessageCount(LogLevel level);
 
 } // namespace dmdc
 

@@ -7,7 +7,6 @@
 #include "common/random.hh"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <map>
 #include <mutex>
@@ -38,14 +37,6 @@ Rng::seed(std::uint64_t seed_value)
     std::uint64_t sm = seed_value;
     for (auto &word : s)
         word = splitmix64(sm);
-}
-
-std::int64_t
-Rng::between(std::int64_t lo, std::int64_t hi)
-{
-    assert(lo <= hi);
-    return lo + static_cast<std::int64_t>(
-        range(static_cast<std::uint64_t>(hi - lo) + 1));
 }
 
 namespace

@@ -60,9 +60,6 @@ class Rng
             (static_cast<unsigned __int128>(next()) * bound) >> 64);
     }
 
-    /** Uniform integer in [lo, hi] inclusive. */
-    std::int64_t between(std::int64_t lo, std::int64_t hi);
-
     /** Uniform double in [0, 1): 53 random mantissa bits. */
     double
     uniform()

@@ -92,17 +92,4 @@ StatGroup::dump(std::ostream &os, const std::string &indent) const
         child->dump(os, inner);
 }
 
-const Counter *
-StatGroup::findCounter(const std::string &name) const
-{
-    auto it = entries_.find(name);
-    if (it != entries_.end() && it->second.counter)
-        return it->second.counter;
-    for (const auto *child : children_) {
-        if (const auto *c = child->findCounter(name))
-            return c;
-    }
-    return nullptr;
-}
-
 } // namespace dmdc

@@ -86,9 +86,6 @@ class StatGroup
 
     const std::string &name() const { return name_; }
 
-    /** Look up a registered counter by name; nullptr if absent. */
-    const Counter *findCounter(const std::string &name) const;
-
   private:
     struct Entry
     {

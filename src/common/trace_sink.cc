@@ -301,8 +301,6 @@ class TraceSink
                                        : "overflow";
     }
 
-    std::atomic<std::uint64_t> published{0};
-
   private:
     TraceSink()
     {
@@ -397,10 +395,8 @@ void
 emitRecord(TraceCategory &cat, std::uint16_t name, TraceEventKind kind,
            std::uint64_t tsNs, std::uint64_t arg, bool hasArg)
 {
-    TraceSink &sink = TraceSink::instance();
     currentRing()->write(tsNs, arg,
                          packMeta(cat.id(), name, kind, hasArg));
-    sink.published.fetch_add(1, std::memory_order_relaxed);
 }
 
 /** Microseconds with ns precision ("12.345"). */
@@ -626,13 +622,6 @@ void
 traceReset()
 {
     TraceSink::instance().reset();
-}
-
-std::uint64_t
-traceRecordsPublished()
-{
-    return TraceSink::instance().published.load(
-        std::memory_order_relaxed);
 }
 
 } // namespace dmdc

@@ -196,9 +196,6 @@ void traceFlush();
  */
 void traceReset();
 
-/** Number of records published since process start (test hook). */
-std::uint64_t traceRecordsPublished();
-
 } // namespace dmdc
 
 #endif // DMDC_COMMON_TRACE_SINK_HH

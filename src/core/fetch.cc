@@ -82,7 +82,6 @@ FetchStage::tick(Cycle now, RingBuffer<DynInst *> &out,
         if (op.isBranch()) {
             inst->pred = predictor_.predict(op.pc, op.branch,
                                             op.pc + 4);
-            inst->predictionMade = true;
             taken = inst->pred.taken;
             if (taken)
                 next_pc = inst->pred.target;

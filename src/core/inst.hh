@@ -92,7 +92,6 @@ struct DynInst
 
     // ---- branch state ----
     BranchPrediction pred;
-    bool predictionMade = false;
     bool mispredicted = false;
 
     // ---- memory state ----
@@ -101,13 +100,11 @@ struct DynInst
     bool loadIssued = false;      ///< load has obtained its value
     Cycle memIssueCycle = 0;      ///< when the load accessed memory
     SeqNum forwardedFrom = invalidSeqNum; ///< store that forwarded data
-    bool rejected = false;        ///< load rejected by SQ this attempt
     Cycle retryCycle = 0;         ///< when a rejected load retries
 
     // ---- mechanism state (YLA / DMDC) ----
     bool safeLoad = false;        ///< all older stores resolved at issue
     bool safeStore = false;       ///< YLA filtered the LQ check
-    bool unsafeStoreChecked = false; ///< DMDC classification done
     SeqNum capturedWindowEnd = invalidSeqNum; ///< YLA value at resolve
 
     // ---- ground truth (simulator-only ghost state) ----

@@ -48,10 +48,4 @@ AgeTable::branchRecovery(SeqNum branch_seq)
         entry = std::min(entry, branch_seq);
 }
 
-void
-AgeTable::reset()
-{
-    std::fill(entries_.begin(), entries_.end(), invalidSeqNum);
-}
-
 } // namespace dmdc

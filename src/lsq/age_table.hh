@@ -50,9 +50,6 @@ class AgeTable
      */
     void branchRecovery(SeqNum branch_seq);
 
-    /** Clear the whole table. */
-    void reset();
-
     unsigned numEntries() const
     {
         return static_cast<unsigned>(entries_.size());

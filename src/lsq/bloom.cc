@@ -5,8 +5,6 @@
 
 #include "lsq/bloom.hh"
 
-#include <algorithm>
-
 #include "common/bitutils.hh"
 #include "common/logging.hh"
 
@@ -49,12 +47,6 @@ bool
 CountingBloomFilter::storeFiltered(Addr addr) const
 {
     return counters_[index(addr)] == 0;
-}
-
-void
-CountingBloomFilter::reset()
-{
-    std::fill(counters_.begin(), counters_.end(), 0);
 }
 
 } // namespace dmdc

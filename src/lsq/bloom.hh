@@ -46,9 +46,6 @@ class CountingBloomFilter
         return static_cast<unsigned>(counters_.size());
     }
 
-    /** Clear all counters. */
-    void reset();
-
   private:
     unsigned index(Addr addr) const;
 

@@ -109,15 +109,4 @@ CheckingTable::clear()
     std::fill(occupied_.begin(), occupied_.end(), 0);
 }
 
-unsigned
-CheckingTable::countMarked() const
-{
-    // The occupancy invariant (bit set iff current-epoch and marked)
-    // makes this a popcount instead of a full table walk.
-    unsigned n = 0;
-    for (std::uint64_t word : occupied_)
-        n += static_cast<unsigned>(__builtin_popcountll(word));
-    return n;
-}
-
 } // namespace dmdc

@@ -72,9 +72,6 @@ class CheckingTable
         return static_cast<unsigned>(entries_.size());
     }
 
-    /** Number of entries currently marked (WRT or INV); stats only. */
-    unsigned countMarked() const;
-
   private:
     struct Entry
     {

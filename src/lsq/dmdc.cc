@@ -97,7 +97,6 @@ DmdcEngine::storeResolved(DynInst *store, Cycle now)
     if (params_.coherence && !safe)
         safe = ylaLine_.storeSafe(addr, store->seq);
 
-    store->unsafeStoreChecked = true;
     store->safeStore = safe;
     if (safe) {
         if (!store->wrongPath)

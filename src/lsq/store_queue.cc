@@ -26,39 +26,6 @@ StoreQueue::allocate(DynInst *store)
     if (!entries_.empty() && store->seq <= entries_.back()->seq)
         panic("SQ allocation out of age order");
     entries_.push_back(store);
-    if (!store->sqAddrReady) {
-        ++unresolved_;
-        // Age-ordered allocation: a new unresolved store is only the
-        // oldest when it is the first one.
-        if (unresolved_ == 1)
-            oldestUnresolvedSeq_ = store->seq;
-    }
-}
-
-void
-StoreQueue::setAddress(DynInst *store)
-{
-    if (store->sqAddrReady)
-        return;
-    store->sqAddrReady = true;
-    --unresolved_;
-    if (unresolved_ == 0)
-        oldestUnresolvedSeq_ = invalidSeqNum;
-    else if (store->seq == oldestUnresolvedSeq_)
-        recomputeOldestUnresolved();
-}
-
-void
-StoreQueue::recomputeOldestUnresolved()
-{
-    for (DynInst *store : entries_) {
-        if (!store->sqAddrReady) {
-            oldestUnresolvedSeq_ = store->seq;
-            return;
-        }
-    }
-    panic("SQ unresolved count %u with no unresolved entry",
-          unresolved_);
 }
 
 SqCheckResult
@@ -114,28 +81,13 @@ StoreQueue::releaseHead(DynInst *store)
     if (entries_.empty() || entries_.front() != store)
         panic("SQ release of a non-head store");
     entries_.pop_front();
-    if (!store->sqAddrReady) {
-        --unresolved_;
-        if (unresolved_ == 0)
-            oldestUnresolvedSeq_ = invalidSeqNum;
-        else
-            recomputeOldestUnresolved();
-    }
 }
 
 void
 StoreQueue::squashFrom(SeqNum from_seq)
 {
-    while (!entries_.empty() && entries_.back()->seq >= from_seq) {
-        if (!entries_.back()->sqAddrReady)
-            --unresolved_;
+    while (!entries_.empty() && entries_.back()->seq >= from_seq)
         entries_.pop_back();
-    }
-    // The squash removes a suffix; the oldest unresolved store either
-    // survives untouched or every unresolved store was younger than
-    // from_seq and the count dropped to zero.
-    if (unresolved_ == 0)
-        oldestUnresolvedSeq_ = invalidSeqNum;
 }
 
 } // namespace dmdc

@@ -46,35 +46,17 @@ class StoreQueue
     void allocate(DynInst *store);
 
     /** Record the resolved address (store "resolution"). */
-    void setAddress(DynInst *store);
+    void setAddress(DynInst *store) { store->sqAddrReady = true; }
 
     /**
      * Associative check for a load at @p addr/@p size with age
-     * @p load_seq. Scans older stores youngest-first.
+     * @p load_seq. Scans older stores youngest-first. The scan also
+     * does safe-load detection (Fig. 1b): on NoMatch it has seen
+     * every older store, so sawUnresolvedOlder is false iff all of
+     * them have resolved addresses.
      */
     SqCheckResult checkLoad(SeqNum load_seq, Addr addr,
                             unsigned size) const;
-
-    /**
-     * Safe-load detection (Fig. 1b logic): true iff every store older
-     * than @p load_seq has a resolved address. O(1): the queue tracks
-     * its unresolved-store count and the oldest unresolved age
-     * incrementally.
-     */
-    bool
-    allOlderResolved(SeqNum load_seq) const
-    {
-        return unresolved_ == 0 || oldestUnresolvedSeq_ >= load_seq;
-    }
-
-    /** Number of address-unresolved stores in flight. */
-    unsigned unresolvedCount() const { return unresolved_; }
-
-    /**
-     * Age of the oldest address-unresolved store, or invalidSeqNum
-     * when every in-flight store is resolved.
-     */
-    SeqNum oldestUnresolvedSeq() const { return oldestUnresolvedSeq_; }
 
     /**
      * Age of the oldest in-flight store, or invalidSeqNum when empty.
@@ -90,19 +72,8 @@ class StoreQueue
     void squashFrom(SeqNum from_seq);
 
   private:
-    /** Re-derive oldestUnresolvedSeq_ after the oldest one resolved. */
-    void recomputeOldestUnresolved();
-
     std::deque<DynInst *> entries_;
     unsigned capacity_;
-    /**
-     * Incrementally maintained: how many entries have !sqAddrReady,
-     * and the minimum seq among them. Gives O(1) allOlderResolved()
-     * and lets checkLoad() skip its unresolved bookkeeping when the
-     * queue is fully resolved.
-     */
-    unsigned unresolved_ = 0;
-    SeqNum oldestUnresolvedSeq_ = invalidSeqNum;
 };
 
 } // namespace dmdc

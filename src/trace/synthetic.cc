@@ -153,18 +153,6 @@ SyntheticWorkload::SyntheticWorkload(const WorkloadParams &params)
 
 SyntheticWorkload::~SyntheticWorkload() = default;
 
-Addr
-SyntheticWorkload::codeBase() const
-{
-    return codeBaseAddr;
-}
-
-std::size_t
-SyntheticWorkload::staticSize() const
-{
-    return static_->slots.size();
-}
-
 void
 SyntheticWorkload::buildStaticProgram()
 {

@@ -99,12 +99,6 @@ class SyntheticWorkload : public Workload
     const std::string &name() const override { return params_.name; }
     bool isFpBenchmark() const override { return params_.fp; }
 
-    /** Base PC of the synthesized code region. */
-    Addr codeBase() const;
-
-    /** Number of static micro-op slots (code footprint / 4). */
-    std::size_t staticSize() const;
-
     const WorkloadParams &params() const { return params_; }
 
   private:

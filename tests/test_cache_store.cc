@@ -6,9 +6,10 @@
  * at once, leftover index files of older caches being ignored, and —
  * the part that cannot be faked in-process — two real processes
  * writing the same keys at once must see no torn entry and quarantine
- * nothing. The per-key claim rules (exclusive, dead or own
- * pid taken over, other hosts ignored, released by every run, never
- * counted as entries) close the file.
+ * nothing. A framed entry whose payload nests past the JSON bound is
+ * quarantined and re-simulated. The per-key claim rules (exclusive,
+ * dead or own pid taken over, other hosts ignored, released by every
+ * run, never counted as entries) close the file.
  */
 
 #include <gtest/gtest.h>
@@ -521,6 +522,40 @@ TEST_F(CacheStoreTest, CampaignRunsReleaseTheirClaims)
     EXPECT_EQ(runner.lastStats().simulated, runs.size());
     EXPECT_EQ(countClaims(dir_), 0u);
     EXPECT_EQ(countEntries(dir_), runs.size());
+}
+
+TEST_F(CacheStoreTest, DeepPayloadIsQuarantinedAndResimulated)
+{
+    // A correctly framed entry (valid CRC) whose payload nests far
+    // past the JSON parser's bound: the runner's decode must reject
+    // it as unparsable, not recurse off the end of the stack.
+    CampaignConfig cfg;
+    cfg.jobs = 1;
+    cfg.cacheDir = dir_;
+    const SimOptions opt = tinyRun();
+    SimResult fresh;
+    {
+        CampaignRunner runner(cfg);
+        const CampaignResult cr = runner.runChecked({opt});
+        ASSERT_TRUE(cr.allOk());
+        fresh = cr.results[0];
+    }
+    {
+        CacheStore store(storeConfig(dir_));
+        store.store(cacheKey(opt), "{\"result\":" +
+                                       std::string(100000, '[') +
+                                       std::string(100000, ']') + "}");
+    }
+
+    CampaignRunner runner(cfg);
+    const CampaignResult cr = runner.runChecked({opt});
+    ASSERT_TRUE(cr.allOk());
+    EXPECT_EQ(runner.lastStats().quarantined, 1u);
+    EXPECT_EQ(runner.lastStats().simulated, 1u);
+    EXPECT_EQ(cr.results[0].cycles, fresh.cycles);
+    EXPECT_EQ(cr.results[0].instructions, fresh.instructions);
+    EXPECT_EQ(countEntries(dir_), 1u);
+    EXPECT_TRUE(fs::exists(fs::path(dir_) / "quarantine"));
 }
 
 TEST_F(CacheStoreTest, DeferredRunSimulatesPastItsTimeout)

@@ -48,8 +48,13 @@ TEST(AgeTableUnit, BranchRecoveryClamps)
     t.loadIssued(0x1000, 200);
     t.branchRecovery(120);
     EXPECT_EQ(t.lookup(0x1000), 120u);
-    t.reset();
-    EXPECT_EQ(t.lookup(0x1000), invalidSeqNum);
+    // Recovery only clamps: an entry older than the branch keeps its
+    // age, and an empty one stays empty.
+    t.loadIssued(0x2000, 80);
+    t.branchRecovery(100);
+    EXPECT_EQ(t.lookup(0x2000), 80u);
+    EXPECT_EQ(t.lookup(0x1000), 100u);
+    EXPECT_EQ(t.lookup(0x3000), invalidSeqNum);
 }
 
 TEST(AgeTableScheme, RunsCleanAndDetectsViolations)

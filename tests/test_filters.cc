@@ -190,10 +190,16 @@ TEST(CheckingTable, ClearResetsAllEntries)
     CheckingTable t(256);
     t.markStore(0x1000, 8, ghost(1, 0x1000, 8));
     t.markStore(0x2000, 8, ghost(2, 0x2000, 8));
-    EXPECT_EQ(t.countMarked(), 2u);
+    EXPECT_TRUE(t.checkLoad(0x1000, 8).wrtHit);
+    EXPECT_TRUE(t.checkLoad(0x2000, 8).wrtHit);
     t.clear();
-    EXPECT_EQ(t.countMarked(), 0u);
-    EXPECT_FALSE(t.checkLoad(0x1000, 8).wrtHit);
+    for (const Addr a : {Addr{0x1000}, Addr{0x2000}}) {
+        const TableCheck c = t.checkLoad(a, 8);
+        EXPECT_FALSE(c.wrtHit);
+        EXPECT_FALSE(c.invHit);
+        ASSERT_NE(c.ghosts, nullptr);
+        EXPECT_TRUE(c.ghosts->empty());
+    }
 }
 
 TEST(CheckingTable, HashAliasingIsConservative)

@@ -1,9 +1,10 @@
 /**
  * @file
  * Tests for the fast-kernel refactor: the DynInst object pool and
- * ring buffer, the store queue's incrementally-maintained unresolved
- * counter (checked against a brute-force oracle), and equivalence of
- * the event-driven idle skip with cycle-by-cycle ticking.
+ * ring buffer, the store queue's binary-search checkLoad() (checked
+ * against a linear reference after every queue mutation), and
+ * equivalence of the event-driven idle skip with cycle-by-cycle
+ * ticking.
  */
 
 #include <gtest/gtest.h>
@@ -128,39 +129,78 @@ TEST(RingBufferTest, PopBackAndClear)
     EXPECT_EQ(rb.front(), 9);
 }
 
-// ---- SQ incremental unresolved tracking vs. brute force -------------
+// ---- SQ checkLoad vs. brute force ------------------------------------
 
-/** Brute-force reference over a mirror of the queue contents. */
-struct SqOracle
+/**
+ * Seed-style reference for StoreQueue::checkLoad over a mirror of the
+ * queue contents: walk youngest-first, skipping younger stores one by
+ * one.
+ */
+SqCheckResult
+linearCheckLoad(const std::deque<DynInst *> &mirror, SeqNum load_seq,
+                Addr addr, unsigned size)
 {
-    unsigned unresolved = 0;
-    SeqNum oldestUnresolved = invalidSeqNum;
-
-    explicit SqOracle(const std::deque<DynInst *> &mirror)
-    {
-        for (const DynInst *store : mirror) {
-            if (!store->sqAddrReady) {
-                ++unresolved;
-                if (oldestUnresolved == invalidSeqNum)
-                    oldestUnresolved = store->seq;
-            }
+    SqCheckResult r;
+    for (auto it = mirror.rbegin(); it != mirror.rend(); ++it) {
+        DynInst *store = *it;
+        if (store->seq >= load_seq)
+            continue;
+        if (!store->sqAddrReady) {
+            r.sawUnresolvedOlder = true;
+            continue;
         }
+        if (!rangesOverlap(addr, size, store->op.effAddr,
+                           store->op.memSize))
+            continue;
+        const bool contains = store->op.effAddr <= addr &&
+            addr + size <= store->op.effAddr + store->op.memSize;
+        if (contains && store->sqDataReady)
+            r.outcome = SqCheck::Forward;
+        else
+            r.outcome = SqCheck::Reject;
+        r.producer = store;
+        return r;
     }
+    return r;
+}
 
-    bool
-    allOlderResolved(const std::deque<DynInst *> &mirror,
-                     SeqNum load_seq) const
-    {
-        for (const DynInst *store : mirror)
-            if (store->seq < load_seq && !store->sqAddrReady)
-                return false;
-        return true;
+/** True iff every store older than @p load_seq has its address. */
+bool
+everyOlderStoreResolved(const std::deque<DynInst *> &mirror,
+                        SeqNum load_seq)
+{
+    for (const DynInst *store : mirror) {
+        if (store->seq < load_seq && !store->sqAddrReady)
+            return false;
     }
-};
+    return true;
+}
 
+void
+expectCheckLoadMatches(const StoreQueue &sq,
+                       const std::deque<DynInst *> &mirror,
+                       SeqNum load_seq, Addr addr, unsigned size,
+                       int step)
+{
+    const SqCheckResult got = sq.checkLoad(load_seq, addr, size);
+    const SqCheckResult want =
+        linearCheckLoad(mirror, load_seq, addr, size);
+    ASSERT_EQ(got.outcome, want.outcome) << "step " << step;
+    ASSERT_EQ(got.producer, want.producer) << "step " << step;
+    ASSERT_EQ(got.sawUnresolvedOlder, want.sawUnresolvedOlder)
+        << "step " << step << " load " << load_seq;
+}
+
+/**
+ * Every queue mutation (allocate, resolve, release, squash) keeps
+ * checkLoad() equal to the linear reference. Probes at an address no
+ * store touches never match, so the scan sees every older store and
+ * sawUnresolvedOlder is exactly the safe-load test of Fig. 1b.
+ */
 TEST(StoreQueueIncrementalTest, RandomizedAgainstOracle)
 {
     constexpr unsigned capacity = 16;
+    constexpr Addr untouched = Addr{1} << 20; // past every store
     StoreQueue sq(capacity);
     std::deque<DynInst *> mirror;
     std::vector<std::unique_ptr<DynInst>> owned;
@@ -188,6 +228,7 @@ TEST(StoreQueueIncrementalTest, RandomizedAgainstOracle)
             if (!store->sqAddrReady)
                 store->op.effAddr = rng.range(1 << 16) & ~Addr{7};
             sq.setAddress(store);
+            ASSERT_TRUE(store->sqAddrReady) << "step " << step;
         } else if (op < 8 && !mirror.empty()) {
             sq.releaseHead(mirror.front());
             mirror.pop_front();
@@ -200,18 +241,29 @@ TEST(StoreQueueIncrementalTest, RandomizedAgainstOracle)
                 mirror.pop_back();
         }
 
-        const SqOracle oracle(mirror);
-        ASSERT_EQ(sq.unresolvedCount(), oracle.unresolved)
+        ASSERT_EQ(sq.size(), mirror.size()) << "step " << step;
+        ASSERT_EQ(sq.oldestStoreSeq(),
+                  mirror.empty() ? invalidSeqNum : mirror.front()->seq)
             << "step " << step;
-        ASSERT_EQ(sq.oldestUnresolvedSeq(), oracle.oldestUnresolved)
-            << "step " << step;
-        // Probe allOlderResolved at the interesting seq boundaries.
-        for (SeqNum probe :
-             {SeqNum{1}, next_seq / 2, next_seq, next_seq + 5}) {
-            ASSERT_EQ(sq.allOlderResolved(probe),
-                      oracle.allOlderResolved(mirror, probe))
-                << "step " << step << " probe " << probe;
+        // Probe the interesting seq boundaries, and every store's own
+        // age (the load just younger and just older than it).
+        std::vector<SeqNum> probes = {SeqNum{1}, next_seq / 2, next_seq,
+                                      next_seq + 5};
+        for (const DynInst *store : mirror) {
+            probes.push_back(store->seq);
+            probes.push_back(store->seq + 1);
         }
+        for (const SeqNum probe : probes) {
+            ASSERT_EQ(sq.checkLoad(probe, untouched, 8).sawUnresolvedOlder,
+                      !everyOlderStoreResolved(mirror, probe))
+                << "step " << step << " probe " << probe;
+            ASSERT_NO_FATAL_FAILURE(expectCheckLoadMatches(
+                sq, mirror, probe, untouched, 8, step));
+        }
+        // And one load that may match a resolved store.
+        ASSERT_NO_FATAL_FAILURE(expectCheckLoadMatches(
+            sq, mirror, 1 + rng.range(next_seq + 4),
+            rng.range(1 << 16) & ~Addr{7}, 8, step));
     }
 }
 
@@ -223,33 +275,6 @@ TEST(StoreQueueIncrementalTest, CheckLoadMatchesLinearReference)
     std::vector<std::unique_ptr<DynInst>> owned;
     Rng rng(0xf00dfeed);
     SeqNum next_seq = 1;
-
-    // Seed-style reference: walk youngest-first, skipping younger
-    // stores one by one.
-    auto reference = [&](SeqNum load_seq, Addr addr, unsigned size) {
-        SqCheckResult r;
-        for (auto it = mirror.rbegin(); it != mirror.rend(); ++it) {
-            DynInst *store = *it;
-            if (store->seq >= load_seq)
-                continue;
-            if (!store->sqAddrReady) {
-                r.sawUnresolvedOlder = true;
-                continue;
-            }
-            if (!rangesOverlap(addr, size, store->op.effAddr,
-                               store->op.memSize))
-                continue;
-            const bool contains = store->op.effAddr <= addr &&
-                addr + size <= store->op.effAddr + store->op.memSize;
-            if (contains && store->sqDataReady)
-                r.outcome = SqCheck::Forward;
-            else
-                r.outcome = SqCheck::Reject;
-            r.producer = store;
-            return r;
-        }
-        return r;
-    };
 
     for (int step = 0; step < 3000; ++step) {
         if (mirror.size() == capacity ||
@@ -275,12 +300,8 @@ TEST(StoreQueueIncrementalTest, CheckLoadMatchesLinearReference)
         const SeqNum load_seq = 1 + rng.range(next_seq + 4);
         const Addr addr = rng.range(64) * 4;
         const unsigned size = 4u << rng.range(2);
-        const SqCheckResult got = sq.checkLoad(load_seq, addr, size);
-        const SqCheckResult want = reference(load_seq, addr, size);
-        ASSERT_EQ(got.outcome, want.outcome) << "step " << step;
-        ASSERT_EQ(got.producer, want.producer) << "step " << step;
-        ASSERT_EQ(got.sawUnresolvedOlder, want.sawUnresolvedOlder)
-            << "step " << step;
+        ASSERT_NO_FATAL_FAILURE(expectCheckLoadMatches(
+            sq, mirror, load_seq, addr, size, step));
     }
 }
 

@@ -15,7 +15,8 @@
  *
  * Journal rows keep their run identity, so bench_compare compares
  * every run of a sweep and names a result field that moved; a
- * malformed threshold or number token makes it exit kExitUsage.
+ * malformed threshold, number token, string or nesting depth makes it
+ * exit kExitUsage.
  *
  * The integration tests receive the dmdc_sim, fig4_dmdc_main and
  * bench_compare locations from CMake via the DMDC_SIM_BIN, BENCH_BIN
@@ -321,7 +322,7 @@ TEST_F(JournalCompare, NamesAMovedReplayClass)
         << out;
 }
 
-TEST_F(JournalCompare, MalformedFlagsAndNumbersExitUsage)
+TEST_F(JournalCompare, MalformedFlagsAndJournalsExitUsage)
 {
     const fs::path journal = dir_ / "base.json";
     writeJournal({sweepRun(0.0)}, journal);
@@ -350,6 +351,25 @@ TEST_F(JournalCompare, MalformedFlagsAndNumbersExitUsage)
     std::ofstream(mangled) << text;
     EXPECT_EQ(benchCompare(journal, mangled, out), kExitUsage) << out;
     EXPECT_NE(out.find("malformed JSON"), std::string::npos) << out;
+
+    // So does a raw tab inside a row's "run" string...
+    text = slurp(journal);
+    const std::string run = "\"run\":\"";
+    const std::size_t identity = text.find(run);
+    ASSERT_NE(identity, std::string::npos);
+    text.insert(identity + run.size(), "\t");
+    const fs::path tabbed = dir_ / "tabbed.json";
+    std::ofstream(tabbed) << text;
+    EXPECT_EQ(benchCompare(journal, tabbed, out), kExitUsage) << out;
+    EXPECT_NE(out.find("control character"), std::string::npos) << out;
+
+    // ...and nesting past the parser's bound (100 k nested arrays
+    // would overflow the stack of a parser that recursed unbounded).
+    const fs::path deep = dir_ / "deep.json";
+    std::ofstream(deep) << std::string(100000, '[')
+                        << std::string(100000, ']');
+    EXPECT_EQ(benchCompare(deep, deep, out), kExitUsage) << out;
+    EXPECT_NE(out.find("nesting"), std::string::npos) << out;
 }
 
 // ---- end-to-end recovery ---------------------------------------------

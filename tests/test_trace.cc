@@ -242,7 +242,7 @@ TEST(SyntheticWorkload, FpBenchmarkUsesFpUnits)
 TEST(SyntheticWorkload, WrongPathIsDeterministicPerPcAndSalt)
 {
     auto w = makeSpecWorkload("vpr");
-    const Addr pc = w->codeBase() + 4 * 17;
+    const Addr pc = w->op(0).pc + 4 * 17;
     const MicroOp a = w->wrongPathOp(pc, 5);
     const MicroOp b = w->wrongPathOp(pc, 5);
     EXPECT_EQ(a.effAddr, b.effAddr);
@@ -292,6 +292,8 @@ std::uint64_t
 streamFingerprint(const std::string &name)
 {
     auto w = makeSpecWorkload(name);
+    // Every stream starts at the first slot of its code region.
+    const Addr code_base = w->op(0).pc;
     std::uint64_t h = 0xcbf29ce484222325ull;
     for (std::uint64_t i = 0; i < 200000; ++i) {
         h = foldOp(h, w->op(i));
@@ -299,7 +301,7 @@ streamFingerprint(const std::string &name)
     }
     for (std::uint64_t i = 0; i < 10000; ++i) {
         const Addr pc = (i % 16 == 0) ? i * 0x1000 + 2
-                                      : w->codeBase() + 4 * (i * 13);
+                                      : code_base + 4 * (i * 13);
         h = foldOp(h, w->wrongPathOp(pc, i * 3 + 1));
     }
     return h;

@@ -3,7 +3,8 @@
  * Trace-sink unit tests: ring wraparound/overwrite ordering, name
  * interning limits, concurrent writer/snapshot safety (the TSan job
  * builds this binary), Chrome exporter round-trip through the strict
- * JSON parser, and channel reconfiguration.
+ * JSON parser, and channel reconfiguration. Every record count is
+ * read from the exported Chrome file, the one place records go.
  *
  * Ordering matters inside this file: gtest runs tests in definition
  * order, and the interning-limit test deliberately exhausts the
@@ -73,6 +74,18 @@ eventsNamed(const JsonValue &doc, const std::string &name)
     return out;
 }
 
+/** Exported events that are records, not "ph":"M" metadata. */
+std::size_t
+recordCount(const JsonValue &doc)
+{
+    std::size_t n = 0;
+    if (const JsonValue *list = doc.find("traceEvents")) {
+        for (const JsonValue &e : list->items)
+            n += e.find("ph")->text != "M";
+    }
+    return n;
+}
+
 std::uint64_t
 argValue(const JsonValue &event)
 {
@@ -91,13 +104,16 @@ TEST(TraceSink, DisabledCategoryRecordsNothing)
     traceConfigure(enabledOptions("somethingelse", 1024));
     TraceCategory &cat = traceCategory("ts-disabled");
     ASSERT_FALSE(cat.on());
-    const std::uint64_t before = traceRecordsPublished();
     const std::uint16_t name = traceNameId("ts-disabled-evt");
     traceInstant(cat, name);
     traceInstantArg(cat, name, 7);
     traceCounter(cat, name, 9);
     { TraceSpan span(cat, name); }
-    EXPECT_EQ(traceRecordsPublished(), before);
+    // Not even a ring: a disabled event never registers its thread,
+    // so the export holds only the process_name metadata.
+    const JsonValue doc = exportAndParse();
+    EXPECT_EQ(recordCount(doc), 0u);
+    EXPECT_TRUE(eventsNamed(doc, "trace_records_lost").empty());
 }
 
 TEST(TraceSink, WraparoundKeepsNewestInOrder)
@@ -205,7 +221,6 @@ TEST(TraceSink, SpanCapturesEnablementAtConstruction)
     traceConfigure(enabledOptions("ts-span", 1024));
     TraceCategory &cat = traceCategory("ts-span");
     ASSERT_TRUE(cat.on());
-    const std::uint64_t before = traceRecordsPublished();
     {
         TraceSpan span(cat, traceNameId("ts-span-evt"));
         // Disabling mid-span must not lose the record: the span
@@ -213,7 +228,11 @@ TEST(TraceSink, SpanCapturesEnablementAtConstruction)
         traceConfigure(enabledOptions("other", 1024));
         ASSERT_FALSE(cat.on());
     }
-    EXPECT_EQ(traceRecordsPublished(), before + 1);
+    const JsonValue doc = exportAndParse();
+    EXPECT_EQ(recordCount(doc), 1u);
+    const auto spans = eventsNamed(doc, "ts-span-evt");
+    ASSERT_EQ(spans.size(), 1u);
+    EXPECT_EQ(spans[0]->find("ph")->text, "X");
 }
 
 TEST(TraceSink, ReconfigureFlipsCategories)
@@ -247,7 +266,6 @@ TEST(TraceSink, ConcurrentWritersAndSnapshots)
     TraceCategory &cat = traceCategory("ts-stress");
     ASSERT_TRUE(cat.on());
     const std::uint16_t name = traceNameId("ts-stress-evt");
-    const std::uint64_t before = traceRecordsPublished();
 
     constexpr unsigned kWriters = 4;
     constexpr std::uint64_t kPerWriter = 20000;
@@ -269,22 +287,34 @@ TEST(TraceSink, ConcurrentWritersAndSnapshots)
     }
     for (std::thread &t : writers)
         t.join();
-    EXPECT_EQ(traceRecordsPublished(),
-              before + kWriters * kPerWriter);
 
     // After the writers exited, their rings (and thread names) must
     // still be visible to the exporter.
     const JsonValue doc = exportAndParse();
     EXPECT_EQ(eventsNamed(doc, "ts-stress-evt").size(),
               kWriters * std::min<std::uint64_t>(kPerWriter, 256));
-    bool sawWorker = false;
+    std::vector<std::string> workerTids;
     for (const JsonValue *m : eventsNamed(doc, "thread_name")) {
         const JsonValue *args = m->find("args");
         if (args && args->find("name") &&
             args->find("name")->text.rfind("stress-", 0) == 0)
-            sawWorker = true;
+            workerTids.push_back(m->find("tid")->text);
     }
-    EXPECT_TRUE(sawWorker);
+    ASSERT_EQ(workerTids.size(), kWriters);
+
+    // Every published record is accounted for: per writer ring, the
+    // records held plus the records its metadata reports lost.
+    for (const std::string &tid : workerTids) {
+        std::uint64_t held = 0;
+        for (const JsonValue *e : eventsNamed(doc, "ts-stress-evt"))
+            held += e->find("tid")->text == tid;
+        std::uint64_t lost = 0;
+        for (const JsonValue *m : eventsNamed(doc, "trace_records_lost")) {
+            if (m->find("tid")->text == tid)
+                lost = std::stoull(m->find("args")->find("lost")->text);
+        }
+        EXPECT_EQ(held + lost, kPerWriter) << "tid " << tid;
+    }
 }
 
 // Keep last: exhausts the process-wide name table (ids are interned

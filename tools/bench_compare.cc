@@ -435,6 +435,13 @@ selfTest()
     expect(!parseJournal("{\"results\":42}", bad, err),
            "reject non-array results");
     expect(!parseJournal("not json", bad, err), "reject non-json");
+    expect(!parseJournal(std::string(100000, '[') +
+                             std::string(100000, ']'),
+                         bad, err),
+           "reject nesting past the parser's bound");
+    expect(!parseJournal(journalText("x", {"{\"run\":\"a\tb\"}"}), bad,
+                         err),
+           "reject a raw control character in a string");
     expect(!parseJournal(journalText("x", {"{\"status\":\"ok\"}"}), bad,
                          err),
            "reject a row without a run identity");
