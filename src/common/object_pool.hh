@@ -24,6 +24,8 @@
 
 #include <cstddef>
 #include <memory>
+#include <new>
+#include <type_traits>
 #include <vector>
 
 #include "common/logging.hh"
@@ -32,27 +34,29 @@ namespace dmdc
 {
 
 /**
- * Slab allocator with a LIFO freelist. Objects are reset to their
- * default-constructed state on acquire, so callers never observe
- * stale fields from a previous life.
+ * Slab allocator with a LIFO freelist. Objects are default-initialized
+ * afresh on acquire, so callers never observe stale fields from a
+ * previous life, provided every member of @p T has a default member
+ * initializer (ObjectPoolTest.RecycledDynInstEqualsFresh holds DynInst
+ * to that).
  *
- * @tparam T default-constructible, copy-assignable object type.
+ * @tparam T default-constructible, trivially destructible object type.
  */
 template <typename T>
 class ObjectPool
 {
+    static_assert(std::is_trivially_destructible_v<T>,
+                  "recycling constructs over the old object");
+
   public:
     /**
-     * @param initial_capacity objects pre-allocated up front
-     * @param max_objects hard cap on total objects (0 = grow on
-     *        demand in slabs of the initial capacity)
+     * @param slab_size objects allocated up front, and again each time
+     *        the freelist runs dry
      */
-    explicit ObjectPool(std::size_t initial_capacity,
-                        std::size_t max_objects = 0)
-        : slabSize_(initial_capacity ? initial_capacity : 1),
-          max_(max_objects)
+    explicit ObjectPool(std::size_t slab_size)
+        : slabSize_(slab_size ? slab_size : 1)
     {
-        addSlab(slabSize_);
+        addSlab();
     }
 
     ObjectPool(const ObjectPool &) = delete;
@@ -63,35 +67,18 @@ class ObjectPool
     /** Objects allocated across all slabs. */
     std::size_t capacity() const { return total_; }
 
-    /**
-     * Acquire a freshly-reset object; nullptr when a bounded pool is
-     * exhausted.
-     */
-    T *
-    tryAcquire()
-    {
-        if (free_.empty()) {
-            if (max_ && total_ >= max_)
-                return nullptr;
-            std::size_t grow = slabSize_;
-            if (max_ && total_ + grow > max_)
-                grow = max_ - total_;
-            addSlab(grow);
-        }
-        T *obj = free_.back();
-        free_.pop_back();
-        *obj = T{};
-        return obj;
-    }
-
-    /** Acquire a freshly-reset object; panics on exhaustion. */
+    /** Acquire a freshly default-initialized object. */
     T *
     acquire()
     {
-        T *obj = tryAcquire();
-        if (!obj)
-            panic("object pool exhausted (%zu objects live)", total_);
-        return obj;
+        if (free_.empty())
+            addSlab();
+        T *obj = free_.back();
+        free_.pop_back();
+        // Default-initialization in place, not `*obj = T{}`: that
+        // value-initializes a temporary and copies it, which GCC
+        // lowers to a rep stos of the whole object plus fix-ups.
+        return ::new (obj) T;
     }
 
     /** Return an object to the pool. It must come from this pool. */
@@ -103,23 +90,22 @@ class ObjectPool
 
   private:
     void
-    addSlab(std::size_t count)
+    addSlab()
     {
-        slabs_.push_back(std::make_unique<T[]>(count));
+        slabs_.push_back(std::make_unique_for_overwrite<T[]>(slabSize_));
         T *base = slabs_.back().get();
-        free_.reserve(free_.size() + count);
+        free_.reserve(free_.size() + slabSize_);
         // Pushed in reverse so the LIFO freelist hands out slab
         // objects in address order initially (cache-friendly).
-        for (std::size_t i = count; i-- > 0;)
+        for (std::size_t i = slabSize_; i-- > 0;)
             free_.push_back(base + i);
-        total_ += count;
+        total_ += slabSize_;
     }
 
     std::vector<std::unique_ptr<T[]>> slabs_;
     std::vector<T *> free_;
     std::size_t slabSize_;
     std::size_t total_ = 0;
-    std::size_t max_;
 };
 
 /**

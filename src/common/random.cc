@@ -8,8 +8,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <mutex>
+
+#include "common/logging.hh"
 
 namespace dmdc
 {
@@ -125,6 +128,18 @@ GeometricTable::GeometricTable(double mean)
         thresholds_.push_back(lo);
     }
     thresholds_.push_back(drawEnd);
+
+    if (top > std::numeric_limits<std::uint16_t>::max())
+        fatal("geometric mean %g: %u table entries is too many", mean, top);
+    // Samples rise with the draw, so one walk of the thresholds finds
+    // every bucket's start.
+    bucketStart_.resize(std::size_t{1} << bucketBits);
+    unsigned k = 1;
+    for (std::size_t b = 0; b < bucketStart_.size(); ++b) {
+        while (thresholds_[k] <= std::uint64_t{b} << bucketShift)
+            ++k;
+        bucketStart_[b] = static_cast<std::uint16_t>(k);
+    }
 }
 
 const GeometricTable &

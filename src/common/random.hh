@@ -128,8 +128,9 @@ std::uint64_t hashBytes(const void *data, std::size_t len,
 
 /**
  * Rng::geometric(mean) as a threshold table on the 53-bit draw: one
- * next() and about @c mean compares per sample instead of two log1p
- * calls, with exactly the same result for every draw.
+ * next(), one bucket lookup and usually at most one compare per sample
+ * instead of two log1p calls, with exactly the same result for every
+ * draw.
  */
 class GeometricTable
 {
@@ -149,11 +150,21 @@ class GeometricTable
     {
         if (thresholds_.empty())
             return 1;       // mean <= 1: the formula draws nothing
-        const std::uint64_t draw = rng.next() >> 11;
-        // thresholds_[0] is 0 and the last entry is 2^53, above
-        // every draw, so the scan needs no bounds check.
-        const std::uint64_t *t = thresholds_.data() + 1;
-        unsigned k = 1;
+        return sampleOfDraw(rng.next() >> 11);
+    }
+
+    /**
+     * Rng::geometricOfDraw(mean, @p draw) by table lookup: the draw's
+     * top bits pick a bucket whose start is the sample at the bucket's
+     * first draw, and the scan finishes from there. Requires mean > 1.
+     */
+    unsigned
+    sampleOfDraw(std::uint64_t draw) const
+    {
+        unsigned k = bucketStart_[draw >> bucketShift];
+        // The last threshold is 2^53, above every draw, so the scan
+        // needs no bounds check.
+        const std::uint64_t *t = thresholds_.data() + k;
         while (draw >= *t) {
             ++t;
             ++k;
@@ -170,8 +181,14 @@ class GeometricTable
         return thresholds_;
     }
 
+    /** log2 of the bucket count; a bucket spans 2^(53 - bits) draws. */
+    static constexpr unsigned bucketBits = 10;
+    static constexpr unsigned bucketShift = 53 - bucketBits;
+
   private:
     std::vector<std::uint64_t> thresholds_;
+    /** Entry b: the sample at draw b << bucketShift. */
+    std::vector<std::uint16_t> bucketStart_;
 };
 
 } // namespace dmdc

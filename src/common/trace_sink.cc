@@ -3,13 +3,16 @@
  * Implementation of the lock-free trace sink and Chrome exporter.
  *
  * Seqlock discipline (Boehm, "Can seqlocks get along with programming
- * language memory models?"): the writer stamps a slot odd, fences
- * release, stores the payload words relaxed, then publishes the even
- * stamp with release; a reader loads the stamp with acquire, reads
- * the payload relaxed, fences acquire, and re-reads the stamp — any
- * mismatch or odd value means the slot was torn mid-copy and is
- * skipped. Payload words are themselves atomics, so even a discarded
- * read is well-defined (and TSan-clean).
+ * language memory models?", the variant without fences): the writer
+ * stamps a slot odd, stores the payload words with release, then
+ * publishes the even stamp with release; a reader loads the stamp with
+ * acquire, reads the payload with acquire, and re-reads the stamp. A
+ * payload word a newer writer stored carries that writer's odd stamp
+ * with it, so the re-read sees the change; any mismatch or odd value
+ * means the slot was torn mid-copy and is skipped. Payload words are
+ * themselves atomics, so even a discarded read is well-defined. There
+ * is no fence for TSan to miss (`-Wtsan`), and on x86 release stores
+ * and acquire loads are plain moves.
  */
 
 #include "common/trace_sink.hh"
@@ -117,10 +120,9 @@ class TraceRing
         Slot &slot = slots_[next_ & mask_];
         const std::uint64_t seq = next_++;
         slot.stamp.store(2 * seq + 1, std::memory_order_relaxed);
-        std::atomic_thread_fence(std::memory_order_release);
-        slot.tsNs.store(tsNs, std::memory_order_relaxed);
-        slot.arg.store(arg, std::memory_order_relaxed);
-        slot.meta.store(meta, std::memory_order_relaxed);
+        slot.tsNs.store(tsNs, std::memory_order_release);
+        slot.arg.store(arg, std::memory_order_release);
+        slot.meta.store(meta, std::memory_order_release);
         slot.stamp.store(2 * seq + 2, std::memory_order_release);
     }
 
@@ -137,11 +139,10 @@ class TraceRing
             if (st1 == 0 || (st1 & 1))
                 continue;
             TraceRecord rec;
-            rec.tsNs = slot.tsNs.load(std::memory_order_relaxed);
-            rec.arg = slot.arg.load(std::memory_order_relaxed);
+            rec.tsNs = slot.tsNs.load(std::memory_order_acquire);
+            rec.arg = slot.arg.load(std::memory_order_acquire);
             const std::uint64_t meta =
-                slot.meta.load(std::memory_order_relaxed);
-            std::atomic_thread_fence(std::memory_order_acquire);
+                slot.meta.load(std::memory_order_acquire);
             const std::uint64_t st2 =
                 slot.stamp.load(std::memory_order_relaxed);
             if (st1 != st2)

@@ -20,7 +20,7 @@
  * thread, via a thread_local handle) and any thread may snapshot it.
  * Every slot carries a seqlock-style stamp — odd while the writer is
  * mid-copy, 2*(seq+1) once published — and the payload words are
- * relaxed atomics, so a concurrent snapshot simply discards torn or
+ * atomics, so a concurrent snapshot simply discards torn or
  * overwritten slots instead of racing (TSan-clean by construction).
  * Rings are registered with the process-wide sink as shared_ptrs and
  * survive thread exit, so the at-exit exporter still sees records

@@ -7,6 +7,8 @@
 
 #include <algorithm>
 
+#include "common/bitutils.hh"
+
 namespace dmdc
 {
 
@@ -14,7 +16,8 @@ FetchStage::FetchStage(const FetchParams &params, Workload &workload,
                        BranchPredictor &predictor, MemoryHierarchy &mem,
                        ObjectPool<DynInst> &pool)
     : params_(params), workload_(workload), predictor_(predictor),
-      mem_(mem), pool_(pool)
+      mem_(mem), pool_(pool),
+      lineShift_(floorLog2(mem_.l1i().lineBytes()))
 {
     fetchPc_ = workload_.op(0).pc;
 }
@@ -51,11 +54,10 @@ FetchStage::tick(Cycle now, RingBuffer<DynInst *> &out,
 
     const std::size_t budget =
         std::min<std::size_t>(params_.fetchWidth, max_count);
-    const unsigned line_bytes = mem_.l1i().lineBytes();
 
     for (std::size_t n = 0; n < budget; ++n) {
         // One I-cache access per line crossing.
-        const Addr line = fetchPc_ / line_bytes;
+        const Addr line = fetchPc_ >> lineShift_;
         if (line != lastFetchLine_) {
             const unsigned lat = mem_.accessInst(fetchPc_);
             lastFetchLine_ = line;

@@ -78,6 +78,7 @@ class FetchStage
     BranchPredictor &predictor_;
     MemoryHierarchy &mem_;
     ObjectPool<DynInst> &pool_;
+    unsigned lineShift_;   ///< log2 of the I-cache line size
 
     Addr fetchPc_;
     std::uint64_t nextTraceIndex_ = 0;

@@ -40,17 +40,4 @@ Rob::retireHead()
     pool_.release(inst);
 }
 
-void
-Rob::squashFrom(SeqNum from_seq,
-                const std::function<void(DynInst *)> &on_squash)
-{
-    while (!insts_.empty() && insts_.back()->seq >= from_seq) {
-        DynInst *inst = insts_.back();
-        inst->stage = InstStage::Squashed;
-        on_squash(inst);
-        insts_.pop_back();
-        pool_.release(inst);
-    }
-}
-
 } // namespace dmdc

@@ -8,8 +8,6 @@
 #ifndef DMDC_CORE_ROB_HH
 #define DMDC_CORE_ROB_HH
 
-#include <functional>
-
 #include "common/object_pool.hh"
 #include "core/inst.hh"
 
@@ -81,8 +79,18 @@ class Rob
      * squash), invoking @p on_squash on each before recycling,
      * youngest first.
      */
-    void squashFrom(SeqNum from_seq,
-                    const std::function<void(DynInst *)> &on_squash);
+    template <typename Fn>
+    void
+    squashFrom(SeqNum from_seq, Fn &&on_squash)
+    {
+        while (!insts_.empty() && insts_.back()->seq >= from_seq) {
+            DynInst *inst = insts_.back();
+            inst->stage = InstStage::Squashed;
+            on_squash(inst);
+            insts_.pop_back();
+            pool_.release(inst);
+        }
+    }
 
     /** Iterate oldest to youngest. */
     template <typename Fn>

@@ -20,13 +20,14 @@ YlaFile::YlaFile(unsigned num_regs, unsigned grain_bytes)
         fatal("YLA register count must be a power of two");
     if (!isPowerOf2(grain_bytes))
         fatal("YLA interleaving grain must be a power of two");
+    grainShift_ = floorLog2(grain_bytes);
     reset();
 }
 
 unsigned
 YlaFile::bank(Addr addr) const
 {
-    return static_cast<unsigned>((addr / grainBytes_) &
+    return static_cast<unsigned>((addr >> grainShift_) &
                                  (regs_.size() - 1));
 }
 

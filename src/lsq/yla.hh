@@ -65,6 +65,7 @@ class YlaFile
 
     std::vector<SeqNum> regs_;
     unsigned grainBytes_;
+    unsigned grainShift_;   ///< log2(grainBytes_)
 };
 
 } // namespace dmdc

@@ -26,6 +26,8 @@ Cache::Cache(const CacheParams &params)
     if (!isPowerOf2(numSets_))
         fatal("cache '%s': set count must be a power of two",
               params_.name.c_str());
+    lineShift_ = floorLog2(params_.lineBytes);
+    tagShift_ = lineShift_ + floorLog2(numSets_);
     lines_.resize(num_lines);
 
     stats_.regCounter("hits", &hits_);
@@ -42,14 +44,13 @@ Cache::regStats(StatGroup &parent)
 unsigned
 Cache::setIndex(Addr addr) const
 {
-    return static_cast<unsigned>(
-        (addr / params_.lineBytes) & (numSets_ - 1));
+    return static_cast<unsigned>((addr >> lineShift_) & (numSets_ - 1));
 }
 
 Addr
 Cache::tagOf(Addr addr) const
 {
-    return (addr / params_.lineBytes) / numSets_;
+    return addr >> tagShift_;
 }
 
 bool

@@ -77,6 +77,8 @@ class Cache
     CacheParams params_;
     std::vector<Line> lines_;
     unsigned numSets_;
+    unsigned lineShift_;   ///< log2(lineBytes)
+    unsigned tagShift_;    ///< log2(lineBytes * numSets_)
     std::uint64_t lruClock_ = 0;
 
     Counter hits_;

@@ -223,6 +223,31 @@ TEST(GeometricTable, LockstepDrawsMatchTheFormula)
     }
 }
 
+TEST(GeometricTable, BucketStartsMatchTheFormula)
+{
+    // sampleOfDraw() starts each scan at its bucket's first sample;
+    // check that start at every bucket's first draw, and the scan's
+    // finish on both sides of every threshold.
+    for (const double mean : generatorMeans()) {
+        const GeometricTable table(mean);
+        for (std::uint64_t b = 0; b < (1u << GeometricTable::bucketBits);
+             ++b) {
+            const std::uint64_t draw = b << GeometricTable::bucketShift;
+            EXPECT_EQ(table.sampleOfDraw(draw),
+                      Rng::geometricOfDraw(mean, draw))
+                << "mean " << mean << " bucket " << b;
+        }
+        const auto &t = table.thresholds();
+        for (std::size_t k = 1; k + 1 < t.size(); ++k) {
+            for (const std::uint64_t draw : {t[k] - 1, t[k]}) {
+                EXPECT_EQ(table.sampleOfDraw(draw),
+                          Rng::geometricOfDraw(mean, draw))
+                    << "mean " << mean << " draw " << draw;
+            }
+        }
+    }
+}
+
 TEST(GeometricTable, MeanAtMostOneDrawsNothing)
 {
     for (const double mean : {0.5, 1.0}) {
